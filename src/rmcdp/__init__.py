@@ -38,7 +38,6 @@ from .priority import (
     PriorityResult,
     PrioritySearchStats,
     SlotGrid,
-    place_site,
     priority_solve,
 )
 from .mip import (

@@ -40,12 +40,23 @@ EXIT_TOO_LARGE = 4
 
 
 def _threads(args: argparse.Namespace) -> int:
+    """Thread count from ``--threads``, else ``RMCDP_THREADS``, else 1.
+
+    The count is validated for compatibility; the priority search ignores it.
+    """
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("RMCDP_THREADS")
-    if env and env.isdigit():
-        return max(1, int(env))
-    return 1
+        source, value = "--threads", args.threads
+    else:
+        source, text = "RMCDP_THREADS", os.environ.get("RMCDP_THREADS", "")
+        if not text:
+            return 1
+        try:
+            value = int(text)
+        except ValueError:
+            raise InputError(f"{source}: not an integer: {text!r}") from None
+    if value < 1:
+        raise InputError(f"{source}: must be at least 1, got {value}")
+    return value
 
 
 def _objective_payload(instance: Instance, schedule: Schedule) -> dict:

@@ -24,7 +24,6 @@ from .model import (
     ValidationError,
     solution_space_size,
     total_trips,
-    trip_duration,
 )
 from .schedule import (
     FeasibilityReport,

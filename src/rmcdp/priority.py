@@ -9,8 +9,16 @@ previous pour makes the permutation infeasible.  The best feasible
 permutation wins; ties go to the lexicographically smallest permutation of
 the instance's site list.
 
-Sites with identical parameters produce identical timings, so permutations
-are evaluated once per equivalence class and fanned out combinatorially.
+Sites with identical parameters produce identical timings, so the search runs
+over the distinct orderings of site-equivalence keys (classes) and fans each
+class out combinatorially.  Classes that share their first ``r`` keys share
+the grid those ``r`` sites leave behind, so the search is one depth-first
+walk: level ``r`` places the site in priority position ``r`` on its parent's
+grid, and backtracking drops that placement.  A failed placement prunes the
+whole subtree, since every class below it is infeasible too.  The grid is an
+integer bitmask of booked slots, and for ``beta = p/q`` all waiting is summed
+in integer units of ``1/q`` seconds; ``Fraction`` only appears at the API
+boundary.  The search runs in the calling process.
 """
 
 from __future__ import annotations
@@ -19,99 +27,95 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .graphs import _multiset_permutations
 from .model import Instance, SiteSpec, ValidationError
 from .schedule import Schedule, ScheduleEntry, TripId
 
 #: Marker: take the truck limit from the instance (``depot.trucks``).
 AUTO = object()
 
-#: Streaming limit: above this many equivalence classes, run sequentially.
-_MATERIALIZE_LIMIT = 1_000_000
-
 
 class SlotGrid:
-    """Loading slots of the single depot bay.
+    """Loading slots of the single depot bay, in integers.
 
-    Keeps per-slot occupancy plus the number of trucks already committed at
-    each slot instant (a dispatched truck is unavailable for one inclusive
-    gamma window).
+    Slot ``s`` (from 1) starts at ``start_time + (s - 1) * slot_length``.
+    The booked slots are an ``int`` bitmask owned by the caller (bit ``s``
+    set: slot ``s`` is taken).  Placing returns a new mask, so undoing a
+    placement is going back to the mask before it.  A dispatched truck is
+    busy for one inclusive gamma window, and a slot is truck-starved when
+    ``truck_limit`` dispatches already fall in the window ending at it.
+    Trip pacing is ``beta = pace / per``.
     """
 
-    def __init__(self, start_time: int, slot_length: int, gamma: int) -> None:
+    def __init__(
+        self,
+        start_time: int,
+        slot_length: int,
+        gamma: int,
+        truck_limit: int | None = None,
+        beta: Fraction = Fraction(1),
+    ) -> None:
         self.start_time = start_time
         self.slot_length = slot_length
         #: Slots a dispatch keeps its truck busy for, endpoint included.
         self.busy_slots = gamma // slot_length + 1
-        self.occupied: dict[int, TripId | None] = {}
-        self.load: dict[int, int] = {}
+        self.truck_limit = truck_limit
+        self.pace = beta.numerator
+        self.per = beta.denominator
 
     def slot_time(self, slot: int) -> int:
         return self.start_time + (slot - 1) * self.slot_length
 
-    def slot_at_or_after(self, when: int | Fraction) -> int:
-        offset = Fraction(when) - self.start_time
-        return max(1, math.ceil(offset / self.slot_length) + 1)
+    def step(self, unload_time: int) -> int:
+        """Slots from one loading to the first slot at or after ``beta * U`` later."""
+        return -(-self.pace * unload_time // (self.slot_length * self.per))
 
-    def admissible(self, slot: int, truck_limit: int | None) -> bool:
-        if slot in self.occupied:
+    def admissible(self, booked: int, slot: int) -> bool:
+        if booked >> slot & 1:
             return False
-        return truck_limit is None or self.load.get(slot, 0) < truck_limit
+        if self.truck_limit is None:
+            return True
+        low = max(0, slot - self.busy_slots + 1)
+        return ((booked & ((2 << slot) - 1)) >> low).bit_count() < self.truck_limit
 
-    def next_empty_slot(self, desired: int, truck_limit: int | None = None) -> int:
-        slot = desired
-        while not self.admissible(slot, truck_limit):
+    def next_free(self, booked: int, slot: int) -> int:
+        """First admissible slot at or after ``slot``."""
+        while True:
+            free = ~booked >> slot
+            slot += (free & -free).bit_length() - 1
+            if self.truck_limit is None or self.admissible(booked, slot):
+                return slot
             slot += 1
-        return slot
 
-    def place(self, slot: int, trip: TripId | None = None) -> None:
-        self.occupied[slot] = trip
-        for s in range(slot, slot + self.busy_slots):
-            self.load[s] = self.load.get(s, 0) + 1
+    def place_site(
+        self, booked: int, first_slot: int, trip_count: int, unload_time: int, gamma: int
+    ) -> tuple[int, list[int], int] | None:
+        """Book all trips of one site, or return None when a slide breaks ``gamma``.
 
-
-@dataclass(frozen=True)
-class SitePlacement:
-    slots: tuple[int, ...]
-    inter_trip_wait: Fraction
-
-
-def place_site(
-    grid: SlotGrid,
-    unload_time: int,
-    gamma: int,
-    trip_count: int,
-    first_slot: int,
-    beta: Fraction = Fraction(1),
-    truck_limit: int | None = None,
-    trip: TripId | None = None,
-) -> SitePlacement | None:
-    """Place all trips of one site on the grid, or report infeasibility.
-
-    The first trip takes the first admissible slot at or after
-    ``first_slot``; later trips aim ``beta * U`` after the previous loading
-    and slide forward past occupied slots, accumulating the slide as
-    waiting.  Returns ``None`` when a slide breaks the pour window.
-    """
-    slot = grid.next_empty_slot(first_slot, truck_limit)
-    grid.place(slot, trip)
-    slots = [slot]
-    previous = grid.slot_time(slot)
-    wait = Fraction(0)
-    for _ in range(trip_count - 1):
-        target = previous + beta * unload_time
-        slot = grid.next_empty_slot(grid.slot_at_or_after(target), truck_limit)
-        when = grid.slot_time(slot)
-        if when - previous > gamma:
-            return None
-        if when > target:
-            wait += when - target
-        grid.place(slot, trip)
-        slots.append(slot)
-        previous = when
-    return SitePlacement(slots=tuple(slots), inter_trip_wait=wait)
+        The first trip takes the first admissible slot at or after
+        ``first_slot``; later trips aim ``beta * U`` after the previous
+        loading and slide forward past inadmissible slots.  Returns the new
+        mask, the booked slots and the inter-trip waiting in units of
+        ``1 / per`` seconds: each slide past the target is waiting, and the
+        slides telescope to the span between first and last loading.
+        """
+        step = self.step(unload_time)
+        reach = gamma // self.slot_length
+        slot = self.next_free(booked, first_slot)
+        booked |= 1 << slot
+        slots = [slot]
+        for _ in range(trip_count - 1):
+            previous = slot
+            slot = self.next_free(booked, previous + step)
+            if slot - previous > reach:
+                return None
+            booked |= 1 << slot
+            slots.append(slot)
+        wait = (slot - slots[0]) * self.slot_length * self.per - (
+            trip_count - 1
+        ) * self.pace * unload_time
+        return booked, slots, wait
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,12 @@ class PriorityResult:
     stats: PrioritySearchStats
 
 
+#: trips, U_i, h_i, proposed start, gamma_i
 _SiteKey = tuple[int, int, int, int, int]
+#: A key and the positions of its sites in the instance's site list.
+_KeyGroup = tuple[_SiteKey, list[int]]
+#: Least total waiting (units of ``1 / per`` s) and its site positions.
+_Best = tuple[int, list[int]]
 
 
 def _site_key(instance: Instance, site: SiteSpec) -> _SiteKey:
@@ -149,85 +158,66 @@ def _site_key(instance: Instance, site: SiteSpec) -> _SiteKey:
     )
 
 
-def _evaluate_class(
-    instance: Instance,
-    key_sequence: Sequence[_SiteKey],
-    beta: Fraction,
-    truck_limit: int | None,
-) -> Fraction | None:
-    """Total site waiting of one permutation class, or None if infeasible."""
-    grid = SlotGrid(
-        instance.depot.start_time, instance.depot.loading_time, instance.depot.gamma
-    )
-    lt = instance.depot.loading_time
-    total = Fraction(0)
-    for position, key in enumerate(key_sequence, start=1):
-        trip_count, unload, haul, proposed, gamma = key
-        placed = place_site(
-            grid, unload, gamma, trip_count, position, beta, truck_limit
-        )
-        if placed is None:
-            return None
-        first_arrival = grid.slot_time(placed.slots[0]) + lt + haul
-        total += max(0, first_arrival - proposed) + placed.inter_trip_wait
-    return total
+def _search(grid: SlotGrid, groups: Sequence[_KeyGroup]) -> tuple[int, _Best | None]:
+    """Depth-first walk over all classes of the key groups.
 
-
-def _class_chunk_worker(
-    args: tuple[Instance, list[tuple[_SiteKey, ...]], str, int | None]
-) -> tuple[int, tuple[Fraction, tuple[_SiteKey, ...]] | None]:
-    instance, chunk, beta_text, truck_limit = args
-    beta = Fraction(beta_text)
+    Returns the number of feasible classes and the best ``(wait, positions)``;
+    ties on waiting go to the smallest site-position list.
+    """
+    left = [len(positions) for _, positions in groups]
+    level_count = sum(left)
+    # A truck loaded in slot s leaves the depot at start_time + s * L.
+    start, lt, per = grid.start_time, grid.slot_length, grid.per
+    order: list[int] = []
     feasible = 0
-    best: tuple[Fraction, tuple[_SiteKey, ...]] | None = None
-    for key_sequence in chunk:
-        wait = _evaluate_class(instance, key_sequence, beta, truck_limit)
-        if wait is None:
-            continue
-        feasible += 1
-        if best is None or wait < best[0]:
-            best = (wait, tuple(key_sequence))
+    best: _Best | None = None
+
+    def walk(booked: int, level: int, wait: int) -> None:
+        nonlocal feasible, best
+        if level == level_count:
+            feasible += 1
+            if best is None or wait < best[0] or (wait == best[0] and order < best[1]):
+                best = (wait, order[:])
+            return
+        for k in range(len(groups)):
+            if not left[k]:
+                continue
+            (trips, unload, haul, proposed, gamma), positions = groups[k]
+            placed = grid.place_site(booked, level + 1, trips, unload, gamma)
+            if placed is None:
+                continue
+            child, slots, trip_wait = placed
+            arrival = start + slots[0] * lt + haul
+            site_wait = max(0, arrival - proposed) * per + trip_wait
+            order.append(positions[len(positions) - left[k]])
+            left[k] -= 1
+            walk(child, level + 1, wait + site_wait)
+            left[k] += 1
+            order.pop()
+
+    walk(0, 0, 0)
     return feasible, best
 
 
-def _lexmin_assignment(
-    key_sequence: Sequence[_SiteKey], groups: dict[_SiteKey, list[int]]
-) -> tuple[int, ...]:
-    """Smallest site-position permutation realising a key sequence."""
-    cursors = {key: 0 for key in groups}
-    positions = []
-    for key in key_sequence:
-        positions.append(groups[key][cursors[key]])
-        cursors[key] += 1
-    return tuple(positions)
-
-
 def _build_schedule(
-    instance: Instance,
-    ordered_sites: Sequence[SiteSpec],
-    beta: Fraction,
-    truck_limit: int | None,
+    instance: Instance, grid: SlotGrid, ordered_sites: Sequence[SiteSpec]
 ) -> Schedule:
-    grid = SlotGrid(
-        instance.depot.start_time, instance.depot.loading_time, instance.depot.gamma
-    )
     lt = instance.depot.loading_time
     capacity = instance.depot.truck_capacity
+    booked = 0
     entries = []
     for position, site in enumerate(ordered_sites, start=1):
-        placed = place_site(
-            grid,
+        placed = grid.place_site(
+            booked,
+            position,
+            instance.trips_for(site),
             site.unload_time,
             instance.gamma_for(site),
-            instance.trips_for(site),
-            position,
-            beta,
-            truck_limit,
-            trip=TripId(site.id, 1),
         )
         assert placed is not None, "winning permutation must replay feasibly"
+        booked, slots, _ = placed
         poured = 0.0
-        for index, slot in enumerate(placed.slots, start=1):
+        for index, slot in enumerate(slots, start=1):
             depot_start = grid.slot_time(slot)
             arrival = depot_start + lt + site.haul_time
             delivered = min(capacity, site.demand - poured)
@@ -252,7 +242,11 @@ def priority_solve(
     truck_limit: int | None | object = AUTO,
     threads: int = 1,
 ) -> PriorityResult:
-    """Search all ``n!`` site permutations for the least total waiting."""
+    """Search all ``n!`` site permutations for the least total waiting.
+
+    ``threads`` is accepted for compatibility and has no effect: the search
+    always runs in the calling process.
+    """
     beta = Fraction(str(beta))
     if beta < 1:
         raise ValidationError(f"beta: must be at least 1, got {beta}")
@@ -262,52 +256,17 @@ def priority_solve(
         raise ValidationError("truck_limit: must be positive when given")
 
     started = time.perf_counter()
-    n = len(instance.sites)
-    created = math.factorial(n)
+    depot = instance.depot
+    grid = SlotGrid(depot.start_time, depot.loading_time, depot.gamma, truck_limit, beta)
+    created = math.factorial(len(instance.sites))
 
-    groups: dict[_SiteKey, list[int]] = {}
+    members: dict[_SiteKey, list[int]] = {}
     for position, site in enumerate(instance.sites):
-        groups.setdefault(_site_key(instance, site), []).append(position)
-    keys = sorted(groups, key=lambda key: groups[key][0])
-    counts = [len(groups[key]) for key in keys]
-    multiplicity = math.prod(math.factorial(c) for c in counts)
-    class_count = created // multiplicity
+        members.setdefault(_site_key(instance, site), []).append(position)
+    groups = list(members.items())
+    multiplicity = math.prod(math.factorial(len(p)) for p in members.values())
 
-    def reduce_result(
-        wait: Fraction, key_sequence: tuple[_SiteKey, ...]
-    ) -> tuple[Fraction, tuple[int, ...], tuple[_SiteKey, ...]]:
-        return (wait, _lexmin_assignment(key_sequence, groups), key_sequence)
-
-    feasible_classes = 0
-    best: tuple[Fraction, tuple[int, ...], tuple[_SiteKey, ...]] | None = None
-
-    if threads > 1 and class_count <= _MATERIALIZE_LIMIT:
-        import multiprocessing
-
-        classes = list(_multiset_permutations(keys, counts))
-        chunk_size = max(1, math.ceil(len(classes) / threads))
-        chunks = [
-            (instance, classes[i : i + chunk_size], str(beta), truck_limit)
-            for i in range(0, len(classes), chunk_size)
-        ]
-        with multiprocessing.Pool(processes=threads) as pool:
-            for feasible, chunk_best in pool.map(_class_chunk_worker, chunks):
-                feasible_classes += feasible
-                if chunk_best is not None:
-                    candidate = reduce_result(*chunk_best)
-                    if best is None or candidate[:2] < best[:2]:
-                        best = candidate
-    else:
-        for key_sequence in _multiset_permutations(keys, counts):
-            wait = _evaluate_class(instance, key_sequence, beta, truck_limit)
-            if wait is None:
-                continue
-            feasible_classes += 1
-            candidate = reduce_result(wait, key_sequence)
-            if best is None or candidate[:2] < best[:2]:
-                best = candidate
-
-    feasible = feasible_classes * multiplicity
+    feasible_classes, best = _search(grid, groups)
     if best is None:
         stats = PrioritySearchStats(
             permutations_created=created,
@@ -317,13 +276,14 @@ def priority_solve(
         )
         return PriorityResult(None, None, None, stats)
 
-    wait, positions, _ = best
+    wait_units, positions = best
     ordered_sites = [instance.sites[p] for p in positions]
-    schedule = _build_schedule(instance, ordered_sites, beta, truck_limit)
+    schedule = _build_schedule(instance, grid, ordered_sites)
+    wait = Fraction(wait_units, grid.per)
     objective = int(wait) if wait.denominator == 1 else float(wait)
     stats = PrioritySearchStats(
         permutations_created=created,
-        feasible_count=feasible,
+        feasible_count=feasible_classes * multiplicity,
         best_objective=objective,
         runtime=time.perf_counter() - started,
     )

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .model import Instance, InputError, SiteSpec, trip_duration
+from .model import Instance, InputError
 
 #: Violation kinds reported by :func:`check`.
 VIOLATION_KINDS = (

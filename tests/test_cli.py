@@ -71,6 +71,22 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["objective"]["total_site_wait_min"] == 195
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_threads_env_rejected(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("RMCDP_THREADS", value)
+        code = main(["solve", INSTANCE1])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: RMCDP_THREADS: ")
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_bad_threads_flag_rejected(self, capsys, value):
+        code = main(["solve", INSTANCE1, "--threads", value])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"error: --threads: must be at least 1, got {value}\n"
+
 
 class TestCheck:
     def test_golden_schedule_is_feasible(self, capsys):

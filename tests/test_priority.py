@@ -1,15 +1,23 @@
+import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from rmcdp.model import ValidationError
-from rmcdp.priority import SlotGrid, place_site, priority_solve
+from rmcdp.model import DepotSpec, Instance, SiteSpec, ValidationError
+from rmcdp.priority import SlotGrid, priority_solve
 from rmcdp.schedule import check, evaluate
 
 from conftest import random_instance
 
 MIN = 60
+
+
+def booked(*slots):
+    """Bitmask with the given slots taken."""
+    return sum(1 << slot for slot in set(slots))
 
 
 class TestSlotGrid:
@@ -20,84 +28,82 @@ class TestSlotGrid:
 
     def test_slot_at_or_after_rounds_up(self):
         grid = SlotGrid(start_time=8 * 3600, slot_length=5 * MIN, gamma=90 * MIN)
-        assert grid.slot_at_or_after(8 * 3600) == 1
-        assert grid.slot_at_or_after(8 * 3600 + 1) == 2
-        assert grid.slot_at_or_after(8 * 3600 + 5 * MIN) == 2
+        # The next trip aims beta * U after a loading; a target that falls
+        # inside a slot moves to the following slot start.
+        assert grid.step(5 * MIN) == 1
+        assert grid.step(5 * MIN + 1) == 2
+        assert grid.step(10 * MIN) == 2
+        slower = SlotGrid(8 * 3600, 5 * MIN, 90 * MIN, beta=Fraction(3, 2))
+        assert slower.step(5 * MIN) == 2
 
     def test_next_empty_slot_skips_occupied(self):
         grid = SlotGrid(start_time=8 * 3600, slot_length=5 * MIN, gamma=90 * MIN)
-        grid.place(1)
-        grid.place(2)
-        assert grid.next_empty_slot(1) == 3
+        assert grid.next_free(booked(1, 2), 1) == 3
+        assert grid.next_free(booked(1, 2, 4), 3) == 3
+        assert grid.next_free(booked(1, 2, 4), 4) == 5
 
     def test_truck_load_blocks_slot(self):
-        grid = SlotGrid(start_time=8 * 3600, slot_length=5 * MIN, gamma=90 * MIN)
-        grid.place(1)
+        grid = SlotGrid(
+            start_time=8 * 3600, slot_length=5 * MIN, gamma=90 * MIN, truck_limit=1
+        )
         # A dispatched truck is busy for the whole inclusive gamma window:
         # gamma/slot + 1 slots.
         assert grid.busy_slots == 19
-        assert not grid.admissible(2, truck_limit=1)
-        assert grid.admissible(20, truck_limit=1)
-        assert grid.next_empty_slot(2, truck_limit=1) == 20
+        assert not grid.admissible(booked(1), 2)
+        assert grid.admissible(booked(1), 20)
+        assert grid.next_free(booked(1), 2) == 20
 
 
 class TestPlaceSite:
-    def grid(self):
-        return SlotGrid(start_time=8 * 3600, slot_length=5 * MIN, gamma=90 * MIN)
+    def grid(self, beta=Fraction(1)):
+        return SlotGrid(start_time=8 * 3600, slot_length=5 * MIN, gamma=90 * MIN,
+                        beta=beta)
 
     def test_back_to_back_when_unload_matches_slot(self):
-        grid = self.grid()
-        placement = place_site(
-            grid, unload_time=5 * MIN, gamma=90 * MIN, trip_count=3, first_slot=1
+        mask, slots, wait = self.grid().place_site(
+            0, first_slot=1, trip_count=3, unload_time=5 * MIN, gamma=90 * MIN
         )
-        assert placement.slots == (1, 2, 3)
-        assert placement.inter_trip_wait == 0
+        assert slots == [1, 2, 3]
+        assert mask == booked(1, 2, 3)
+        assert wait == 0
 
     def test_occupied_slot_creates_wait(self):
-        grid = self.grid()
-        grid.place(2)
-        placement = place_site(
-            grid, unload_time=5 * MIN, gamma=90 * MIN, trip_count=2, first_slot=1
+        mask, slots, wait = self.grid().place_site(
+            booked(2), first_slot=1, trip_count=2, unload_time=5 * MIN, gamma=90 * MIN
         )
-        assert placement.slots == (1, 3)
-        assert placement.inter_trip_wait == 5 * MIN
+        assert slots == [1, 3]
+        # The parent mask is untouched, so dropping the result undoes it.
+        assert mask == booked(1, 2, 3)
+        assert wait == 5 * MIN
 
     def test_gap_beyond_gamma_is_infeasible(self):
-        grid = self.grid()
-        for slot in range(2, 20):
-            grid.place(slot)
-        placement = place_site(
-            grid, unload_time=5 * MIN, gamma=90 * MIN, trip_count=2, first_slot=1
+        placement = self.grid().place_site(
+            booked(*range(2, 20)),
+            first_slot=1,
+            trip_count=2,
+            unload_time=5 * MIN,
+            gamma=90 * MIN,
         )
         assert placement is None
 
     def test_beta_stretches_target(self):
-        grid = self.grid()
-        placement = place_site(
-            grid,
-            unload_time=5 * MIN,
-            gamma=90 * MIN,
-            trip_count=2,
-            first_slot=1,
-            beta=Fraction(2),
+        grid = self.grid(beta=Fraction(2))
+        _, slots, wait = grid.place_site(
+            0, first_slot=1, trip_count=2, unload_time=5 * MIN, gamma=90 * MIN
         )
-        assert placement.slots == (1, 3)
-        assert placement.inter_trip_wait == 0
+        assert slots == [1, 3]
+        assert wait == 0
 
     def test_fractional_target_rounds_to_next_slot(self):
-        grid = self.grid()
-        placement = place_site(
-            grid,
-            unload_time=5 * MIN,
-            gamma=90 * MIN,
-            trip_count=2,
-            first_slot=1,
-            beta=Fraction(3, 2),
+        grid = self.grid(beta=Fraction(3, 2))
+        _, slots, wait = grid.place_site(
+            0, first_slot=1, trip_count=2, unload_time=5 * MIN, gamma=90 * MIN
         )
         # Target is 7.5 minutes after the first loading; the grid rounds up
-        # to the 10-minute slot and books the 2.5-minute delay as waiting.
-        assert placement.slots == (1, 3)
-        assert placement.inter_trip_wait == Fraction(5 * MIN, 2)
+        # to the 10-minute slot and books the 2.5-minute delay as waiting,
+        # counted in units of 1/2 second.
+        assert slots == [1, 3]
+        assert Fraction(wait, grid.per) == Fraction(5 * MIN, 2)
 
 
 class TestPrioritySolve:
@@ -167,3 +173,136 @@ class TestPrioritySolve:
     def test_feasibility_rate(self, instance1):
         result = priority_solve(instance1)
         assert result.stats.feasibility_rate == 1.0
+
+
+def reference_order_wait(instance, order, beta, truck_limit):
+    """Total waiting of one site order replayed from an empty grid, or None.
+
+    An independent restatement of the placement rule with ``Fraction`` times
+    and per-slot truck counts: the site in position ``r`` takes the first
+    admissible slot from ``r``; each later trip aims ``beta * U`` after the
+    previous loading, slides past booked or truck-starved slots, and fails
+    if the slide breaks the site's pour window.
+    """
+    depot = instance.depot
+    lt = depot.loading_time
+    busy = depot.gamma // lt + 1
+    taken, load = set(), Counter()
+
+    def free(slot):
+        while slot in taken or (truck_limit is not None and load[slot] >= truck_limit):
+            slot += 1
+        return slot
+
+    def book(slot):
+        taken.add(slot)
+        load.update(range(slot, slot + busy))
+        return depot.start_time + (slot - 1) * lt
+
+    total = Fraction(0)
+    for position, site in enumerate(order, start=1):
+        previous = book(free(position))
+        total += max(0, previous + lt + site.haul_time - site.proposed_start)
+        for _ in range(instance.trips_for(site) - 1):
+            target = previous + beta * site.unload_time
+            slot = free(max(1, math.ceil((target - depot.start_time) / lt) + 1))
+            when = depot.start_time + (slot - 1) * lt
+            if when - previous > instance.gamma_for(site):
+                return None
+            total += max(0, when - target)
+            previous = book(slot)
+    return total
+
+
+def reference_solve(instance, beta, truck_limit):
+    """Best (wait, site ids) and feasible count over all n! site orders.
+
+    Orders with the same sequence of site signatures share one replay; ties
+    go to the first order in lexicographic position order.
+    """
+    beta = Fraction(beta)
+    signature = [
+        (instance.trips_for(s), s.unload_time, s.haul_time, s.proposed_start,
+         instance.gamma_for(s))
+        for s in instance.sites
+    ]
+    scores = {}
+    feasible, best = 0, None
+    for perm in itertools.permutations(range(len(instance.sites))):
+        key = tuple(signature[p] for p in perm)
+        if key not in scores:
+            order = [instance.sites[p] for p in perm]
+            scores[key] = reference_order_wait(instance, order, beta, truck_limit)
+        wait = scores[key]
+        if wait is None:
+            continue
+        feasible += 1
+        if best is None or wait < best[0]:
+            best = (wait, tuple(instance.sites[p].id for p in perm))
+    return best, feasible
+
+
+def assert_matches_reference(instance, beta="1", truck_limit=None):
+    result = priority_solve(instance, beta=beta, truck_limit=truck_limit)
+    best, feasible = reference_solve(instance, beta, truck_limit)
+    assert result.stats.feasible_count == feasible
+    if best is None:
+        assert result.stats.best_objective is None
+        assert result.permutation is None
+        return
+    assert result.stats.best_objective == best[0]
+    assert result.permutation == best[1]
+    if Fraction(beta) == 1:
+        # With beta > 1 the deliberate pacing gap is not site waiting.
+        assert evaluate(instance, result.schedule).total_site_wait == best[0]
+
+
+def distinct_sites_instance():
+    """Seven sites that all differ: 5,040 classes, one permutation each."""
+    rows = ((5, 20, 8, 0), (4, 25, 11, 10), (3, 30, 14, 20), (5, 15, 17, 30),
+            (4, 20, 20, 40), (3, 25, 23, 50), (4, 30, 26, 60))
+    sites = tuple(
+        SiteSpec(id=i, demand=10 * trips, distance=haul, speed=60,
+                 unload_time=unload * MIN, proposed_start=(8 * 60 + start) * MIN)
+        for i, (trips, unload, haul, start) in enumerate(rows, start=1)
+    )
+    depot = DepotSpec(start_time=8 * 3600, plant_capacity=10, productivity=120,
+                      truck_capacity=10)
+    return Instance(depot=depot, sites=sites)
+
+
+class TestMatchesReplayFromEmptyGrid:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_instances(self, seed):
+        rng = random.Random(seed)
+        instance = random_instance(rng, max_total_trips=rng.choice((5, 6, 8)))
+        for beta in ("1", "3/2", "2"):
+            for truck_limit in (None, 1, 2, 3):
+                assert_matches_reference(instance, beta, truck_limit)
+
+    def test_example1(self, example1):
+        assert_matches_reference(example1)
+
+    @pytest.mark.parametrize("trucks", [None, *range(12, 19)])
+    def test_instance1_truck_sweep(self, instance1, trucks):
+        assert_matches_reference(instance1, truck_limit=trucks)
+
+    def test_instance1_beta(self, instance1):
+        assert_matches_reference(instance1, beta="1.5")
+
+    def test_instance2(self, instance2):
+        assert_matches_reference(instance2)
+
+    def test_all_distinct_sites(self):
+        assert_matches_reference(distinct_sites_instance())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="placement tests the truck limit only at the dispatch's own slot, "
+    "not over its whole busy window",
+)
+@pytest.mark.parametrize("trucks", range(12, 16))
+def test_truck_limited_schedule_passes_check(instance1, trucks):
+    result = priority_solve(instance1, truck_limit=trucks)
+    assert check(instance1, result.schedule, truck_limit=trucks).feasible
