@@ -23,6 +23,7 @@ from .schedule import (
     check,
     evaluate,
     expand_consecutive,
+    schedule_from_starts,
     trucks_required,
 )
 from .graphs import (

@@ -11,6 +11,14 @@ the depot, its cost the total site waiting.  This module provides:
   sequences (consecutive loading slots),
 * ``grid_exact`` -- exhaustive search that may also leave loading slots
   empty.
+
+Both exhaustive searches are depth-first walks over shared prefixes on
+plain integers: each level places one trip and carries the running waiting
+down, and backtracking undoes it.  A trip that breaks its site's pour
+window prunes every schedule below it.  ``grid_exact`` also prunes a prefix
+whose waiting already reaches the best found, so it counts neither the
+schedules it visits nor the feasible ones; ``enumerate_exact`` does not,
+and counts the feasible sequences exactly.
 """
 
 from __future__ import annotations
@@ -29,11 +37,11 @@ from .schedule import (
     FeasibilityReport,
     ObjectiveReport,
     Schedule,
-    ScheduleEntry,
     TripId,
     check,
     evaluate,
     expand_consecutive,
+    schedule_from_starts,
 )
 
 ENUMERATION_CAP = 10_000_000
@@ -189,8 +197,10 @@ class EnumerationResult:
     schedule: Schedule | None
     sequence: tuple[int, ...] | None
     objective: int | None
-    visited: int
-    feasible_count: int
+    #: Sequences searched and feasible among them; ``None`` from
+    #: :func:`grid_exact`, whose search prunes by bound and counts neither.
+    visited: int | None
+    feasible_count: int | None
 
 
 def enumerate_exact(
@@ -198,7 +208,14 @@ def enumerate_exact(
     truck_limit: int | None = None,
     cap: int = ENUMERATION_CAP,
 ) -> EnumerationResult:
-    """Try every distinct dispatch sequence on consecutive loading slots."""
+    """Try every distinct dispatch sequence on consecutive loading slots.
+
+    Sequences are walked depth first as shared prefixes, in the order of
+    :func:`dispatch_sequences`; each level appends one trip, carrying the
+    running waiting and every site's last arrival.  A trip that breaks its
+    site's pour window prunes its subtree, so ``feasible_count`` counts the
+    feasible sequences exactly.  Ties go to the smallest sequence.
+    """
     size = solution_space_size(instance)
     if size > cap:
         raise SizeCapError(
@@ -206,54 +223,61 @@ def enumerate_exact(
         )
 
     lt = instance.depot.loading_time
-    start = instance.depot.start_time
-    sites = {site.id: site for site in instance.sites}
-    gammas = {site.id: instance.gamma_for(site) for site in instance.sites}
-    gamma_window = instance.depot.gamma
+    sites = sorted(instance.sites, key=lambda s: s.id)
+    left = [instance.trips_for(site) for site in sites]
+    total = sum(left)
+    # Consecutive slots: peak fleet need is the number of loadings inside
+    # one inclusive gamma window, the same for every sequence.
+    if truck_limit is not None and min(total, instance.depot.gamma // lt + 1) > truck_limit:
+        return EnumerationResult(None, None, None, size, 0)
 
+    ids = [site.id for site in sites]
+    hauls = [site.haul_time for site in sites]
+    unloads = [site.unload_time for site in sites]
+    proposed = [site.proposed_start for site in sites]
+    gammas = [instance.gamma_for(site) for site in sites]
+    last: list[int | None] = [None] * len(sites)  # latest arrival per site
+    sequence: list[int] = []
+    feasible = 0
     best: tuple[int, tuple[int, ...]] | None = None
-    visited = 0
-    feasible_count = 0
-    for sequence in dispatch_sequences(instance):
-        visited += 1
-        last_arrival: dict[int, int] = {}
-        first_arrival: dict[int, int] = {}
-        wait = 0
-        feasible = True
-        for position, site_id in enumerate(sequence):
-            site = sites[site_id]
-            arrival = start + position * lt + lt + site.haul_time
-            if site_id in last_arrival:
-                gap = arrival - last_arrival[site_id]
-                if gap > gammas[site_id]:
-                    feasible = False
-                    break
-                wait += max(0, gap - site.unload_time)
+
+    def walk(departure: int, wait: int) -> None:
+        """Extend the prefix by a truck leaving the depot at ``departure``."""
+        nonlocal feasible, best
+        if len(sequence) == total:
+            feasible += 1
+            if best is None or wait < best[0]:
+                best = (wait, tuple(sequence))
+            return
+        for i, site_id in enumerate(ids):
+            if not left[i]:
+                continue
+            arrival = departure + hauls[i]
+            previous = last[i]
+            if previous is None:
+                cost = arrival - proposed[i]
+            elif arrival - previous > gammas[i]:
+                continue
             else:
-                first_arrival[site_id] = arrival
-                wait += max(0, arrival - site.proposed_start)
-            last_arrival[site_id] = arrival
-        if feasible and truck_limit is not None:
-            # Consecutive slots: peak fleet need is the number of loadings
-            # inside one inclusive gamma window.
-            peak = min(len(sequence), gamma_window // lt + 1)
-            if peak > truck_limit:
-                feasible = False
-        if not feasible:
-            continue
-        feasible_count += 1
-        if best is None or (wait, sequence) < best:
-            best = (wait, sequence)
+                cost = arrival - previous - unloads[i]
+            left[i] -= 1
+            last[i] = arrival
+            sequence.append(site_id)
+            walk(departure + lt, wait + max(0, cost))
+            sequence.pop()
+            last[i] = previous
+            left[i] += 1
+
+    walk(instance.depot.start_time + lt, 0)
 
     if best is None:
-        return EnumerationResult(None, None, None, visited, 0)
-    schedule = expand_consecutive(instance, best[1])
+        return EnumerationResult(None, None, None, size, 0)
     return EnumerationResult(
-        schedule=schedule,
+        schedule=expand_consecutive(instance, best[1]),
         sequence=best[1],
         objective=best[0],
-        visited=visited,
-        feasible_count=feasible_count,
+        visited=size,
+        feasible_count=feasible,
     )
 
 
@@ -297,25 +321,14 @@ def grid_exact(instance: Instance, horizon: int) -> EnumerationResult:
 
     best: tuple[int, tuple[tuple[int, int], ...]] | None = None
 
-    def leaf() -> None:
+    def rec(slot: int, placed: int, wait: int) -> None:
         nonlocal best
-        wait = 0
-        last_arrival: dict[int, int] = {}
-        for slot, site_idx in slots:
-            site = sites[site_idx]
-            arrival = start + (slot - 1) * lt + lt + site.haul_time
-            if site_idx in last_arrival:
-                wait += max(0, arrival - last_arrival[site_idx] - site.unload_time)
-            else:
-                wait += max(0, arrival - site.proposed_start)
-            last_arrival[site_idx] = arrival
-        key = (wait, tuple(slots))
-        if best is None or key < best:
-            best = key
-
-    def rec(slot: int, placed: int) -> None:
+        # Waiting only grows, and leaves come in increasing (slot, site)
+        # order, so a later leaf must wait strictly less to win.
+        if best is not None and wait >= best[0]:
+            return
         if placed == trips:
-            leaf()
+            best = (wait, tuple(slots))
             return
         if horizon - slot + 1 < trips - placed:
             return
@@ -327,49 +340,37 @@ def grid_exact(instance: Instance, horizon: int) -> EnumerationResult:
         for i, left in enumerate(remaining):
             if not left:
                 continue
-            remaining[i] -= 1
+            site = sites[i]
             previous = last_load[i]
+            if previous is None:
+                cost = slot_time + lt + site.haul_time - site.proposed_start
+            else:
+                cost = slot_time - previous - site.unload_time
+            remaining[i] -= 1
             last_load[i] = slot_time
             slots.append((slot, i))
-            rec(slot + 1, placed + 1)
+            rec(slot + 1, placed + 1, wait + max(0, cost))
             slots.pop()
             last_load[i] = previous
             remaining[i] += 1
-        rec(slot + 1, placed)
+        rec(slot + 1, placed, wait)
 
-    rec(1, 0)
+    rec(1, 0, 0)
 
     if best is None:
-        return EnumerationResult(None, None, None, 0, 0)
+        return EnumerationResult(None, None, None, None, None)
 
     wait, assignment = best
-    capacity = instance.depot.truck_capacity
-    seen: dict[int, int] = {}
-    poured: dict[int, float] = {site.id: 0.0 for site in sites}
-    entries = []
-    for slot, site_idx in assignment:
-        site = sites[site_idx]
-        seen[site.id] = seen.get(site.id, 0) + 1
-        depot_start = start + (slot - 1) * lt
-        arrival = depot_start + lt + site.haul_time
-        delivered = min(capacity, site.demand - poured[site.id])
-        poured[site.id] += delivered
-        entries.append(
-            ScheduleEntry(
-                trip=TripId(site.id, seen[site.id]),
-                depot_start=depot_start,
-                site_arrival=arrival,
-                site_departure=arrival + site.unload_time,
-                delivered=delivered,
-                cumulative_delivered=poured[site.id],
-            )
-        )
-    entries.sort(key=lambda e: e.trip)
-    schedule = Schedule(entries=tuple(entries), origin="grid")
+    seen = [0] * len(sites)
+    starts = {}
+    for slot, i in assignment:
+        seen[i] += 1
+        starts[TripId(sites[i].id, seen[i])] = start + (slot - 1) * lt
+    schedule = schedule_from_starts(instance, starts, "grid")
     return EnumerationResult(
         schedule=schedule,
         sequence=schedule.dispatch_sequence(),
         objective=wait,
-        visited=0,
-        feasible_count=0,
+        visited=None,
+        feasible_count=None,
     )

@@ -80,6 +80,13 @@ def _number(doc: Mapping[str, Any], field: str, what: str, default=None):
     return value
 
 
+def _integer(doc: Mapping[str, Any], field: str, what: str) -> int:
+    value = _number(doc, field, what)
+    if isinstance(value, float) and not value.is_integer():
+        raise InputError(f"{what}.{field}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
     if not isinstance(doc, Mapping):
         raise InputError("instance: expected a JSON object")
@@ -97,7 +104,7 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
             productivity=_number(depot_doc, "productivity", "depot"),
             truck_capacity=_number(depot_doc, "truck_capacity", "depot"),
             truck_count=(
-                int(_number(depot_doc, "trucks", "depot"))
+                _integer(depot_doc, "trucks", "depot")
                 if "trucks" in depot_doc
                 else None
             ),
@@ -118,7 +125,7 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         try:
             sites.append(
                 SiteSpec(
-                    id=int(_number(site_doc, "id", where)),
+                    id=_integer(site_doc, "id", where),
                     demand=_number(site_doc, "demand", where),
                     distance=_number(site_doc, "distance", where),
                     speed=_number(site_doc, "speed", where),

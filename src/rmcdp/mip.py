@@ -20,11 +20,11 @@ from .model import Instance, InputError, ValidationError, total_trips
 from .schedule import (
     FeasibilityReport,
     Schedule,
-    ScheduleEntry,
     TripId,
     Violation,
     check,
     evaluate,
+    schedule_from_starts,
 )
 
 
@@ -411,28 +411,11 @@ def validate_solution(
     if complete:
         lt = instance.depot.loading_time
         start = instance.depot.start_time
-        capacity = instance.depot.truck_capacity
-        entries = []
-        for site in instance.sites:
-            poured = 0.0
-            for j in range(1, instance.trips_for(site) + 1):
-                slot = chosen[TripId(site.id, j)]
-                depot_start = start + (slot - 1) * lt
-                arrival = depot_start + lt + site.haul_time
-                delivered = min(capacity, site.demand - poured)
-                poured += delivered
-                entries.append(
-                    ScheduleEntry(
-                        trip=TripId(site.id, j),
-                        depot_start=depot_start,
-                        site_arrival=arrival,
-                        site_departure=arrival + site.unload_time,
-                        delivered=delivered,
-                        cumulative_delivered=poured,
-                    )
-                )
-        entries.sort(key=lambda e: e.trip)
-        schedule = Schedule(entries=tuple(entries), origin="mip")
+        schedule = schedule_from_starts(
+            instance,
+            {trip: start + (chosen[trip] - 1) * lt for trip in expected_trips},
+            "mip",
+        )
         structural = check(instance, schedule)
         violations.extend(structural.violations)
         grouped = schedule.by_site()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 MINUTE = 60
 HOUR = 3600
@@ -95,7 +96,7 @@ class DepotSpec:
         if self.gamma <= 0:
             raise ValidationError("depot.gamma: must be positive")
 
-    @property
+    @cached_property
     def loading_time(self) -> int:
         return loading_time(self.truck_capacity, self.productivity)
 
@@ -130,7 +131,7 @@ class SiteSpec:
                 f"sites[{self.id}].gamma_override: must be positive when given"
             )
 
-    @property
+    @cached_property
     def haul_time(self) -> int:
         """One-way travel time d_i / v_i in seconds."""
         ratio = _fraction(self.distance, "distance") / _fraction(self.speed, "speed")
@@ -160,11 +161,15 @@ class Instance:
                     f"= {span // MINUTE} min exceeds gamma = {gamma // MINUTE} min"
                 )
 
+    @cached_property
+    def _sites_by_id(self) -> dict[int, SiteSpec]:
+        return {site.id: site for site in self.sites}
+
     def site(self, site_id: int) -> SiteSpec:
-        for site in self.sites:
-            if site.id == site_id:
-                return site
-        raise InputError(f"unknown site id {site_id}")
+        try:
+            return self._sites_by_id[site_id]
+        except KeyError:
+            raise InputError(f"unknown site id {site_id}") from None
 
     def gamma_for(self, site: SiteSpec) -> int:
         return site.gamma_override if site.gamma_override is not None else self.depot.gamma

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import Instance, SiteSpec, ValidationError
-from .schedule import Schedule, ScheduleEntry, TripId
+from .schedule import Schedule, TripId, schedule_from_starts
 
 #: Marker: take the truck limit from the instance (``depot.trucks``).
 AUTO = object()
@@ -202,10 +202,8 @@ def _search(grid: SlotGrid, groups: Sequence[_KeyGroup]) -> tuple[int, _Best | N
 def _build_schedule(
     instance: Instance, grid: SlotGrid, ordered_sites: Sequence[SiteSpec]
 ) -> Schedule:
-    lt = instance.depot.loading_time
-    capacity = instance.depot.truck_capacity
     booked = 0
-    entries = []
+    starts = {}
     for position, site in enumerate(ordered_sites, start=1):
         placed = grid.place_site(
             booked,
@@ -216,24 +214,9 @@ def _build_schedule(
         )
         assert placed is not None, "winning permutation must replay feasibly"
         booked, slots, _ = placed
-        poured = 0.0
         for index, slot in enumerate(slots, start=1):
-            depot_start = grid.slot_time(slot)
-            arrival = depot_start + lt + site.haul_time
-            delivered = min(capacity, site.demand - poured)
-            poured += delivered
-            entries.append(
-                ScheduleEntry(
-                    trip=TripId(site.id, index),
-                    depot_start=depot_start,
-                    site_arrival=arrival,
-                    site_departure=arrival + site.unload_time,
-                    delivered=delivered,
-                    cumulative_delivered=poured,
-                )
-            )
-    entries.sort(key=lambda e: e.trip)
-    return Schedule(entries=tuple(entries), origin="priority")
+            starts[TripId(site.id, index)] = grid.slot_time(slot)
+    return schedule_from_starts(instance, starts, "priority")
 
 
 def priority_solve(

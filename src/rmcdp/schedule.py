@@ -121,29 +121,44 @@ def expand_consecutive(instance: Instance, sequence: Sequence[int]) -> Schedule:
         )
 
     lt = instance.depot.loading_time
-    capacity = instance.depot.truck_capacity
+    start = instance.depot.start_time
     seen: Counter[int] = Counter()
+    starts = {}
+    for position, site_id in enumerate(sequence):
+        seen[site_id] += 1
+        starts[TripId(site_id, seen[site_id])] = start + position * lt
+    return schedule_from_starts(instance, starts, "consecutive")
+
+
+def schedule_from_starts(
+    instance: Instance, starts: Mapping[TripId, int], origin: str
+) -> Schedule:
+    """Timed trips from each trip's loading start at the depot.
+
+    A trip arrives one loading and one haul after its start and pours for
+    the site's unloading time.  Loads are full trucks, taken in trip-index
+    order, until the site's demand is met.
+    """
+    lt = instance.depot.loading_time
+    capacity = instance.depot.truck_capacity
     poured: dict[int, float] = {site.id: 0.0 for site in instance.sites}
     entries = []
-    for position, site_id in enumerate(sequence):
-        site = instance.site(site_id)
-        seen[site_id] += 1
-        depot_start = instance.depot.start_time + position * lt
-        arrival = depot_start + lt + site.haul_time
-        delivered = min(capacity, site.demand - poured[site_id])
-        poured[site_id] += delivered
+    for trip in sorted(starts):
+        site = instance.site(trip.site_id)
+        arrival = starts[trip] + lt + site.haul_time
+        delivered = min(capacity, site.demand - poured[site.id])
+        poured[site.id] += delivered
         entries.append(
             ScheduleEntry(
-                trip=TripId(site_id, seen[site_id]),
-                depot_start=depot_start,
+                trip=trip,
+                depot_start=starts[trip],
                 site_arrival=arrival,
                 site_departure=arrival + site.unload_time,
                 delivered=delivered,
-                cumulative_delivered=poured[site_id],
+                cumulative_delivered=poured[site.id],
             )
         )
-    entries.sort(key=lambda e: e.trip)
-    return Schedule(entries=tuple(entries), origin="consecutive")
+    return Schedule(entries=tuple(entries), origin=origin)
 
 
 def trucks_required(instance: Instance, schedule: Schedule) -> int:

@@ -87,6 +87,22 @@ class TestSolve:
         assert code == 3
         assert err == f"error: --threads: must be at least 1, got {value}\n"
 
+    @pytest.mark.parametrize(
+        "section, field, message",
+        [("sites", "id", "sites[0].id"), ("depot", "trucks", "depot.trucks")],
+    )
+    def test_non_integer_count_exit_code(self, capsys, tmp_path, section, field, message):
+        doc = json.loads(open(EXAMPLE1).read())
+        target = doc["sites"][0] if section == "sites" else doc["depot"]
+        target[field] = 1.5
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(doc))
+        code = main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert f"{message}: expected an integer, got 1.5" in captured.err
+
 
 class TestCheck:
     def test_golden_schedule_is_feasible(self, capsys):

@@ -11,12 +11,90 @@ from rmcdp.graphs import (
     greedy_solve,
     grid_exact,
 )
-from rmcdp.model import ValidationError, solution_space_size
-from rmcdp.schedule import evaluate, expand_consecutive
+from rmcdp.model import ValidationError, solution_space_size, total_trips
+from rmcdp.schedule import check, evaluate, expand_consecutive
 
 from conftest import random_instance
 
 MIN = 60
+
+TRUCK_LIMITS = (None, 1, 2, 3, 5)
+
+
+def reference_enumeration(instance, truck_limit):
+    """Score every dispatch sequence from scratch with ``check`` and
+    ``evaluate``: (objective, first optimal sequence, visited, feasible)."""
+    best = None
+    visited = feasible = 0
+    for sequence in dispatch_sequences(instance):
+        visited += 1
+        schedule = expand_consecutive(instance, sequence)
+        if not check(instance, schedule, truck_limit=truck_limit).feasible:
+            continue
+        feasible += 1
+        wait = evaluate(instance, schedule).total_site_wait
+        if best is None or wait < best[0]:
+            best = (wait, sequence)
+    objective, sequence = best if best else (None, None)
+    return objective, sequence, visited, feasible
+
+
+def reference_grid(instance, horizon):
+    """The grid search that rescores every leaf from scratch and prunes by
+    nothing but the pour window: (objective, per-site depot starts)."""
+    trips = total_trips(instance)
+    lt = instance.depot.loading_time
+    start = instance.depot.start_time
+    sites = list(instance.sites)
+    remaining = [instance.trips_for(site) for site in sites]
+    gammas = [instance.gamma_for(site) for site in sites]
+    last_load = [None] * len(sites)
+    slots = []
+    best = None
+
+    def leaf():
+        nonlocal best
+        wait = 0
+        last_arrival = {}
+        for slot, i in slots:
+            site = sites[i]
+            arrival = start + slot * lt + site.haul_time
+            if i in last_arrival:
+                wait += max(0, arrival - last_arrival[i] - site.unload_time)
+            else:
+                wait += max(0, arrival - site.proposed_start)
+            last_arrival[i] = arrival
+        if best is None or (wait, tuple(slots)) < best:
+            best = (wait, tuple(slots))
+
+    def rec(slot, placed):
+        if placed == trips:
+            leaf()
+            return
+        if horizon - slot + 1 < trips - placed:
+            return
+        slot_time = start + (slot - 1) * lt
+        for i, left in enumerate(remaining):
+            if left and last_load[i] is not None and slot_time - last_load[i] > gammas[i]:
+                return
+        for i, left in enumerate(remaining):
+            if left:
+                remaining[i] -= 1
+                previous, last_load[i] = last_load[i], slot_time
+                slots.append((slot, i))
+                rec(slot + 1, placed + 1)
+                slots.pop()
+                last_load[i] = previous
+                remaining[i] += 1
+        rec(slot + 1, placed)
+
+    rec(1, 0)
+    if best is None:
+        return None, None
+    starts = {}
+    for slot, i in best[1]:
+        starts.setdefault(sites[i].id, []).append(start + (slot - 1) * lt)
+    return best[0], starts
 
 
 class TestBuildGraph:
@@ -135,6 +213,28 @@ class TestEnumerateExact:
         with pytest.raises(SizeCapError):
             enumerate_exact(instance1)
 
+    @pytest.mark.parametrize("truck_limit", TRUCK_LIMITS)
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_on_random_instances(self, seed, truck_limit):
+        instance = random_instance(random.Random(seed))
+        result = enumerate_exact(instance, truck_limit=truck_limit)
+        assert (
+            result.objective,
+            result.sequence,
+            result.visited,
+            result.feasible_count,
+        ) == reference_enumeration(instance, truck_limit)
+
+    @pytest.mark.parametrize("truck_limit", TRUCK_LIMITS)
+    def test_matches_reference_on_example(self, example1, truck_limit):
+        result = enumerate_exact(example1, truck_limit=truck_limit)
+        assert (
+            result.objective,
+            result.sequence,
+            result.visited,
+            result.feasible_count,
+        ) == reference_enumeration(example1, truck_limit)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_feasible_count_bounded_by_space(self, seed):
         rng = random.Random(seed)
@@ -149,6 +249,29 @@ class TestGridExact:
         consecutive = enumerate_exact(example1)
         gridded = grid_exact(example1, horizon=8)
         assert gridded.objective <= consecutive.objective
+
+    def test_search_counts_are_not_reported(self, example1):
+        gridded = grid_exact(example1, horizon=8)
+        assert gridded.visited is None
+        assert gridded.feasible_count is None
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_matches_leaf_rescoring_reference(self, seed):
+        instance = random_instance(random.Random(seed))
+        trips = total_trips(instance)
+        for horizon in (trips, trips + 2, min(24, trips + 4)):
+            gridded = grid_exact(instance, horizon)
+            objective, starts = reference_grid(instance, horizon)
+            assert gridded.objective == objective
+            if objective is None:
+                assert gridded.schedule is None
+                continue
+            assert {
+                site_id: [e.depot_start for e in entries]
+                for site_id, entries in gridded.schedule.by_site().items()
+            } == starts
+            assert check(instance, gridded.schedule).feasible
+            assert evaluate(instance, gridded.schedule).total_site_wait == objective
 
     def test_caps_enforced(self, instance2):
         with pytest.raises(ValidationError):

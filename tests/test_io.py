@@ -98,6 +98,31 @@ class TestInstanceLoading:
         with pytest.raises(InputError, match="unload"):
             instance_from_dict(doc)
 
+    @staticmethod
+    def _one_site_doc(site_id, trucks):
+        return {
+            "depot": {"start": "8:00", "plant_capacity": 10, "productivity": 120,
+                      "truck_capacity": 10, "trucks": trucks},
+            "sites": [{"id": site_id, "demand": 50, "distance": 30, "speed": 60,
+                       "unload": 25, "proposed_start": "8:00"}],
+        }
+
+    @pytest.mark.parametrize("value", [1.5, 0.999, float("nan"), float("inf")])
+    def test_non_integer_site_id_rejected(self, value):
+        # int() would load 1.5 as site 1 instead of refusing the file.
+        with pytest.raises(InputError, match=r"sites\[0\]\.id: expected an integer"):
+            instance_from_dict(self._one_site_doc(value, 3))
+
+    @pytest.mark.parametrize("value", [2.5, float("nan"), float("inf")])
+    def test_non_integer_truck_count_rejected(self, value):
+        with pytest.raises(InputError, match=r"depot\.trucks: expected an integer"):
+            instance_from_dict(self._one_site_doc(1, value))
+
+    def test_whole_valued_floats_load_as_integers(self):
+        instance = instance_from_dict(self._one_site_doc(1.0, 3.0))
+        assert instance.sites[0].id == 1
+        assert instance.depot.truck_count == 3
+
 
 class TestScheduleCsv:
     def test_header_and_row_count(self, example1):

@@ -6,6 +6,7 @@ import pytest
 from rmcdp.model import (
     DepotSpec,
     Instance,
+    InputError,
     SiteSpec,
     ValidationError,
     loading_time,
@@ -86,6 +87,12 @@ class TestDerivedQuantities:
     def test_trip_duration_zero_distance(self):
         instance = make_instance([10], [20 * MIN], [0])
         assert trip_duration(instance, instance.sites[0]) == 25 * MIN
+
+    def test_site_lookup_by_id(self):
+        instance = make_instance([10, 20], [10 * MIN] * 2, [5, 6])
+        assert instance.site(2) is instance.sites[1]
+        with pytest.raises(InputError, match="unknown site id 3"):
+            instance.site(3)
 
     def test_truck_upper_bound(self):
         assert truck_upper_bound(90 * MIN, 5 * MIN) == 36
