@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -30,33 +29,13 @@ from .model import (
     total_trips,
     truck_upper_bound,
 )
-from .priority import AUTO, priority_solve
+from .priority import priority_solve
 from .schedule import Schedule, check, evaluate
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_INPUT = 3
 EXIT_TOO_LARGE = 4
-
-
-def _threads(args: argparse.Namespace) -> int:
-    """Thread count from ``--threads``, else ``RMCDP_THREADS``, else 1.
-
-    The count is validated for compatibility; the priority search ignores it.
-    """
-    if args.threads is not None:
-        source, value = "--threads", args.threads
-    else:
-        source, text = "RMCDP_THREADS", os.environ.get("RMCDP_THREADS", "")
-        if not text:
-            return 1
-        try:
-            value = int(text)
-        except ValueError:
-            raise InputError(f"{source}: not an integer: {text!r}") from None
-    if value < 1:
-        raise InputError(f"{source}: must be at least 1, got {value}")
-    return value
 
 
 def _objective_payload(instance: Instance, schedule: Schedule) -> dict:
@@ -79,15 +58,16 @@ def _objective_payload(instance: Instance, schedule: Schedule) -> dict:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    # --threads is accepted for compatibility and has no effect.
+    if args.threads is not None and args.threads < 1:
+        raise InputError(f"--threads: must be at least 1, got {args.threads}")
     instance = rio.load_instance(args.instance)
-    truck_limit = args.trucks if args.trucks is not None else AUTO
+    truck_limit = args.trucks if args.trucks is not None else instance.depot.truck_count
     payload: dict = {"algorithm": args.algorithm}
     schedule: Schedule | None
 
     if args.algorithm == "priority":
-        result = priority_solve(
-            instance, beta=args.beta, truck_limit=truck_limit, threads=_threads(args)
-        )
+        result = priority_solve(instance, beta=args.beta, truck_limit=truck_limit)
         schedule = result.schedule
         payload["stats"] = {
             "permutations_created": result.stats.permutations_created,
@@ -98,18 +78,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if result.permutation:
             payload["priority_order"] = list(result.permutation)
     elif args.algorithm == "greedy":
-        result = greedy_solve(build_graph(instance), truck_limit=args.trucks)
+        result = greedy_solve(build_graph(instance), truck_limit=truck_limit)
         schedule = result.schedule if result.report.feasible else None
         payload["sequence"] = list(result.sequence)
         if not result.report.feasible:
             payload["violations"] = [v.detail for v in result.report.violations]
     elif args.algorithm == "exact":
-        result = enumerate_exact(instance, truck_limit=args.trucks)
+        result = enumerate_exact(instance, truck_limit=truck_limit)
         schedule = result.schedule
         payload["visited"] = result.visited
     else:  # grid-exact
-        horizon = args.horizon or 2 * total_trips(instance)
-        result = grid_exact(instance, horizon)
+        horizon = default_horizon(instance) if args.horizon is None else args.horizon
+        result = grid_exact(instance, horizon, truck_limit)
         schedule = result.schedule
 
     if schedule is None:
@@ -171,7 +151,7 @@ def cmd_space(args: argparse.Namespace) -> int:
 
 def cmd_export_mip(args: argparse.Namespace) -> int:
     instance = rio.load_instance(args.instance)
-    horizon = args.horizon or default_horizon(instance)
+    horizon = default_horizon(instance) if args.horizon is None else args.horizon
     model = build_mip(instance, horizon)
     text = emit_lp(model)
     stem = Path(args.instance).stem
@@ -218,7 +198,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
 
     one = rio.load_instance(rio.bundled_instance_path("instance-1"))
-    result = priority_solve(one, threads=_threads(args))
+    result = priority_solve(one)
     rows.append(
         _bench_row("instance-1 best waiting (min)", result.stats.best_objective // 60, 195)
     )
@@ -236,7 +216,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
     sweep = {}
     for trucks in range(12, 19):
-        swept = priority_solve(one, truck_limit=trucks, threads=_threads(args))
+        swept = priority_solve(one, truck_limit=trucks)
         sweep[trucks] = (
             swept.stats.best_objective // 60
             if swept.stats.best_objective is not None
@@ -254,7 +234,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
 
     two = rio.load_instance(rio.bundled_instance_path("instance-2"))
-    result2 = priority_solve(two, threads=_threads(args))
+    result2 = priority_solve(two)
     rows.append(
         _bench_row(
             "instance-2 best waiting (min)", result2.stats.best_objective // 60, 885
@@ -308,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--beta", default="1", help="dispatch pacing factor (>= 1)")
     solve.add_argument("--trucks", type=int, default=None, help="fleet size limit")
-    solve.add_argument("--threads", type=int, default=None)
+    solve.add_argument("--threads", type=int, default=None, help="no effect")
     solve.add_argument("--horizon", type=int, default=None, help="slots for grid-exact")
     solve.add_argument("--out", default=None, help="write the schedule CSV here")
     solve.set_defaults(func=cmd_solve)
@@ -332,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run the bundled reference instances")
     bench.add_argument("--json", action="store_true")
-    bench.add_argument("--threads", type=int, default=None)
     bench.set_defaults(func=cmd_bench)
 
     return parser

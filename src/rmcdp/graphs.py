@@ -12,9 +12,10 @@ the depot, its cost the total site waiting.  This module provides:
 * ``grid_exact`` -- exhaustive search that may also leave loading slots
   empty.
 
-Both exhaustive searches are depth-first walks over shared prefixes on
-plain integers: each level places one trip and carries the running waiting
-down, and backtracking undoes it.  A trip that breaks its site's pour
+Every search reads the integer site table ``Instance.timings``.  Both
+exhaustive searches are depth-first walks over shared prefixes on it: each
+level loads one trip at a depot time and carries the running waiting down,
+and backtracking undoes it.  A trip that breaks its site's pour
 window prunes every schedule below it.  ``grid_exact`` also prunes a prefix
 whose waiting already reaches the best found, so it counts neither the
 schedules it visits nor the feasible ones; ``enumerate_exact`` does not,
@@ -64,27 +65,30 @@ class RmcdpGraph:
 
 
 def build_graph(instance: Instance) -> RmcdpGraph:
-    labels = []
-    for site in instance.sites:
-        labels.extend([site.id] * instance.trips_for(site))
-    return RmcdpGraph(instance=instance, labels=tuple(labels))
+    labels = tuple(
+        site_id for site_id, trips, *_ in instance.timings for _ in range(trips)
+    )
+    return RmcdpGraph(instance=instance, labels=labels)
 
 
 def circuit_cost(instance: Instance, sequence: Sequence[int]) -> int:
     """Total vertex cost of a dispatch order, evaluated from first
     principles: loading starts follow each other by one loading time, a
     vertex costs the (clamped) delay it inflicts on its site."""
+    rows = {row[0]: row for row in instance.timings}
     lt = instance.depot.loading_time
     start = instance.depot.start_time
     last_load: dict[int, int] = {}
     cost = 0
     for position, site_id in enumerate(sequence):
-        site = instance.site(site_id)
+        if site_id not in rows:
+            raise InputError(f"unknown site id {site_id}")
+        _, _, offset, unload, _ = rows[site_id]
         load = start + position * lt
         if site_id in last_load:
-            vertex_cost = load - (last_load[site_id] + site.unload_time)
+            vertex_cost = load - last_load[site_id] - unload
         else:
-            vertex_cost = (load + lt + site.haul_time) - site.proposed_start
+            vertex_cost = load + offset
         cost += max(0, vertex_cost)
         last_load[site_id] = load
     return cost
@@ -119,10 +123,9 @@ def greedy_solve(
     """
     instance = graph.instance
     lt = instance.depot.loading_time
-    remaining = {
-        site.id: instance.trips_for(site) for site in instance.sites
-    }
-    cost: dict[int, int] = {site.id: 0 for site in instance.sites}
+    remaining = {site_id: trips for site_id, trips, *_ in instance.timings}
+    unloads = {site_id: unload for site_id, _, _, unload, _ in instance.timings}
+    cost: dict[int, int] = {site_id: 0 for site_id in remaining}
     visited_labels: set[int] = set()
     sequence: list[int] = []
     steps: list[GreedyStep] = []
@@ -142,7 +145,7 @@ def greedy_solve(
             if remaining[other] == 0:
                 continue
             if other == label:
-                cost[other] = instance.site(other).unload_time
+                cost[other] = unloads[other]
             elif other in visited_labels:
                 cost[other] -= lt
         visited_labels.add(label)
@@ -187,9 +190,8 @@ def _multiset_permutations(
 
 
 def dispatch_sequences(instance: Instance) -> Iterator[tuple[int, ...]]:
-    values = [site.id for site in sorted(instance.sites, key=lambda s: s.id)]
-    counts = [instance.trips_for(instance.site(v)) for v in values]
-    return _multiset_permutations(values, counts)
+    rows = sorted(instance.timings)  # site-id order
+    return _multiset_permutations([r[0] for r in rows], [r[1] for r in rows])
 
 
 @dataclass(frozen=True)
@@ -211,10 +213,11 @@ def enumerate_exact(
     """Try every distinct dispatch sequence on consecutive loading slots.
 
     Sequences are walked depth first as shared prefixes, in the order of
-    :func:`dispatch_sequences`; each level appends one trip, carrying the
-    running waiting and every site's last arrival.  A trip that breaks its
-    site's pour window prunes its subtree, so ``feasible_count`` counts the
-    feasible sequences exactly.  Ties go to the smallest sequence.
+    :func:`dispatch_sequences`; each level loads one trip, carrying the
+    running waiting and every site's last depot load time.  A trip that
+    breaks its site's pour window prunes its subtree, so ``feasible_count``
+    counts the feasible sequences exactly.  Ties go to the smallest
+    sequence.
     """
     size = solution_space_size(instance)
     if size > cap:
@@ -223,26 +226,20 @@ def enumerate_exact(
         )
 
     lt = instance.depot.loading_time
-    sites = sorted(instance.sites, key=lambda s: s.id)
-    left = [instance.trips_for(site) for site in sites]
+    ids, left, offsets, unloads, gammas = map(list, zip(*sorted(instance.timings)))
     total = sum(left)
     # Consecutive slots: peak fleet need is the number of loadings inside
     # one inclusive gamma window, the same for every sequence.
     if truck_limit is not None and min(total, instance.depot.gamma // lt + 1) > truck_limit:
         return EnumerationResult(None, None, None, size, 0)
 
-    ids = [site.id for site in sites]
-    hauls = [site.haul_time for site in sites]
-    unloads = [site.unload_time for site in sites]
-    proposed = [site.proposed_start for site in sites]
-    gammas = [instance.gamma_for(site) for site in sites]
-    last: list[int | None] = [None] * len(sites)  # latest arrival per site
+    last: list[int | None] = [None] * len(ids)  # latest load time per site
     sequence: list[int] = []
     feasible = 0
     best: tuple[int, tuple[int, ...]] | None = None
 
-    def walk(departure: int, wait: int) -> None:
-        """Extend the prefix by a truck leaving the depot at ``departure``."""
+    def walk(load: int, wait: int) -> None:
+        """Extend the prefix by a truck loaded at depot time ``load``."""
         nonlocal feasible, best
         if len(sequence) == total:
             feasible += 1
@@ -252,23 +249,22 @@ def enumerate_exact(
         for i, site_id in enumerate(ids):
             if not left[i]:
                 continue
-            arrival = departure + hauls[i]
             previous = last[i]
             if previous is None:
-                cost = arrival - proposed[i]
-            elif arrival - previous > gammas[i]:
+                cost = load + offsets[i]
+            elif load - previous > gammas[i]:
                 continue
             else:
-                cost = arrival - previous - unloads[i]
+                cost = load - previous - unloads[i]
             left[i] -= 1
-            last[i] = arrival
+            last[i] = load
             sequence.append(site_id)
-            walk(departure + lt, wait + max(0, cost))
+            walk(load + lt, wait + max(0, cost))
             sequence.pop()
             last[i] = previous
             left[i] += 1
 
-    walk(instance.depot.start_time + lt, 0)
+    walk(instance.depot.start_time, 0)
 
     if best is None:
         return EnumerationResult(None, None, None, size, 0)
@@ -286,12 +282,16 @@ GRID_MAX_TRIPS = 9
 GRID_MAX_HORIZON = 24
 
 
-def grid_exact(instance: Instance, horizon: int) -> EnumerationResult:
+def grid_exact(
+    instance: Instance, horizon: int, truck_limit: int | None = None
+) -> EnumerationResult:
     """Exhaustive search over loading-slot assignments, allowing gaps.
 
     Unlike :func:`enumerate_exact` this explores schedules whose loadings
     are not back-to-back, at the price of a much larger search space; the
-    instance size is therefore capped hard.
+    instance size is therefore capped hard.  With ``truck_limit`` a slot is
+    used only while fewer than that many loadings fall in the inclusive
+    gamma window ending at it, the window :func:`trucks_required` counts.
     """
     trips = total_trips(instance)
     if len(instance.sites) > GRID_MAX_SITES:
@@ -310,14 +310,16 @@ def grid_exact(instance: Instance, horizon: int) -> EnumerationResult:
         raise ValidationError(
             f"horizon of {horizon} slots cannot hold {trips} trips"
         )
+    if truck_limit is not None and truck_limit <= 0:
+        raise ValidationError("truck_limit: must be positive when given")
 
     lt = instance.depot.loading_time
     start = instance.depot.start_time
-    sites = list(instance.sites)
-    remaining = [instance.trips_for(site) for site in sites]
-    gammas = [instance.gamma_for(site) for site in sites]
-    last_load = [None] * len(sites)  # depot time of the site's last loading
-    slots: list[tuple[int, int]] = []  # (slot index, site index)
+    # A loading still ties up its truck this many slots later.
+    reach = instance.depot.gamma // lt
+    ids, remaining, offsets, unloads, gammas = map(list, zip(*instance.timings))
+    last_load = [None] * len(ids)  # depot time of the site's last loading
+    slots: list[tuple[int, int]] = []  # (slot index, site index), ascending
 
     best: tuple[int, tuple[tuple[int, int], ...]] | None = None
 
@@ -337,15 +339,20 @@ def grid_exact(instance: Instance, horizon: int) -> EnumerationResult:
         for i, left in enumerate(remaining):
             if left and last_load[i] is not None and slot_time - last_load[i] > gammas[i]:
                 return
+        # Every truck still out: this slot can only stay empty.
+        if truck_limit is not None and truck_limit <= len(slots) and (
+            slots[-truck_limit][0] >= slot - reach
+        ):
+            rec(slot + 1, placed, wait)
+            return
         for i, left in enumerate(remaining):
             if not left:
                 continue
-            site = sites[i]
             previous = last_load[i]
             if previous is None:
-                cost = slot_time + lt + site.haul_time - site.proposed_start
+                cost = slot_time + offsets[i]
             else:
-                cost = slot_time - previous - site.unload_time
+                cost = slot_time - previous - unloads[i]
             remaining[i] -= 1
             last_load[i] = slot_time
             slots.append((slot, i))
@@ -361,11 +368,11 @@ def grid_exact(instance: Instance, horizon: int) -> EnumerationResult:
         return EnumerationResult(None, None, None, None, None)
 
     wait, assignment = best
-    seen = [0] * len(sites)
+    seen = [0] * len(ids)
     starts = {}
     for slot, i in assignment:
         seen[i] += 1
-        starts[TripId(sites[i].id, seen[i])] = start + (slot - 1) * lt
+        starts[TripId(ids[i], seen[i])] = start + (slot - 1) * lt
     schedule = schedule_from_starts(instance, starts, "grid")
     return EnumerationResult(
         schedule=schedule,

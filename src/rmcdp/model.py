@@ -177,6 +177,28 @@ class Instance:
     def trips_for(self, site: SiteSpec) -> int:
         return trips_for_site(site.demand, self.depot.truck_capacity)
 
+    @cached_property
+    def timings(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """The site table every search reads: one row per site, in site-list
+        order, of plain integers ``(id, trips, offset, U_i, gamma_i)``.
+
+        ``offset = L_t + h_i - proposed_i``: a site's first trip loaded at
+        depot time ``t`` waits ``max(0, t + offset)``.  A later trip loaded
+        ``d`` after the site's previous one waits ``max(0, d - U_i)``, and
+        breaks the pour window when ``d > gamma_i``.
+        """
+        lt = self.depot.loading_time
+        return tuple(
+            (
+                site.id,
+                self.trips_for(site),
+                lt + site.haul_time - site.proposed_start,
+                site.unload_time,
+                self.gamma_for(site),
+            )
+            for site in self.sites
+        )
+
 
 def trip_duration(instance: Instance, site: SiteSpec) -> int:
     """Round-trip time of one delivery: loading + both hauls + unloading."""
@@ -184,7 +206,7 @@ def trip_duration(instance: Instance, site: SiteSpec) -> int:
 
 
 def total_trips(instance: Instance) -> int:
-    return sum(instance.trips_for(site) for site in instance.sites)
+    return sum(row[1] for row in instance.timings)
 
 
 def truck_upper_bound(gamma: int, load_time: int) -> int:
@@ -196,7 +218,7 @@ def truck_upper_bound(gamma: int, load_time: int) -> int:
 
 def solution_space_size(instance: Instance) -> int:
     """Number of distinct dispatch sequences: a multinomial coefficient."""
-    counts = [instance.trips_for(site) for site in instance.sites]
+    counts = [row[1] for row in instance.timings]
     size = math.factorial(sum(counts))
     for count in counts:
         size //= math.factorial(count)

@@ -9,16 +9,19 @@ previous pour makes the permutation infeasible.  The best feasible
 permutation wins; ties go to the lexicographically smallest permutation of
 the instance's site list.
 
-Sites with identical parameters produce identical timings, so the search runs
-over the distinct orderings of site-equivalence keys (classes) and fans each
-class out combinatorially.  Classes that share their first ``r`` keys share
-the grid those ``r`` sites leave behind, so the search is one depth-first
-walk: level ``r`` places the site in priority position ``r`` on its parent's
-grid, and backtracking drops that placement.  A failed placement prunes the
-whole subtree, since every class below it is infeasible too.  The grid is an
-integer bitmask of booked slots, and for ``beta = p/q`` all waiting is summed
-in integer units of ``1/q`` seconds; ``Fraction`` only appears at the API
-boundary.  The search runs in the calling process.
+The search reads the integer site table ``Instance.timings``.  Sites whose
+rows agree on everything but the id produce identical timings, so the search
+runs over the distinct orderings of those rows (classes) and fans each class
+out combinatorially.  Classes that share their first ``r`` rows share the
+grid those ``r`` sites leave behind, so the search is one depth-first walk:
+level ``r`` places the site in priority position ``r`` on its parent's grid,
+and backtracking drops that placement.  A failed placement prunes the whole
+subtree, since every class below it is infeasible too.  Each level keeps the
+slots it booked, so the winner's schedule is read off the search instead of
+being placed again.  The grid is an integer bitmask of booked slots, and for
+``beta = p/q`` all waiting is summed in integer units of ``1/q`` seconds;
+``Fraction`` only appears at the API boundary.  The search runs in the
+calling process.
 """
 
 from __future__ import annotations
@@ -29,11 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import Instance, SiteSpec, ValidationError
+from .model import Instance, ValidationError
 from .schedule import Schedule, TripId, schedule_from_starts
-
-#: Marker: take the truck limit from the instance (``depot.trucks``).
-AUTO = object()
 
 
 class SlotGrid:
@@ -140,35 +140,27 @@ class PriorityResult:
     stats: PrioritySearchStats
 
 
-#: trips, U_i, h_i, proposed start, gamma_i
-_SiteKey = tuple[int, int, int, int, int]
-#: A key and the positions of its sites in the instance's site list.
-_KeyGroup = tuple[_SiteKey, list[int]]
-#: Least total waiting (units of ``1 / per`` s) and its site positions.
-_Best = tuple[int, list[int]]
-
-
-def _site_key(instance: Instance, site: SiteSpec) -> _SiteKey:
-    return (
-        instance.trips_for(site),
-        site.unload_time,
-        site.haul_time,
-        site.proposed_start,
-        instance.gamma_for(site),
-    )
+#: A row of ``Instance.timings`` without its id, and the positions of the
+#: sites sharing it in the instance's site list.
+_KeyGroup = tuple[tuple[int, int, int, int], list[int]]
+#: Least total waiting (units of ``1 / per`` s), and each level's site
+#: position with the slots it booked.
+_Best = tuple[int, list[tuple[int, list[int]]]]
 
 
 def _search(grid: SlotGrid, groups: Sequence[_KeyGroup]) -> tuple[int, _Best | None]:
     """Depth-first walk over all classes of the key groups.
 
-    Returns the number of feasible classes and the best ``(wait, positions)``;
-    ties on waiting go to the smallest site-position list.
+    Returns the number of feasible classes and the best ``(wait, order)``;
+    ties on waiting go to the smallest site-position list.  Equal positions
+    in a shared prefix booked equal slots, so comparing ``order`` compares
+    positions alone.
     """
     left = [len(positions) for _, positions in groups]
     level_count = sum(left)
-    # A truck loaded in slot s leaves the depot at start_time + s * L.
-    start, lt, per = grid.start_time, grid.slot_length, grid.per
-    order: list[int] = []
+    # Slot s is loaded at depot time base + s * L.
+    base, lt, per = grid.start_time - grid.slot_length, grid.slot_length, grid.per
+    order: list[tuple[int, list[int]]] = []
     feasible = 0
     best: _Best | None = None
 
@@ -182,14 +174,13 @@ def _search(grid: SlotGrid, groups: Sequence[_KeyGroup]) -> tuple[int, _Best | N
         for k in range(len(groups)):
             if not left[k]:
                 continue
-            (trips, unload, haul, proposed, gamma), positions = groups[k]
+            (trips, offset, unload, gamma), positions = groups[k]
             placed = grid.place_site(booked, level + 1, trips, unload, gamma)
             if placed is None:
                 continue
             child, slots, trip_wait = placed
-            arrival = start + slots[0] * lt + haul
-            site_wait = max(0, arrival - proposed) * per + trip_wait
-            order.append(positions[len(positions) - left[k]])
+            site_wait = max(0, base + slots[0] * lt + offset) * per + trip_wait
+            order.append((positions[len(positions) - left[k]], slots))
             left[k] -= 1
             walk(child, level + 1, wait + site_wait)
             left[k] += 1
@@ -199,42 +190,15 @@ def _search(grid: SlotGrid, groups: Sequence[_KeyGroup]) -> tuple[int, _Best | N
     return feasible, best
 
 
-def _build_schedule(
-    instance: Instance, grid: SlotGrid, ordered_sites: Sequence[SiteSpec]
-) -> Schedule:
-    booked = 0
-    starts = {}
-    for position, site in enumerate(ordered_sites, start=1):
-        placed = grid.place_site(
-            booked,
-            position,
-            instance.trips_for(site),
-            site.unload_time,
-            instance.gamma_for(site),
-        )
-        assert placed is not None, "winning permutation must replay feasibly"
-        booked, slots, _ = placed
-        for index, slot in enumerate(slots, start=1):
-            starts[TripId(site.id, index)] = grid.slot_time(slot)
-    return schedule_from_starts(instance, starts, "priority")
-
-
 def priority_solve(
     instance: Instance,
     beta: Fraction | int | float | str = 1,
-    truck_limit: int | None | object = AUTO,
-    threads: int = 1,
+    truck_limit: int | None = None,
 ) -> PriorityResult:
-    """Search all ``n!`` site permutations for the least total waiting.
-
-    ``threads`` is accepted for compatibility and has no effect: the search
-    always runs in the calling process.
-    """
+    """Search all ``n!`` site permutations for the least total waiting."""
     beta = Fraction(str(beta))
     if beta < 1:
         raise ValidationError(f"beta: must be at least 1, got {beta}")
-    if truck_limit is AUTO:
-        truck_limit = instance.depot.truck_count
     if truck_limit is not None and truck_limit <= 0:
         raise ValidationError("truck_limit: must be positive when given")
 
@@ -243,9 +207,10 @@ def priority_solve(
     grid = SlotGrid(depot.start_time, depot.loading_time, depot.gamma, truck_limit, beta)
     created = math.factorial(len(instance.sites))
 
-    members: dict[_SiteKey, list[int]] = {}
-    for position, site in enumerate(instance.sites):
-        members.setdefault(_site_key(instance, site), []).append(position)
+    rows = instance.timings
+    members: dict[tuple[int, ...], list[int]] = {}
+    for position, row in enumerate(rows):
+        members.setdefault(row[1:], []).append(position)
     groups = list(members.items())
     multiplicity = math.prod(math.factorial(len(p)) for p in members.values())
 
@@ -259,9 +224,13 @@ def priority_solve(
         )
         return PriorityResult(None, None, None, stats)
 
-    wait_units, positions = best
-    ordered_sites = [instance.sites[p] for p in positions]
-    schedule = _build_schedule(instance, grid, ordered_sites)
+    wait_units, order = best
+    starts = {
+        TripId(rows[position][0], index): grid.slot_time(slot)
+        for position, slots in order
+        for index, slot in enumerate(slots, start=1)
+    }
+    schedule = schedule_from_starts(instance, starts, "priority")
     wait = Fraction(wait_units, grid.per)
     objective = int(wait) if wait.denominator == 1 else float(wait)
     stats = PrioritySearchStats(
@@ -272,7 +241,7 @@ def priority_solve(
     )
     return PriorityResult(
         schedule=schedule,
-        permutation=tuple(site.id for site in ordered_sites),
+        permutation=tuple(rows[position][0] for position, _ in order),
         sequence=schedule.dispatch_sequence(),
         stats=stats,
     )

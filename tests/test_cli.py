@@ -65,21 +65,6 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["objective"]["total_site_wait_min"] == 195
 
-    def test_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("RMCDP_THREADS", "2")
-        code, out = run(capsys, "solve", INSTANCE1)
-        assert code == 0
-        assert json.loads(out)["objective"]["total_site_wait_min"] == 195
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_bad_threads_env_rejected(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("RMCDP_THREADS", value)
-        code = main(["solve", INSTANCE1])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err.startswith("error: RMCDP_THREADS: ")
-
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_bad_threads_flag_rejected(self, capsys, value):
         code = main(["solve", INSTANCE1, "--threads", value])
@@ -102,6 +87,33 @@ class TestSolve:
         assert code == 3
         assert captured.out == ""
         assert f"{message}: expected an integer, got 1.5" in captured.err
+
+    @pytest.mark.parametrize("algorithm", ["priority", "greedy", "exact", "grid-exact"])
+    def test_depot_trucks_bind_every_solver(self, capsys, tmp_path, algorithm):
+        doc = json.loads(open(EXAMPLE1).read())
+        doc["depot"]["trucks"] = 1
+        path = tmp_path / "one-truck.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "solve", str(path), "--algorithm", algorithm)
+        assert code == 2
+        assert json.loads(out)["feasible"] is False
+
+    def test_grid_exact_honours_truck_flag(self, capsys):
+        code, out = run(
+            capsys, "solve", EXAMPLE1, "--algorithm", "grid-exact", "--trucks", "1"
+        )
+        assert code == 2
+        assert json.loads(out)["feasible"] is False
+
+    @pytest.mark.parametrize(
+        "argv", [["solve", EXAMPLE1, "--algorithm", "grid-exact"], ["export-mip", EXAMPLE1]]
+    )
+    def test_zero_horizon_rejected(self, capsys, tmp_path, argv):
+        code = main([*argv, "--horizon", "0", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "horizon" in captured.err
 
 
 class TestCheck:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,8 +12,22 @@ from rmcdp.graphs import (
     greedy_solve,
     grid_exact,
 )
-from rmcdp.model import ValidationError, solution_space_size, total_trips
-from rmcdp.schedule import check, evaluate, expand_consecutive
+from rmcdp.model import (
+    DepotSpec,
+    Instance,
+    SiteSpec,
+    ValidationError,
+    solution_space_size,
+    total_trips,
+)
+from rmcdp.schedule import (
+    TripId,
+    check,
+    evaluate,
+    expand_consecutive,
+    schedule_from_starts,
+    trucks_required,
+)
 
 from conftest import random_instance
 
@@ -39,9 +54,10 @@ def reference_enumeration(instance, truck_limit):
     return objective, sequence, visited, feasible
 
 
-def reference_grid(instance, horizon):
+def reference_grid(instance, horizon, truck_limit=None):
     """The grid search that rescores every leaf from scratch and prunes by
-    nothing but the pour window: (objective, per-site depot starts)."""
+    nothing but the pour window: (objective, per-site depot starts).  With
+    ``truck_limit``, leaves whose schedule needs more trucks are dropped."""
     trips = total_trips(instance)
     lt = instance.depot.loading_time
     start = instance.depot.start_time
@@ -54,6 +70,15 @@ def reference_grid(instance, horizon):
 
     def leaf():
         nonlocal best
+        if truck_limit is not None:
+            seen = Counter()
+            starts = {}
+            for slot, i in slots:
+                seen[i] += 1
+                starts[TripId(sites[i].id, seen[i])] = start + (slot - 1) * lt
+            schedule = schedule_from_starts(instance, starts, "reference")
+            if trucks_required(instance, schedule) > truck_limit:
+                return
         wait = 0
         last_arrival = {}
         for slot, i in slots:
@@ -260,18 +285,37 @@ class TestGridExact:
         instance = random_instance(random.Random(seed))
         trips = total_trips(instance)
         for horizon in (trips, trips + 2, min(24, trips + 4)):
-            gridded = grid_exact(instance, horizon)
-            objective, starts = reference_grid(instance, horizon)
-            assert gridded.objective == objective
-            if objective is None:
-                assert gridded.schedule is None
-                continue
-            assert {
-                site_id: [e.depot_start for e in entries]
-                for site_id, entries in gridded.schedule.by_site().items()
-            } == starts
-            assert check(instance, gridded.schedule).feasible
-            assert evaluate(instance, gridded.schedule).total_site_wait == objective
+            for truck_limit in (None, 1, 2, 3):
+                gridded = grid_exact(instance, horizon, truck_limit)
+                objective, starts = reference_grid(instance, horizon, truck_limit)
+                assert gridded.objective == objective
+                if objective is None:
+                    assert gridded.schedule is None
+                    continue
+                assert {
+                    site_id: [e.depot_start for e in entries]
+                    for site_id, entries in gridded.schedule.by_site().items()
+                } == starts
+                assert check(instance, gridded.schedule, truck_limit=truck_limit).feasible
+                assert evaluate(instance, gridded.schedule).total_site_wait == objective
+
+    def test_truck_window_includes_its_end(self):
+        # 10-minute loadings and a 90-minute window: a truck loaded in slot 1
+        # is busy through slot 10, so one truck serves slots 1 and 11 only.
+        sites = tuple(
+            SiteSpec(id=i, demand=10, distance=0, speed=60, unload_time=10 * MIN,
+                     proposed_start=8 * 3600)
+            for i in (1, 2)
+        )
+        depot = DepotSpec(start_time=8 * 3600, plant_capacity=10, productivity=60,
+                          truck_capacity=10)
+        instance = Instance(depot=depot, sites=sites)
+        assert grid_exact(instance, 10, truck_limit=1).schedule is None
+        gridded = grid_exact(instance, 11, truck_limit=1)
+        assert [e.depot_start for e in gridded.schedule.entries] == [
+            8 * 3600, 8 * 3600 + 100 * MIN
+        ]
+        assert check(instance, gridded.schedule, truck_limit=1).feasible
 
     def test_caps_enforced(self, instance2):
         with pytest.raises(ValidationError):

@@ -149,13 +149,6 @@ class TestPrioritySolve:
         with pytest.raises(ValidationError):
             priority_solve(example1, beta=Fraction(1, 2))
 
-    def test_threads_give_identical_result(self, instance1):
-        single = priority_solve(instance1, threads=1)
-        multi = priority_solve(instance1, threads=2)
-        assert single.stats.best_objective == multi.stats.best_objective
-        assert single.stats.feasible_count == multi.stats.feasible_count
-        assert single.schedule.entries == multi.schedule.entries
-
     @pytest.mark.parametrize("seed", range(15))
     def test_never_beats_exhaustive_grid(self, seed):
         rng = random.Random(seed)
@@ -252,9 +245,13 @@ def assert_matches_reference(instance, beta="1", truck_limit=None):
         return
     assert result.stats.best_objective == best[0]
     assert result.permutation == best[1]
-    if Fraction(beta) == 1:
-        # With beta > 1 the deliberate pacing gap is not site waiting.
-        assert evaluate(instance, result.schedule).total_site_wait == best[0]
+    # The search books only the slide past each beta * U target as waiting;
+    # evaluate also counts the planned (beta - 1) * U gaps, which no
+    # permutation changes.
+    pacing = (Fraction(beta) - 1) * sum(
+        (instance.trips_for(site) - 1) * site.unload_time for site in instance.sites
+    )
+    assert evaluate(instance, result.schedule).total_site_wait == best[0] + pacing
 
 
 def distinct_sites_instance():
