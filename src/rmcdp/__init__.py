@@ -38,7 +38,6 @@ from .graphs import (
 from .priority import (
     PriorityResult,
     PrioritySearchStats,
-    SlotGrid,
     priority_solve,
 )
 from .mip import (

@@ -29,7 +29,7 @@ from .model import (
     total_trips,
     truck_upper_bound,
 )
-from .priority import priority_solve
+from .priority import parse_beta, priority_solve
 from .schedule import Schedule, check, evaluate
 
 EXIT_OK = 0
@@ -61,13 +61,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # --threads is accepted for compatibility and has no effect.
     if args.threads is not None and args.threads < 1:
         raise InputError(f"--threads: must be at least 1, got {args.threads}")
+    if args.trucks is not None and args.trucks < 1:
+        raise InputError(f"--trucks: must be at least 1, got {args.trucks}")
+    beta = parse_beta(args.beta)
     instance = rio.load_instance(args.instance)
     truck_limit = args.trucks if args.trucks is not None else instance.depot.truck_count
     payload: dict = {"algorithm": args.algorithm}
     schedule: Schedule | None
 
     if args.algorithm == "priority":
-        result = priority_solve(instance, beta=args.beta, truck_limit=truck_limit)
+        result = priority_solve(instance, beta=beta, truck_limit=truck_limit)
         schedule = result.schedule
         payload["stats"] = {
             "permutations_created": result.stats.permutations_created,

@@ -59,10 +59,6 @@ class RmcdpGraph:
     instance: Instance
     labels: tuple[int, ...]  # site label of vertices 1..|K|
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.labels) + 1
-
 
 def build_graph(instance: Instance) -> RmcdpGraph:
     labels = tuple(
@@ -206,9 +202,7 @@ class EnumerationResult:
 
 
 def enumerate_exact(
-    instance: Instance,
-    truck_limit: int | None = None,
-    cap: int = ENUMERATION_CAP,
+    instance: Instance, truck_limit: int | None = None
 ) -> EnumerationResult:
     """Try every distinct dispatch sequence on consecutive loading slots.
 
@@ -219,10 +213,12 @@ def enumerate_exact(
     counts the feasible sequences exactly.  Ties go to the smallest
     sequence.
     """
+    if truck_limit is not None and truck_limit <= 0:
+        raise ValidationError("truck_limit: must be positive when given")
     size = solution_space_size(instance)
-    if size > cap:
+    if size > ENUMERATION_CAP:
         raise SizeCapError(
-            f"sequence space has {size} members, above the cap of {cap}"
+            f"sequence space has {size} members, above the cap of {ENUMERATION_CAP}"
         )
 
     lt = instance.depot.loading_time
@@ -373,7 +369,7 @@ def grid_exact(
     for slot, i in assignment:
         seen[i] += 1
         starts[TripId(ids[i], seen[i])] = start + (slot - 1) * lt
-    schedule = schedule_from_starts(instance, starts, "grid")
+    schedule = schedule_from_starts(instance, starts)
     return EnumerationResult(
         schedule=schedule,
         sequence=schedule.dispatch_sequence(),

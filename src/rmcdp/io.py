@@ -256,4 +256,4 @@ def read_schedule_csv(path: str | Path, instance: Instance) -> Schedule:
             )
         )
     entries.sort(key=lambda e: e.trip)
-    return Schedule(entries=tuple(entries), origin=str(path))
+    return Schedule(entries=tuple(entries))

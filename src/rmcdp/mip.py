@@ -12,6 +12,7 @@ All numbers in the emitted LP are minutes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -58,7 +59,8 @@ def default_horizon(instance: Instance) -> int:
     return 2 * total_trips(instance)
 
 
-def build_mip(instance: Instance, horizon: int | None = None) -> MipModel:
+def _horizon(instance: Instance, horizon: int | None) -> int:
+    """The given horizon, or the default one; it must hold every trip."""
     trips = total_trips(instance)
     if horizon is None:
         horizon = default_horizon(instance)
@@ -66,6 +68,11 @@ def build_mip(instance: Instance, horizon: int | None = None) -> MipModel:
         raise ValidationError(
             f"horizon: {horizon} slots cannot hold {trips} trips"
         )
+    return horizon
+
+
+def build_mip(instance: Instance, horizon: int | None = None) -> MipModel:
+    horizon = _horizon(instance, horizon)
 
     lt = _minutes(instance.depot.loading_time)
     depot_start = _minutes(instance.depot.start_time)
@@ -351,19 +358,33 @@ def validate_solution(
 
     Returns the violation report plus the objective (total site waiting,
     seconds) of the schedule reconstructed from the ``X`` variables, or
-    ``None`` when no complete schedule can be reconstructed.
+    ``None`` when no complete schedule can be reconstructed.  Only the
+    binaries of the model, ``X_t{slot}_s{site}_j{trip}`` within the horizon
+    and the instance's trips, are read; other names are ignored.
     """
-    model = build_mip(instance, horizon)
-    values = dict(assignment)
+    horizon = _horizon(instance, horizon)
+    expected_trips = [
+        TripId(site.id, j)
+        for site in instance.sites
+        for j in range(1, instance.trips_for(site) + 1)
+    ]
+    expected = set(expected_trips)
 
     chosen: dict[TripId, int] = {}
     slot_users: dict[int, list[TripId]] = {}
-    for name in model.binaries:
-        if values.get(name, 0.0) <= 0.5:
+    for name, value in assignment.items():
+        try:
+            _, t_part, s_part, j_part = name.split("_")
+            slot, trip = int(t_part[1:]), TripId(int(s_part[1:]), int(j_part[1:]))
+        except ValueError:
             continue
-        _, t_part, s_part, j_part = name.split("_")
-        slot = int(t_part[1:])
-        trip = TripId(int(s_part[1:]), int(j_part[1:]))
+        if (
+            name != f"X_t{slot}_s{trip.site_id}_j{trip.trip_index}"
+            or not 1 <= slot <= horizon
+            or trip not in expected
+            or not value > 0.5
+        ):
+            continue
         if trip in chosen:
             chosen[trip] = -1  # flagged below via eq30
         else:
@@ -371,25 +392,16 @@ def validate_solution(
         slot_users.setdefault(slot, []).append(trip)
 
     violations: list[Violation] = []
-    expected_trips = [
-        TripId(site.id, j)
-        for site in instance.sites
-        for j in range(1, instance.trips_for(site) + 1)
-    ]
+    used = Counter(trip for users in slot_users.values() for trip in users)
     for trip in expected_trips:
-        used = sum(
-            1
-            for t in range(1, horizon + 1)
-            if values.get(f"X_t{t}_s{trip.site_id}_j{trip.trip_index}", 0.0) > 0.5
-        )
-        if used != 1:
+        if used[trip] != 1:
             violations.append(
                 Violation(
                     "coverage",
                     (trip,),
-                    used,
+                    used[trip],
                     1,
-                    f"trip assigned to {used} slots (c_eq30)",
+                    f"trip assigned to {used[trip]} slots (c_eq30)",
                 )
             )
     for slot, users in sorted(slot_users.items()):
@@ -414,7 +426,6 @@ def validate_solution(
         schedule = schedule_from_starts(
             instance,
             {trip: start + (chosen[trip] - 1) * lt for trip in expected_trips},
-            "mip",
         )
         structural = check(instance, schedule)
         violations.extend(structural.violations)

@@ -48,7 +48,6 @@ class ScheduleEntry:
 @dataclass(frozen=True)
 class Schedule:
     entries: tuple[ScheduleEntry, ...]
-    origin: str = ""
 
     def by_site(self) -> dict[int, list[ScheduleEntry]]:
         grouped: dict[int, list[ScheduleEntry]] = {}
@@ -127,12 +126,10 @@ def expand_consecutive(instance: Instance, sequence: Sequence[int]) -> Schedule:
     for position, site_id in enumerate(sequence):
         seen[site_id] += 1
         starts[TripId(site_id, seen[site_id])] = start + position * lt
-    return schedule_from_starts(instance, starts, "consecutive")
+    return schedule_from_starts(instance, starts)
 
 
-def schedule_from_starts(
-    instance: Instance, starts: Mapping[TripId, int], origin: str
-) -> Schedule:
+def schedule_from_starts(instance: Instance, starts: Mapping[TripId, int]) -> Schedule:
     """Timed trips from each trip's loading start at the depot.
 
     A trip arrives one loading and one haul after its start and pours for
@@ -158,7 +155,7 @@ def schedule_from_starts(
                 cumulative_delivered=poured[site.id],
             )
         )
-    return Schedule(entries=tuple(entries), origin=origin)
+    return Schedule(entries=tuple(entries))
 
 
 def trucks_required(instance: Instance, schedule: Schedule) -> int:

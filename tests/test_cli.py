@@ -115,6 +115,17 @@ class TestSolve:
         assert captured.out == ""
         assert "horizon" in captured.err
 
+    @pytest.mark.parametrize("algorithm", ["priority", "greedy", "exact", "grid-exact"])
+    def test_bad_beta_or_trucks_rejected(self, capsys, algorithm):
+        # Checked once for every algorithm, before the instance is read.
+        for option in ("--beta=abc", "--beta=nan", "--beta=0.5",
+                       "--trucks=0", "--trucks=-1"):
+            code = main(["solve", EXAMPLE1, "--algorithm", algorithm, option])
+            captured = capsys.readouterr()
+            assert code == 3, option
+            assert captured.out == ""
+            assert option.split("=")[0].lstrip("-") in captured.err
+
 
 class TestCheck:
     def test_golden_schedule_is_feasible(self, capsys):

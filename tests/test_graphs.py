@@ -76,7 +76,7 @@ def reference_grid(instance, horizon, truck_limit=None):
             for slot, i in slots:
                 seen[i] += 1
                 starts[TripId(sites[i].id, seen[i])] = start + (slot - 1) * lt
-            schedule = schedule_from_starts(instance, starts, "reference")
+            schedule = schedule_from_starts(instance, starts)
             if trucks_required(instance, schedule) > truck_limit:
                 return
         wait = 0
@@ -233,6 +233,11 @@ class TestEnumerateExact:
         unlimited = enumerate_exact(example1)
         limited = enumerate_exact(example1, truck_limit=3)
         assert limited.feasible_count <= unlimited.feasible_count
+
+    @pytest.mark.parametrize("truck_limit", [0, -1])
+    def test_non_positive_truck_limit_rejected(self, example1, truck_limit):
+        with pytest.raises(ValidationError, match="truck_limit"):
+            enumerate_exact(example1, truck_limit=truck_limit)
 
     def test_cap_raises(self, instance1):
         with pytest.raises(SizeCapError):

@@ -13,7 +13,7 @@ from rmcdp.mip import (
 )
 from rmcdp.model import ValidationError, total_trips
 from rmcdp.priority import priority_solve
-from rmcdp.schedule import expand_consecutive
+from rmcdp.schedule import TripId, expand_consecutive
 
 from conftest import random_instance
 
@@ -120,6 +120,30 @@ class TestValidateSolution:
         assignment[f"X_{slot1}_" + "_".join(other.split("_")[2:])] = 1.0
         report, _ = validate_solution(example1, 6, assignment)
         assert any(v.kind == "slot_conflict" for v in report.violations)
+
+    def test_names_outside_the_model_ignored(self, example1):
+        schedule = expand_consecutive(example1, (1, 2, 1, 2))
+        assignment = encode_schedule(example1, 6, schedule)
+        outside = ("X_t7_s1_j1", "X_t0_s1_j1", "X_t05_s1_j1", "X_t5_s9_j1",
+                   "X_t5_s1_j3", "X_t5_s1", "X_t5_s1_j1_k1", "Y_t5_s1_j1")
+        assignment.update({name: 1.0 for name in outside}, note="text")
+        report, objective = validate_solution(example1, 6, assignment)
+        assert report.feasible
+        assert objective == 60 * MIN
+
+    def test_short_horizon_rejected(self, example1):
+        with pytest.raises(ValidationError, match="horizon"):
+            validate_solution(example1, total_trips(example1) - 1, {})
+
+    def test_trip_in_two_slots_reported(self, example1):
+        schedule = expand_consecutive(example1, (1, 2, 1, 2))
+        assignment = encode_schedule(example1, 6, schedule)
+        assignment["X_t5_s1_j1"] = 1.0
+        report, objective = validate_solution(example1, 6, assignment)
+        assert objective is None
+        assert [(v.kind, v.trips, v.measured) for v in report.violations] == [
+            ("coverage", (TripId(1, 1),), 2)
+        ]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_idle_free_schedules_always_validate(self, seed):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from rmcdp.model import DepotSpec, Instance, SiteSpec, ValidationError
-from rmcdp.priority import SlotGrid, priority_solve
+from rmcdp.priority import priority_solve
 from rmcdp.schedule import check, evaluate
 
 from conftest import random_instance
@@ -15,95 +15,111 @@ from conftest import random_instance
 MIN = 60
 
 
-def booked(*slots):
-    """Bitmask with the given slots taken."""
-    return sum(1 << slot for slot in set(slots))
+START = 8 * 3600
+
+
+def site(site_id, trips, unload=5 * MIN, proposed=START + 5 * MIN, gamma=None):
+    """A site next to the depot; a first trip loaded at 8:00 arrives on time."""
+    return SiteSpec(id=site_id, demand=10 * trips, distance=0, speed=60,
+                    unload_time=unload, proposed_start=proposed,
+                    gamma_override=gamma)
+
+
+def five_minute_depot(*sites):
+    """One loading every 5 minutes from 8:00, a 90-minute pour window."""
+    depot = DepotSpec(start_time=START, plant_capacity=10, productivity=120,
+                      truck_capacity=10, gamma=90 * MIN)
+    return Instance(depot=depot, sites=sites)
+
+
+def minutes_loaded(result):
+    """Each site's depot loading times, in minutes after 8:00."""
+    loaded = {}
+    for entry in result.schedule.entries:
+        loaded.setdefault(entry.site_id, []).append((entry.depot_start - START) // MIN)
+    return loaded
 
 
 class TestSlotGrid:
+    """The booked-slot grid the priority search places sites on."""
+
     def test_slot_times(self):
-        grid = SlotGrid(start_time=8 * 3600, slot_length=5 * MIN, gamma=90 * MIN)
-        assert grid.slot_time(1) == 8 * 3600
-        assert grid.slot_time(2) == 8 * 3600 + 5 * MIN
+        result = priority_solve(five_minute_depot(site(1, 2)))
+        starts = [entry.depot_start for entry in result.schedule.entries]
+        assert starts == [START, START + 5 * MIN]
 
     def test_slot_at_or_after_rounds_up(self):
-        grid = SlotGrid(start_time=8 * 3600, slot_length=5 * MIN, gamma=90 * MIN)
         # The next trip aims beta * U after a loading; a target that falls
         # inside a slot moves to the following slot start.
-        assert grid.step(5 * MIN) == 1
-        assert grid.step(5 * MIN + 1) == 2
-        assert grid.step(10 * MIN) == 2
-        slower = SlotGrid(8 * 3600, 5 * MIN, 90 * MIN, beta=Fraction(3, 2))
-        assert slower.step(5 * MIN) == 2
+        for unload, beta, second in ((5 * MIN, 1, 5), (5 * MIN + 1, 1, 10),
+                                     (10 * MIN, 1, 10), (5 * MIN, "3/2", 10)):
+            result = priority_solve(five_minute_depot(site(1, 2, unload)), beta=beta)
+            assert minutes_loaded(result) == {1: [0, second]}
 
     def test_next_empty_slot_skips_occupied(self):
-        grid = SlotGrid(start_time=8 * 3600, slot_length=5 * MIN, gamma=90 * MIN)
-        assert grid.next_free(booked(1, 2), 1) == 3
-        assert grid.next_free(booked(1, 2, 4), 3) == 3
-        assert grid.next_free(booked(1, 2, 4), 4) == 5
+        # Site 1 first books slots 1-3, so site 2 skips from slot 2 to 4;
+        # the other order makes site 1 wait 5 minutes.
+        result = priority_solve(
+            five_minute_depot(site(1, 3), site(2, 1, proposed=START + 20 * MIN))
+        )
+        assert result.permutation == (1, 2)
+        assert minutes_loaded(result) == {1: [0, 5, 10], 2: [15]}
+        assert result.stats.best_objective == 0
 
     def test_truck_load_blocks_slot(self):
-        grid = SlotGrid(
-            start_time=8 * 3600, slot_length=5 * MIN, gamma=90 * MIN, truck_limit=1
-        )
-        # A dispatched truck is busy for the whole inclusive gamma window:
-        # gamma/slot + 1 slots.
-        assert grid.busy_slots == 19
-        assert not grid.admissible(booked(1), 2)
-        assert grid.admissible(booked(1), 20)
-        assert grid.next_free(booked(1), 2) == 20
+        # A dispatched truck is busy for the whole inclusive gamma window,
+        # gamma/slot + 1 = 19 slots, so a single truck next loads in slot 20.
+        instance = five_minute_depot(site(1, 1), site(2, 1))
+        one_truck = priority_solve(instance, truck_limit=1)
+        assert minutes_loaded(one_truck) == {1: [0], 2: [95]}
+        two_trucks = priority_solve(instance, truck_limit=2)
+        assert minutes_loaded(two_trucks) == {1: [0], 2: [5]}
 
 
 class TestPlaceSite:
-    def grid(self, beta=Fraction(1)):
-        return SlotGrid(start_time=8 * 3600, slot_length=5 * MIN, gamma=90 * MIN,
-                        beta=beta)
+    """Placing all trips of one site after the sites before it."""
 
     def test_back_to_back_when_unload_matches_slot(self):
-        mask, slots, wait = self.grid().place_site(
-            0, first_slot=1, trip_count=3, unload_time=5 * MIN, gamma=90 * MIN
-        )
-        assert slots == [1, 2, 3]
-        assert mask == booked(1, 2, 3)
-        assert wait == 0
+        result = priority_solve(five_minute_depot(site(1, 3)))
+        assert minutes_loaded(result) == {1: [0, 5, 10]}
+        assert result.stats.best_objective == 0
 
     def test_occupied_slot_creates_wait(self):
-        mask, slots, wait = self.grid().place_site(
-            booked(2), first_slot=1, trip_count=2, unload_time=5 * MIN, gamma=90 * MIN
-        )
-        assert slots == [1, 3]
-        # The parent mask is untouched, so dropping the result undoes it.
-        assert mask == booked(1, 2, 3)
-        assert wait == 5 * MIN
+        # Site 1 goes first and books slots 1 and 3; site 2 takes slot 2,
+        # its next target (slot 3) is taken, and the 5-minute slide to
+        # slot 4 is waiting.  The other order makes site 1 wait 10 minutes.
+        result = priority_solve(five_minute_depot(
+            site(1, 2, unload=10 * MIN), site(2, 2, proposed=START + 10 * MIN)
+        ))
+        assert result.permutation == (1, 2)
+        assert minutes_loaded(result) == {1: [0, 10], 2: [5, 15]}
+        assert result.stats.best_objective == 5 * MIN
+        assert result.stats.feasible_count == 2
 
     def test_gap_beyond_gamma_is_infeasible(self):
-        placement = self.grid().place_site(
-            booked(*range(2, 20)),
-            first_slot=1,
-            trip_count=2,
-            unload_time=5 * MIN,
-            gamma=90 * MIN,
-        )
-        assert placement is None
+        # With two trucks, site 2 placed after site 1 loads in slot 2 and
+        # then waits for a truck until slot 20: a slide of 18 slots, exactly
+        # its 90-minute window; an 85-minute window breaks that order.
+        def feasible(gamma):
+            instance = five_minute_depot(site(1, 1), site(2, 2, gamma=gamma))
+            return priority_solve(instance, truck_limit=2).stats.feasible_count
+
+        assert feasible(None) == 2
+        assert feasible(85 * MIN) == 1
 
     def test_beta_stretches_target(self):
-        grid = self.grid(beta=Fraction(2))
-        _, slots, wait = grid.place_site(
-            0, first_slot=1, trip_count=2, unload_time=5 * MIN, gamma=90 * MIN
-        )
-        assert slots == [1, 3]
-        assert wait == 0
+        result = priority_solve(five_minute_depot(site(1, 2)), beta=2)
+        assert minutes_loaded(result) == {1: [0, 10]}
+        assert result.stats.best_objective == 0
 
     def test_fractional_target_rounds_to_next_slot(self):
-        grid = self.grid(beta=Fraction(3, 2))
-        _, slots, wait = grid.place_site(
-            0, first_slot=1, trip_count=2, unload_time=5 * MIN, gamma=90 * MIN
-        )
-        # Target is 7.5 minutes after the first loading; the grid rounds up
-        # to the 10-minute slot and books the 2.5-minute delay as waiting,
-        # counted in units of 1/2 second.
-        assert slots == [1, 3]
-        assert Fraction(wait, grid.per) == Fraction(5 * MIN, 2)
+        # Target is 1.5 * 301 s after the first loading; the grid rounds up
+        # to the 10-minute slot and books the 148.5 s delay as waiting,
+        # counted in units of 1/2 second, after a 5-minute late first trip.
+        late = site(1, 2, 5 * MIN + 1, proposed=START)
+        result = priority_solve(five_minute_depot(late), beta="3/2")
+        assert minutes_loaded(result) == {1: [0, 10]}
+        assert result.stats.best_objective == 5 * MIN + 148.5
 
 
 class TestPrioritySolve:
@@ -148,6 +164,14 @@ class TestPrioritySolve:
     def test_beta_below_one_rejected(self, example1):
         with pytest.raises(ValidationError):
             priority_solve(example1, beta=Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "beta", ["abc", "nan", float("nan"), float("inf"), "1/0"],
+        ids=["abc", "nan-text", "nan-float", "inf", "1/0"],
+    )
+    def test_non_numeric_beta_rejected(self, example1, beta):
+        with pytest.raises(ValidationError, match="beta: not a number"):
+            priority_solve(example1, beta=beta)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_never_beats_exhaustive_grid(self, seed):

@@ -107,13 +107,13 @@ class TestCheck:
             delivered=clash.delivered,
             cumulative_delivered=clash.cumulative_delivered,
         )
-        conflicted = type(base)(entries=tuple(entries), origin=base.origin)
+        conflicted = type(base)(entries=tuple(entries))
         report = check(example1, conflicted)
         assert any(v.kind == "slot_conflict" for v in report.violations)
 
     def test_missing_trip_is_coverage_violation(self, example1):
         base = expand_consecutive(example1, (1, 2, 1, 2))
-        truncated = type(base)(entries=base.entries[:-1], origin=base.origin)
+        truncated = type(base)(entries=base.entries[:-1])
         report = check(example1, truncated)
         assert any(v.kind == "coverage" for v in report.violations)
 
@@ -143,7 +143,7 @@ class TestEvaluate:
 
     def test_incomplete_schedule_rejected(self, example1):
         base = expand_consecutive(example1, (1, 2, 1, 2))
-        truncated = type(base)(entries=base.entries[:2], origin=base.origin)
+        truncated = type(base)(entries=base.entries[:2])
         with pytest.raises(InputError):
             evaluate(example1, truncated)
 
@@ -154,7 +154,7 @@ class TestTrucksRequired:
 
     def test_single_trip_needs_one_truck(self, example1):
         base = expand_consecutive(example1, (1, 2, 1, 2))
-        single = type(base)(entries=base.entries[:1], origin=base.origin)
+        single = type(base)(entries=base.entries[:1])
         assert trucks_required(example1, single) == 1
 
     def test_window_is_inclusive(self, example1):
