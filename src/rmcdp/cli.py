@@ -12,19 +12,11 @@ import sys
 from pathlib import Path
 
 from . import io as rio
-from .graphs import (
-    SizeCapError,
-    build_graph,
-    enumerate_exact,
-    greedy_solve,
-    grid_exact,
-)
-from .mip import build_mip, default_horizon, emit_lp
+from .graphs import SizeCapError, enumerate_exact, greedy_solve, grid_exact
+from .mip import build_mip, emit_lp
 from .model import (
     Instance,
     InputError,
-    ValidationError,
-    loading_time,
     solution_space_size,
     total_trips,
     truck_upper_bound,
@@ -81,7 +73,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if result.permutation:
             payload["priority_order"] = list(result.permutation)
     elif args.algorithm == "greedy":
-        result = greedy_solve(build_graph(instance), truck_limit=truck_limit)
+        result = greedy_solve(instance, truck_limit=truck_limit)
         schedule = result.schedule if result.report.feasible else None
         payload["sequence"] = list(result.sequence)
         if not result.report.feasible:
@@ -91,8 +83,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         schedule = result.schedule
         payload["visited"] = result.visited
     else:  # grid-exact
-        horizon = default_horizon(instance) if args.horizon is None else args.horizon
-        result = grid_exact(instance, horizon, truck_limit)
+        result = grid_exact(instance, args.horizon, truck_limit)
         schedule = result.schedule
 
     if schedule is None:
@@ -154,17 +145,16 @@ def cmd_space(args: argparse.Namespace) -> int:
 
 def cmd_export_mip(args: argparse.Namespace) -> int:
     instance = rio.load_instance(args.instance)
-    horizon = default_horizon(instance) if args.horizon is None else args.horizon
-    model = build_mip(instance, horizon)
+    model = build_mip(instance, args.horizon)
     text = emit_lp(model)
     stem = Path(args.instance).stem
-    out = Path(args.out) if args.out else Path(f"{stem}_{horizon}.lp")
+    out = Path(args.out) if args.out else Path(f"{stem}_{model.horizon}.lp")
     out.write_text(text)
     print(
         json.dumps(
             {
                 "lp": str(out),
-                "horizon": horizon,
+                "horizon": model.horizon,
                 "binaries": model.binary_count,
                 "constraints": len(model.rows),
             },
@@ -189,7 +179,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     exact = enumerate_exact(example)
     rows.append(_bench_row("example-1 exact optimum (min)", exact.objective // 60, 60))
     rows.append(_bench_row("example-1 sequences visited", exact.visited, 6))
-    greedy = greedy_solve(build_graph(example))
+    greedy = greedy_solve(example)
     rows.append(
         _bench_row("example-1 greedy sequence", list(greedy.sequence), [1, 2, 1, 2])
     )
@@ -328,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (InputError, ValidationError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -31,6 +31,8 @@ from .model import (
     Instance,
     InputError,
     ValidationError,
+    check_truck_limit,
+    slot_horizon,
     solution_space_size,
     total_trips,
 )
@@ -107,7 +109,7 @@ class GreedyResult:
 
 
 def greedy_solve(
-    graph: RmcdpGraph, truck_limit: int | None = None
+    instance: Instance, truck_limit: int | None = None
 ) -> GreedyResult:
     """Append the cheapest remaining vertex until every trip is placed.
 
@@ -117,7 +119,7 @@ def greedy_solve(
     the truck would idle at the site, so non-negative candidates win first;
     ties go to the lowest site id.
     """
-    instance = graph.instance
+    check_truck_limit(truck_limit)
     lt = instance.depot.loading_time
     remaining = {site_id: trips for site_id, trips, *_ in instance.timings}
     unloads = {site_id: unload for site_id, _, _, unload, _ in instance.timings}
@@ -213,8 +215,7 @@ def enumerate_exact(
     counts the feasible sequences exactly.  Ties go to the smallest
     sequence.
     """
-    if truck_limit is not None and truck_limit <= 0:
-        raise ValidationError("truck_limit: must be positive when given")
+    check_truck_limit(truck_limit)
     size = solution_space_size(instance)
     if size > ENUMERATION_CAP:
         raise SizeCapError(
@@ -279,15 +280,17 @@ GRID_MAX_HORIZON = 24
 
 
 def grid_exact(
-    instance: Instance, horizon: int, truck_limit: int | None = None
+    instance: Instance, horizon: int | None = None, truck_limit: int | None = None
 ) -> EnumerationResult:
     """Exhaustive search over loading-slot assignments, allowing gaps.
 
     Unlike :func:`enumerate_exact` this explores schedules whose loadings
     are not back-to-back, at the price of a much larger search space; the
-    instance size is therefore capped hard.  With ``truck_limit`` a slot is
-    used only while fewer than that many loadings fall in the inclusive
-    gamma window ending at it, the window :func:`trucks_required` counts.
+    instance size is therefore capped hard.  ``horizon`` is the number of
+    loading slots, twice the trip count unless given.  With ``truck_limit``
+    a slot is used only while fewer than that many loadings fall in the
+    inclusive gamma window ending at it, the window :func:`trucks_required`
+    counts.
     """
     trips = total_trips(instance)
     if len(instance.sites) > GRID_MAX_SITES:
@@ -298,16 +301,14 @@ def grid_exact(
         raise ValidationError(
             f"grid search supports at most {GRID_MAX_TRIPS} trips"
         )
+    # Any horizon above the cap holds the capped trip count, so the order of
+    # the two horizon checks does not matter.
+    horizon = slot_horizon(instance, horizon)
     if horizon > GRID_MAX_HORIZON:
         raise ValidationError(
             f"grid search supports a horizon of at most {GRID_MAX_HORIZON} slots"
         )
-    if horizon < trips:
-        raise ValidationError(
-            f"horizon of {horizon} slots cannot hold {trips} trips"
-        )
-    if truck_limit is not None and truck_limit <= 0:
-        raise ValidationError("truck_limit: must be positive when given")
+    check_truck_limit(truck_limit)
 
     lt = instance.depot.loading_time
     start = instance.depot.start_time

@@ -26,8 +26,6 @@ from .schedule import Schedule, ScheduleEntry, TripId
 
 SCHEDULE_HEADER = ("site", "trip", "depot_start", "site_start", "site_end", "delivery")
 
-MINUTE = 60
-
 
 def parse_time(value: Any, what: str = "time") -> int:
     """Clock value ("H:MM", "H:MM:SS" or minutes) to seconds."""
@@ -69,10 +67,8 @@ def format_time(seconds: int) -> str:
     return f"{hours}:{minutes:02d}"
 
 
-def _number(doc: Mapping[str, Any], field: str, what: str, default=None):
+def _number(doc: Mapping[str, Any], field: str, what: str):
     if field not in doc:
-        if default is not None:
-            return default
         raise InputError(f"{what}.{field}: missing")
     value = doc[field]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -97,25 +93,22 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
     if not isinstance(sites_doc, list) or not sites_doc:
         raise InputError("sites: missing or empty")
 
-    try:
-        depot = DepotSpec(
-            start_time=parse_time(depot_doc.get("start"), "depot.start"),
-            plant_capacity=_number(depot_doc, "plant_capacity", "depot"),
-            productivity=_number(depot_doc, "productivity", "depot"),
-            truck_capacity=_number(depot_doc, "truck_capacity", "depot"),
-            truck_count=(
-                _integer(depot_doc, "trucks", "depot")
-                if "trucks" in depot_doc
-                else None
-            ),
-            gamma=(
-                parse_duration(depot_doc["gamma"], "depot.gamma")
-                if "gamma" in depot_doc
-                else DepotSpec.gamma
-            ),
-        )
-    except ValidationError as exc:
-        raise InputError(str(exc)) from exc
+    depot = DepotSpec(
+        start_time=parse_time(depot_doc.get("start"), "depot.start"),
+        plant_capacity=_number(depot_doc, "plant_capacity", "depot"),
+        productivity=_number(depot_doc, "productivity", "depot"),
+        truck_capacity=_number(depot_doc, "truck_capacity", "depot"),
+        truck_count=(
+            _integer(depot_doc, "trucks", "depot")
+            if "trucks" in depot_doc
+            else None
+        ),
+        gamma=(
+            parse_duration(depot_doc["gamma"], "depot.gamma")
+            if "gamma" in depot_doc
+            else DepotSpec.gamma
+        ),
+    )
 
     sites = []
     for index, site_doc in enumerate(sites_doc):
@@ -147,10 +140,7 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         except ValidationError as exc:
             raise InputError(f"{where}: {exc}") from exc
 
-    try:
-        return Instance(depot=depot, sites=tuple(sites))
-    except ValidationError as exc:
-        raise InputError(str(exc)) from exc
+    return Instance(depot=depot, sites=tuple(sites))
 
 
 def load_instance(path: str | Path) -> Instance:
@@ -167,20 +157,20 @@ def load_instance(path: str | Path) -> Instance:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def bundled_instance_path(name: str) -> Path:
-    candidate = resources.files("rmcdp.data") / f"{name}.json"
+def _bundled_path(name: str, suffix: str, kind: str) -> Path:
+    candidate = resources.files("rmcdp.data") / f"{name}{suffix}"
     with resources.as_file(candidate) as path:
         if not path.exists():
-            raise InputError(f"no bundled instance named {name!r}")
+            raise InputError(f"no bundled {kind} named {name!r}")
         return path
+
+
+def bundled_instance_path(name: str) -> Path:
+    return _bundled_path(name, ".json", "instance")
 
 
 def bundled_schedule_path(name: str) -> Path:
-    candidate = resources.files("rmcdp.data") / f"{name}.csv"
-    with resources.as_file(candidate) as path:
-        if not path.exists():
-            raise InputError(f"no bundled schedule named {name!r}")
-        return path
+    return _bundled_path(name, ".csv", "schedule")
 
 
 def schedule_to_csv(schedule: Schedule) -> str:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .model import Instance, InputError, ValidationError, total_trips
+from .model import Instance, InputError, slot_horizon
+from .model import default_horizon  # noqa: F401 (re-exported)
 from .schedule import (
     FeasibilityReport,
     Schedule,
@@ -55,24 +56,8 @@ def _minutes(seconds: int) -> Fraction:
     return Fraction(seconds, 60)
 
 
-def default_horizon(instance: Instance) -> int:
-    return 2 * total_trips(instance)
-
-
-def _horizon(instance: Instance, horizon: int | None) -> int:
-    """The given horizon, or the default one; it must hold every trip."""
-    trips = total_trips(instance)
-    if horizon is None:
-        horizon = default_horizon(instance)
-    if horizon < trips:
-        raise ValidationError(
-            f"horizon: {horizon} slots cannot hold {trips} trips"
-        )
-    return horizon
-
-
 def build_mip(instance: Instance, horizon: int | None = None) -> MipModel:
-    horizon = _horizon(instance, horizon)
+    horizon = slot_horizon(instance, horizon)
 
     lt = _minutes(instance.depot.loading_time)
     depot_start = _minutes(instance.depot.start_time)
@@ -362,7 +347,7 @@ def validate_solution(
     binaries of the model, ``X_t{slot}_s{site}_j{trip}`` within the horizon
     and the instance's trips, are read; other names are ignored.
     """
-    horizon = _horizon(instance, horizon)
+    horizon = slot_horizon(instance, horizon)
     expected_trips = [
         TripId(site.id, j)
         for site in instance.sites
@@ -385,10 +370,7 @@ def validate_solution(
             or not value > 0.5
         ):
             continue
-        if trip in chosen:
-            chosen[trip] = -1  # flagged below via eq30
-        else:
-            chosen[trip] = slot
+        chosen[trip] = slot
         slot_users.setdefault(slot, []).append(trip)
 
     violations: list[Violation] = []
@@ -416,11 +398,9 @@ def validate_solution(
                 )
             )
 
-    complete = all(chosen.get(trip, 0) > 0 for trip in expected_trips) and not any(
-        len(u) > 1 for u in slot_users.values()
-    )
+    # Without a coverage or slot finding every trip holds a slot of its own.
     objective: int | None = None
-    if complete:
+    if not violations:
         lt = instance.depot.loading_time
         start = instance.depot.start_time
         schedule = schedule_from_starts(

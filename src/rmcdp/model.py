@@ -26,12 +26,12 @@ HOUR = 3600
 DEFAULT_GAMMA = 90 * MINUTE
 
 
-class ValidationError(ValueError):
-    """Instance data violates a structural invariant."""
-
-
 class InputError(ValueError):
-    """A runtime input (sequence, schedule, file) is malformed."""
+    """A runtime input (sequence, schedule, file, argument) is malformed."""
+
+
+class ValidationError(InputError):
+    """Instance data or a solver argument violates a structural invariant."""
 
 
 def _fraction(value: float | int | str, what: str) -> Fraction:
@@ -207,6 +207,28 @@ def trip_duration(instance: Instance, site: SiteSpec) -> int:
 
 def total_trips(instance: Instance) -> int:
     return sum(row[1] for row in instance.timings)
+
+
+def default_horizon(instance: Instance) -> int:
+    """Loading slots of a slot model when none are given: twice the trips."""
+    return 2 * total_trips(instance)
+
+
+def slot_horizon(instance: Instance, horizon: int | None = None) -> int:
+    """The given number of loading slots, or the default; it must hold
+    every trip."""
+    if horizon is None:
+        return default_horizon(instance)
+    trips = total_trips(instance)
+    if horizon < trips:
+        raise ValidationError(f"horizon: {horizon} slots cannot hold {trips} trips")
+    return horizon
+
+
+def check_truck_limit(truck_limit: int | None) -> None:
+    """Reject a fleet limit below one truck; ``None`` means no limit."""
+    if truck_limit is not None and truck_limit <= 0:
+        raise ValidationError("truck_limit: must be positive when given")
 
 
 def truck_upper_bound(gamma: int, load_time: int) -> int:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import DepotSpec, Instance, ValidationError, _fraction
+from .model import DepotSpec, Instance, ValidationError, _fraction, check_truck_limit
 from .schedule import Schedule, TripId, schedule_from_starts
 
 
@@ -160,8 +160,7 @@ def priority_solve(
 ) -> PriorityResult:
     """Search all ``n!`` site permutations for the least total waiting."""
     beta = parse_beta(beta)
-    if truck_limit is not None and truck_limit <= 0:
-        raise ValidationError("truck_limit: must be positive when given")
+    check_truck_limit(truck_limit)
 
     started = time.perf_counter()
     depot = instance.depot

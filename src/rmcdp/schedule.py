@@ -15,15 +15,6 @@ from typing import Mapping, Sequence
 
 from .model import Instance, InputError
 
-#: Violation kinds reported by :func:`check`.
-VIOLATION_KINDS = (
-    "gamma_exceeded",
-    "slot_conflict",
-    "truck_overrun",
-    "accessibility",
-    "coverage",
-)
-
 
 @dataclass(frozen=True, order=True)
 class TripId:
@@ -84,10 +75,6 @@ class SiteObjective:
     first_wait: int
     inter_trip_wait: int
     truck_idle: int
-
-    @property
-    def total_wait(self) -> int:
-        return self.first_wait + self.inter_trip_wait
 
 
 @dataclass(frozen=True)

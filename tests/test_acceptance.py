@@ -13,7 +13,6 @@ import time
 import pytest
 
 from rmcdp.graphs import (
-    build_graph,
     circuit_cost,
     enumerate_exact,
     greedy_solve,
@@ -106,7 +105,7 @@ def test_3_two_site_example_waiting_and_feasibility_oracle(example1):
 
 
 def test_4_greedy_walk_reproduces_reference_trace(example1):
-    result = greedy_solve(build_graph(example1))
+    result = greedy_solve(example1)
     assert result.sequence == (1, 2, 1, 2)
     assert [step.costs for step in result.steps] == [
         {1: 20 * MIN, 2: 0},

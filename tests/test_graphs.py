@@ -17,9 +17,11 @@ from rmcdp.model import (
     Instance,
     SiteSpec,
     ValidationError,
+    default_horizon,
     solution_space_size,
     total_trips,
 )
+from rmcdp.priority import priority_solve
 from rmcdp.schedule import (
     TripId,
     check,
@@ -161,7 +163,7 @@ class TestCircuitCost:
 
 class TestGreedy:
     def test_reference_trace(self, example1):
-        result = greedy_solve(build_graph(example1))
+        result = greedy_solve(example1)
         assert result.sequence == (1, 2, 1, 2)
         # Each step records the label costs recomputed after the pick; the
         # next pick is made from the previous step's map.
@@ -175,12 +177,12 @@ class TestGreedy:
         assert [step.costs for step in result.steps] == expected_costs
 
     def test_objective_matches_evaluate(self, example1):
-        result = greedy_solve(build_graph(example1))
+        result = greedy_solve(example1)
         assert result.objective.total_site_wait == 60 * MIN
         assert result.report.feasible
 
     def test_prefers_smallest_nonnegative_cost(self, example1):
-        result = greedy_solve(build_graph(example1))
+        result = greedy_solve(example1)
         # After the first pick the costs are {1: 20 min, 2: 0}; the second
         # pick takes label 2, the cheapest non-negative option.
         assert result.steps[1].chosen_label == 2
@@ -190,9 +192,19 @@ class TestGreedy:
         rng = random.Random(seed)
         instance = random_instance(rng)
         exact = enumerate_exact(instance)
-        greedy = greedy_solve(build_graph(instance))
+        greedy = greedy_solve(instance)
         if greedy.report.feasible and exact.schedule is not None:
             assert greedy.objective.total_site_wait >= exact.objective
+
+
+@pytest.mark.parametrize("truck_limit", [0, -1])
+@pytest.mark.parametrize(
+    "solve", [greedy_solve, enumerate_exact, grid_exact, priority_solve],
+    ids=lambda solve: solve.__name__,
+)
+def test_non_positive_truck_limit_rejected(example1, solve, truck_limit):
+    with pytest.raises(ValidationError, match="truck_limit"):
+        solve(example1, truck_limit=truck_limit)
 
 
 class TestDispatchSequences:
@@ -234,11 +246,6 @@ class TestEnumerateExact:
         limited = enumerate_exact(example1, truck_limit=3)
         assert limited.feasible_count <= unlimited.feasible_count
 
-    @pytest.mark.parametrize("truck_limit", [0, -1])
-    def test_non_positive_truck_limit_rejected(self, example1, truck_limit):
-        with pytest.raises(ValidationError, match="truck_limit"):
-            enumerate_exact(example1, truck_limit=truck_limit)
-
     def test_cap_raises(self, instance1):
         with pytest.raises(SizeCapError):
             enumerate_exact(instance1)
@@ -279,6 +286,9 @@ class TestGridExact:
         consecutive = enumerate_exact(example1)
         gridded = grid_exact(example1, horizon=8)
         assert gridded.objective <= consecutive.objective
+
+    def test_horizon_defaults_to_twice_the_trips(self, example1):
+        assert grid_exact(example1) == grid_exact(example1, default_horizon(example1))
 
     def test_search_counts_are_not_reported(self, example1):
         gridded = grid_exact(example1, horizon=8)

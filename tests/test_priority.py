@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rmcdp.model import DepotSpec, Instance, SiteSpec, ValidationError
+from rmcdp.model import DepotSpec, Instance, InputError, SiteSpec, ValidationError
 from rmcdp.priority import priority_solve
 from rmcdp.schedule import check, evaluate
 
@@ -164,6 +164,10 @@ class TestPrioritySolve:
     def test_beta_below_one_rejected(self, example1):
         with pytest.raises(ValidationError):
             priority_solve(example1, beta=Fraction(1, 2))
+
+    def test_beta_error_is_an_input_error(self, example1):
+        with pytest.raises(InputError, match="beta: must be at least 1"):
+            priority_solve(example1, beta="0.5")
 
     @pytest.mark.parametrize(
         "beta", ["abc", "nan", float("nan"), float("inf"), "1/0"],

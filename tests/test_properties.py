@@ -110,7 +110,7 @@ class TestDeterminism:
     def test_greedy_sequence_covers_trip_multiset(self, seed):
         rng = random.Random(seed)
         instance = random_instance(rng)
-        result = greedy_solve(build_graph(instance))
+        result = greedy_solve(instance)
         assert sorted(result.sequence) == sorted(build_graph(instance).labels)
 
 
