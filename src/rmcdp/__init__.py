@@ -5,6 +5,7 @@ from .model import (
     Instance,
     InputError,
     SiteSpec,
+    TripId,
     ValidationError,
     loading_time,
     solution_space_size,
@@ -18,12 +19,11 @@ from .schedule import (
     ObjectiveReport,
     Schedule,
     ScheduleEntry,
-    TripId,
     Violation,
     check,
     evaluate,
     expand_consecutive,
-    schedule_from_starts,
+    schedule_from_slots,
     trucks_required,
 )
 from .graphs import (

@@ -44,7 +44,7 @@ from .schedule import (
     check,
     evaluate,
     expand_consecutive,
-    schedule_from_starts,
+    schedule_from_slots,
 )
 
 ENUMERATION_CAP = 10_000_000
@@ -63,9 +63,7 @@ class RmcdpGraph:
 
 
 def build_graph(instance: Instance) -> RmcdpGraph:
-    labels = tuple(
-        site_id for site_id, trips, *_ in instance.timings for _ in range(trips)
-    )
+    labels = tuple(trip.site_id for trip in instance.trips)
     return RmcdpGraph(instance=instance, labels=labels)
 
 
@@ -366,11 +364,11 @@ def grid_exact(
 
     wait, assignment = best
     seen = [0] * len(ids)
-    starts = {}
+    slots = {}
     for slot, i in assignment:
         seen[i] += 1
-        starts[TripId(ids[i], seen[i])] = start + (slot - 1) * lt
-    schedule = schedule_from_starts(instance, starts)
+        slots[TripId(ids[i], seen[i])] = slot
+    schedule = schedule_from_slots(instance, slots)
     return EnumerationResult(
         schedule=schedule,
         sequence=schedule.dispatch_sequence(),

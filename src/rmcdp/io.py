@@ -67,19 +67,29 @@ def format_time(seconds: int) -> str:
     return f"{hours}:{minutes:02d}"
 
 
-def _number(doc: Mapping[str, Any], field: str, what: str):
-    if field not in doc:
+_REQUIRED = object()
+
+
+def _field(doc: Mapping[str, Any], field: str, what: str, parse, default=_REQUIRED):
+    """``parse`` applied to ``doc[field]``.  An absent field takes ``default``,
+    and without one it reads ``missing``."""
+    if field in doc:
+        return parse(doc[field], f"{what}.{field}")
+    if default is _REQUIRED:
         raise InputError(f"{what}.{field}: missing")
-    value = doc[field]
+    return default
+
+
+def _number(value: Any, what: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{what}.{field}: expected a number, got {value!r}")
+        raise InputError(f"{what}: expected a number, got {value!r}")
     return value
 
 
-def _integer(doc: Mapping[str, Any], field: str, what: str) -> int:
-    value = _number(doc, field, what)
+def _integer(value: Any, what: str) -> int:
+    value = _number(value, what)
     if isinstance(value, float) and not value.is_integer():
-        raise InputError(f"{what}.{field}: expected an integer, got {value!r}")
+        raise InputError(f"{what}: expected an integer, got {value!r}")
     return int(value)
 
 
@@ -94,20 +104,12 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         raise InputError("sites: missing or empty")
 
     depot = DepotSpec(
-        start_time=parse_time(depot_doc.get("start"), "depot.start"),
-        plant_capacity=_number(depot_doc, "plant_capacity", "depot"),
-        productivity=_number(depot_doc, "productivity", "depot"),
-        truck_capacity=_number(depot_doc, "truck_capacity", "depot"),
-        truck_count=(
-            _integer(depot_doc, "trucks", "depot")
-            if "trucks" in depot_doc
-            else None
-        ),
-        gamma=(
-            parse_duration(depot_doc["gamma"], "depot.gamma")
-            if "gamma" in depot_doc
-            else DepotSpec.gamma
-        ),
+        start_time=_field(depot_doc, "start", "depot", parse_time),
+        plant_capacity=_field(depot_doc, "plant_capacity", "depot", _number),
+        productivity=_field(depot_doc, "productivity", "depot", _number),
+        truck_capacity=_field(depot_doc, "truck_capacity", "depot", _number),
+        truck_count=_field(depot_doc, "trucks", "depot", _integer, None),
+        gamma=_field(depot_doc, "gamma", "depot", parse_duration, DepotSpec.gamma),
     )
 
     sites = []
@@ -118,27 +120,21 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         try:
             sites.append(
                 SiteSpec(
-                    id=_integer(site_doc, "id", where),
-                    demand=_number(site_doc, "demand", where),
-                    distance=_number(site_doc, "distance", where),
-                    speed=_number(site_doc, "speed", where),
-                    unload_time=parse_duration(
-                        site_doc.get("unload"), f"{where}.unload"
+                    id=_field(site_doc, "id", where, _integer),
+                    demand=_field(site_doc, "demand", where, _number),
+                    distance=_field(site_doc, "distance", where, _number),
+                    speed=_field(site_doc, "speed", where, _number),
+                    unload_time=_field(site_doc, "unload", where, parse_duration),
+                    proposed_start=_field(
+                        site_doc, "proposed_start", where, parse_time
                     ),
-                    proposed_start=parse_time(
-                        site_doc.get("proposed_start"), f"{where}.proposed_start"
-                    ),
-                    gamma_override=(
-                        parse_duration(
-                            site_doc["gamma_override"], f"{where}.gamma_override"
-                        )
-                        if "gamma_override" in site_doc
-                        else None
+                    gamma_override=_field(
+                        site_doc, "gamma_override", where, parse_duration, None
                     ),
                 )
             )
         except ValidationError as exc:
-            raise InputError(f"{where}: {exc}") from exc
+            raise InputError(f"{where}.{exc}") from exc
 
     return Instance(depot=depot, sites=tuple(sites))
 
@@ -212,7 +208,6 @@ def read_schedule_csv(path: str | Path, instance: Instance) -> Schedule:
             f"{path}:1: expected header {','.join(SCHEDULE_HEADER)}"
         )
     entries = []
-    previous_cumulative: dict[int, float] = {}
     for line_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -233,15 +228,12 @@ def read_schedule_csv(path: str | Path, instance: Instance) -> Schedule:
             cumulative = float(row[5])
         except ValueError as exc:
             raise InputError(f"{where}: delivery must be a number") from exc
-        delivered = cumulative - previous_cumulative.get(site_id, 0.0)
-        previous_cumulative[site_id] = cumulative
         entries.append(
             ScheduleEntry(
                 trip=TripId(site_id, trip_index),
                 depot_start=depot_start,
                 site_arrival=site_start,
                 site_departure=site_end,
-                delivered=delivered,
                 cumulative_delivered=cumulative,
             )
         )

@@ -26,7 +26,7 @@ from .schedule import (
     Violation,
     check,
     evaluate,
-    schedule_from_starts,
+    schedule_from_slots,
 )
 
 
@@ -80,9 +80,8 @@ def build_mip(instance: Instance, horizon: int | None = None) -> MipModel:
         continuous.append(f"Wf_s{site.id}")
         objective.append((Fraction(1), f"Wf_s{site.id}"))
     for t in range(1, horizon + 1):
-        for site in instance.sites:
-            for j in range(1, site_trips[site.id] + 1):
-                binaries.append(f"X_t{t}_s{site.id}_j{j}")
+        for trip in instance.trips:
+            binaries.append(f"X_t{t}_s{trip.site_id}_j{trip.trip_index}")
 
     one = Fraction(1)
     for site in instance.sites:
@@ -159,27 +158,23 @@ def build_mip(instance: Instance, horizon: int | None = None) -> MipModel:
             Row(
                 f"c_eq29_t{t}",
                 tuple(
-                    (one, f"X_t{t}_s{site.id}_j{j}")
-                    for site in instance.sites
-                    for j in range(1, site_trips[site.id] + 1)
+                    (one, f"X_t{t}_s{trip.site_id}_j{trip.trip_index}")
+                    for trip in instance.trips
                 ),
                 "<=",
                 Fraction(1),
             )
         )
-    for site in instance.sites:
-        for j in range(1, site_trips[site.id] + 1):
-            rows.append(
-                Row(
-                    f"c_eq30_s{site.id}_j{j}",
-                    tuple(
-                        (one, f"X_t{t}_s{site.id}_j{j}")
-                        for t in range(1, horizon + 1)
-                    ),
-                    "=",
-                    Fraction(1),
-                )
+    for trip in instance.trips:
+        sid, j = trip.site_id, trip.trip_index
+        rows.append(
+            Row(
+                f"c_eq30_s{sid}_j{j}",
+                tuple((one, f"X_t{t}_s{sid}_j{j}") for t in range(1, horizon + 1)),
+                "=",
+                Fraction(1),
             )
+        )
 
     return MipModel(
         instance=instance,
@@ -339,21 +334,20 @@ def validate_solution(
     horizon: int,
     assignment: Mapping[str, float],
 ) -> tuple[FeasibilityReport, int | None]:
-    """Replay the model constraints against an assignment.
+    """Judge a solver's assignment by the schedule its binaries encode.
 
-    Returns the violation report plus the objective (total site waiting,
-    seconds) of the schedule reconstructed from the ``X`` variables, or
-    ``None`` when no complete schedule can be reconstructed.  Only the
-    binaries of the model, ``X_t{slot}_s{site}_j{trip}`` within the horizon
-    and the instance's trips, are read; other names are ignored.
+    The ``X`` variables are decoded into one slot per trip; a trip held by
+    no slot or by several (``c_eq30``) and a slot held by several trips
+    (``c_eq29``) are reported directly.  Otherwise the decoded schedule goes
+    to :func:`check`, and a delivery gap below the unloading time is
+    reported against ``c_eq24``.  Returns the violation report plus the
+    objective (total site waiting, seconds) of that schedule, or ``None``
+    when it is incomplete or infeasible.  Only the binaries of the model,
+    ``X_t{slot}_s{site}_j{trip}`` within the horizon and the instance's
+    trips, are read; other names are ignored.
     """
     horizon = slot_horizon(instance, horizon)
-    expected_trips = [
-        TripId(site.id, j)
-        for site in instance.sites
-        for j in range(1, instance.trips_for(site) + 1)
-    ]
-    expected = set(expected_trips)
+    expected = set(instance.trips)
 
     chosen: dict[TripId, int] = {}
     slot_users: dict[int, list[TripId]] = {}
@@ -375,7 +369,7 @@ def validate_solution(
 
     violations: list[Violation] = []
     used = Counter(trip for users in slot_users.values() for trip in users)
-    for trip in expected_trips:
+    for trip in instance.trips:
         if used[trip] != 1:
             violations.append(
                 Violation(
@@ -401,12 +395,7 @@ def validate_solution(
     # Without a coverage or slot finding every trip holds a slot of its own.
     objective: int | None = None
     if not violations:
-        lt = instance.depot.loading_time
-        start = instance.depot.start_time
-        schedule = schedule_from_starts(
-            instance,
-            {trip: start + (chosen[trip] - 1) * lt for trip in expected_trips},
-        )
+        schedule = schedule_from_slots(instance, chosen)
         structural = check(instance, schedule)
         violations.extend(structural.violations)
         grouped = schedule.by_site()

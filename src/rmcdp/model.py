@@ -73,6 +73,12 @@ def trips_for_site(demand: float, truck_capacity: float) -> int:
     return int(math.ceil(ratio))
 
 
+@dataclass(frozen=True, order=True)
+class TripId:
+    site_id: int
+    trip_index: int  # 1-based within the site
+
+
 @dataclass(frozen=True)
 class DepotSpec:
     start_time: int               # first loading start, seconds from midnight
@@ -112,30 +118,27 @@ class SiteSpec:
     gamma_override: int | None = None
 
     def __post_init__(self) -> None:
+        # Messages name the field; the reader of the site list names the site.
         if self.id <= 0:
-            raise ValidationError(f"sites[{self.id}].id: must be positive")
+            raise ValidationError("id: must be positive")
         if self.demand <= 0:
-            raise ValidationError(f"sites[{self.id}].demand: must be positive")
+            raise ValidationError("demand: must be positive")
         if self.distance < 0:
-            raise ValidationError(f"sites[{self.id}].distance: must be non-negative")
+            raise ValidationError("distance: must be non-negative")
         if self.speed <= 0:
-            raise ValidationError(f"sites[{self.id}].speed: must be positive")
+            raise ValidationError("speed: must be positive")
         if self.unload_time <= 0:
-            raise ValidationError(f"sites[{self.id}].unload: must be positive")
+            raise ValidationError("unload: must be positive")
         if self.proposed_start < 0:
-            raise ValidationError(
-                f"sites[{self.id}].proposed_start: must be non-negative"
-            )
+            raise ValidationError("proposed_start: must be non-negative")
         if self.gamma_override is not None and self.gamma_override <= 0:
-            raise ValidationError(
-                f"sites[{self.id}].gamma_override: must be positive when given"
-            )
+            raise ValidationError("gamma_override: must be positive when given")
 
     @cached_property
     def haul_time(self) -> int:
         """One-way travel time d_i / v_i in seconds."""
         ratio = _fraction(self.distance, "distance") / _fraction(self.speed, "speed")
-        return _exact_seconds(ratio, f"sites[{self.id}] haul time")
+        return _exact_seconds(ratio, "haul time")
 
 
 @dataclass(frozen=True)
@@ -152,12 +155,15 @@ class Instance:
                 f"sites: ids must be exactly 1..{len(self.sites)}, got {ids}"
             )
         lt = self.depot.loading_time
-        for site in self.sites:
+        for index, site in enumerate(self.sites):
+            try:
+                span = lt + site.haul_time + site.unload_time
+            except ValidationError as exc:
+                raise ValidationError(f"sites[{index}]: {exc}") from None
             gamma = self.gamma_for(site)
-            span = lt + site.haul_time + site.unload_time
             if span > gamma:
                 raise ValidationError(
-                    f"sites[{site.id}]: not accessible: loading + haul + unload "
+                    f"sites[{index}]: not accessible: loading + haul + unload "
                     f"= {span // MINUTE} min exceeds gamma = {gamma // MINUTE} min"
                 )
 
@@ -199,6 +205,15 @@ class Instance:
             for site in self.sites
         )
 
+    @cached_property
+    def trips(self) -> tuple[TripId, ...]:
+        """Every trip, in site-list order and then by trip index."""
+        return tuple(
+            TripId(site_id, j)
+            for site_id, count, *_ in self.timings
+            for j in range(1, count + 1)
+        )
+
 
 def trip_duration(instance: Instance, site: SiteSpec) -> int:
     """Round-trip time of one delivery: loading + both hauls + unloading."""
@@ -206,7 +221,7 @@ def trip_duration(instance: Instance, site: SiteSpec) -> int:
 
 
 def total_trips(instance: Instance) -> int:
-    return sum(row[1] for row in instance.timings)
+    return len(instance.trips)
 
 
 def default_horizon(instance: Instance) -> int:

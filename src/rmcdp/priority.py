@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import DepotSpec, Instance, ValidationError, _fraction, check_truck_limit
-from .schedule import Schedule, TripId, schedule_from_starts
+from .schedule import Schedule, TripId, schedule_from_slots
 
 
 @dataclass(frozen=True)
@@ -196,12 +196,12 @@ def priority_solve(
         return PriorityResult(None, None, None, stats)
 
     wait_units, order = best
-    starts = {
-        TripId(rows[position][0], index): depot.start_time + (slot - 1) * lt
-        for position, slots in order
-        for index, slot in enumerate(slots, start=1)
+    slots = {
+        TripId(rows[position][0], index): slot
+        for position, booked in order
+        for index, slot in enumerate(booked, start=1)
     }
-    schedule = schedule_from_starts(instance, starts)
+    schedule = schedule_from_slots(instance, slots)
     wait = Fraction(wait_units, per)
     objective = int(wait) if wait.denominator == 1 else float(wait)
     stats = PrioritySearchStats(

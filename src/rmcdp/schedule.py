@@ -13,13 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .model import Instance, InputError
-
-
-@dataclass(frozen=True, order=True)
-class TripId:
-    site_id: int
-    trip_index: int  # 1-based within the site
+from .model import Instance, InputError, TripId, ValidationError, check_truck_limit
 
 
 @dataclass(frozen=True)
@@ -28,8 +22,7 @@ class ScheduleEntry:
     depot_start: int       # loading starts at the depot
     site_arrival: int      # pouring starts at the site
     site_departure: int    # pouring done, truck heads back
-    delivered: float       # m3 on this trip
-    cumulative_delivered: float
+    cumulative_delivered: float  # m3 at the site after this trip
 
     @property
     def site_id(self) -> int:
@@ -93,12 +86,10 @@ class ObjectiveReport:
 def expand_consecutive(instance: Instance, sequence: Sequence[int]) -> Schedule:
     """Expand a dispatch sequence into timed trips on consecutive slots.
 
-    Trip ``i`` of the sequence loads at ``D_s + (i - 1) * L_t``.  The
-    sequence must contain each site exactly as many times as it has trips.
+    Trip ``i`` of the sequence takes slot ``i``.  The sequence must contain
+    each site exactly as many times as it has trips.
     """
-    expected = Counter(
-        {site.id: instance.trips_for(site) for site in instance.sites}
-    )
+    expected = Counter(trip.site_id for trip in instance.trips)
     actual = Counter(sequence)
     if actual != expected:
         raise InputError(
@@ -106,39 +97,37 @@ def expand_consecutive(instance: Instance, sequence: Sequence[int]) -> Schedule:
             f"required trips per site {dict(sorted(expected.items()))}"
         )
 
-    lt = instance.depot.loading_time
-    start = instance.depot.start_time
     seen: Counter[int] = Counter()
-    starts = {}
-    for position, site_id in enumerate(sequence):
+    slots = {}
+    for slot, site_id in enumerate(sequence, start=1):
         seen[site_id] += 1
-        starts[TripId(site_id, seen[site_id])] = start + position * lt
-    return schedule_from_starts(instance, starts)
+        slots[TripId(site_id, seen[site_id])] = slot
+    return schedule_from_slots(instance, slots)
 
 
-def schedule_from_starts(instance: Instance, starts: Mapping[TripId, int]) -> Schedule:
-    """Timed trips from each trip's loading start at the depot.
+def schedule_from_slots(instance: Instance, slots: Mapping[TripId, int]) -> Schedule:
+    """Timed trips from each trip's loading slot.
 
-    A trip arrives one loading and one haul after its start and pours for
-    the site's unloading time.  Loads are full trucks, taken in trip-index
-    order, until the site's demand is met.
+    Slot ``s`` loads at ``D_s + (s - 1) * L_t``.  A trip arrives one loading
+    and one haul after its start and pours for the site's unloading time.
+    Loads are full trucks, taken in trip-index order, until the site's
+    demand is met.
     """
     lt = instance.depot.loading_time
     capacity = instance.depot.truck_capacity
     poured: dict[int, float] = {site.id: 0.0 for site in instance.sites}
     entries = []
-    for trip in sorted(starts):
+    for trip in sorted(slots):
         site = instance.site(trip.site_id)
-        arrival = starts[trip] + lt + site.haul_time
-        delivered = min(capacity, site.demand - poured[site.id])
-        poured[site.id] += delivered
+        start = instance.depot.start_time + (slots[trip] - 1) * lt
+        arrival = start + lt + site.haul_time
+        poured[site.id] += min(capacity, site.demand - poured[site.id])
         entries.append(
             ScheduleEntry(
                 trip=trip,
-                depot_start=starts[trip],
+                depot_start=start,
                 site_arrival=arrival,
                 site_departure=arrival + site.unload_time,
-                delivered=delivered,
                 cumulative_delivered=poured[site.id],
             )
         )
@@ -166,11 +155,7 @@ def trucks_required(instance: Instance, schedule: Schedule) -> int:
 
 def _coverage_violations(instance: Instance, schedule: Schedule) -> list[Violation]:
     violations = []
-    expected = {
-        TripId(site.id, j)
-        for site in instance.sites
-        for j in range(1, instance.trips_for(site) + 1)
-    }
+    expected = set(instance.trips)
     actual = Counter(e.trip for e in schedule.entries)
     for trip, count in sorted(actual.items()):
         if trip not in expected:
@@ -207,6 +192,9 @@ def check(
     truck_limit: int | None = None,
 ) -> FeasibilityReport:
     """Collect every constraint violation of a schedule."""
+    check_truck_limit(truck_limit)
+    if gamma_override is not None and gamma_override <= 0:
+        raise ValidationError("gamma_override: must be positive when given")
     violations = list(_coverage_violations(instance, schedule))
 
     by_start: dict[int, list[TripId]] = {}

@@ -148,6 +148,21 @@ class TestCheck:
         assert code == 2
         assert any(v["kind"] == "truck_overrun" for v in payload["violations"])
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [(("--trucks", "0"), "truck_limit"), (("--gamma", "0"), "gamma_override"),
+         (("--gamma", "-5"), "gamma_override")],
+        ids=["trucks-0", "gamma-0", "gamma-minus-5"],
+    )
+    def test_non_positive_limit_rejected(self, capsys, option, message):
+        # A fleet of no trucks or a closed pour window is a bad argument,
+        # not an infeasible schedule.
+        code = main(["check", INSTANCE1, GOLDEN, *option])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestSpace:
     def test_reference_instance(self, capsys):

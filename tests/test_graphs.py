@@ -27,7 +27,7 @@ from rmcdp.schedule import (
     check,
     evaluate,
     expand_consecutive,
-    schedule_from_starts,
+    schedule_from_slots,
     trucks_required,
 )
 
@@ -74,11 +74,11 @@ def reference_grid(instance, horizon, truck_limit=None):
         nonlocal best
         if truck_limit is not None:
             seen = Counter()
-            starts = {}
+            by_trip = {}
             for slot, i in slots:
                 seen[i] += 1
-                starts[TripId(sites[i].id, seen[i])] = start + (slot - 1) * lt
-            schedule = schedule_from_starts(instance, starts)
+                by_trip[TripId(sites[i].id, seen[i])] = slot
+            schedule = schedule_from_slots(instance, by_trip)
             if trucks_required(instance, schedule) > truck_limit:
                 return
         wait = 0

@@ -124,6 +124,52 @@ class TestInstanceLoading:
         assert instance.depot.truck_count == 3
 
 
+def example1_doc():
+    return json.loads(bundled_instance_path("example-1").read_text())
+
+
+class TestInstanceErrors:
+    """Each error names a bad site once, by its place in the site list."""
+
+    def test_bad_site_field_named_by_position(self):
+        doc = example1_doc()
+        doc["sites"][0]["demand"] = 0
+        with pytest.raises(InputError) as err:
+            instance_from_dict(doc)
+        assert str(err.value) == "sites[0].demand: must be positive"
+
+    def test_inaccessible_site_named_by_position(self):
+        doc = example1_doc()
+        doc["sites"][0]["distance"] = 600
+        with pytest.raises(InputError) as err:
+            instance_from_dict(doc)
+        assert str(err.value).startswith("sites[0]: not accessible: ")
+
+    def test_fractional_haul_named_by_position(self):
+        doc = example1_doc()
+        doc["sites"][1]["distance"] = 1
+        doc["sites"][1]["speed"] = 7
+        with pytest.raises(InputError) as err:
+            instance_from_dict(doc)
+        assert str(err.value).startswith("sites[1]: haul time: ")
+
+    @pytest.mark.parametrize(
+        "section, field",
+        [("sites", "unload"), ("sites", "proposed_start"), ("depot", "start")],
+    )
+    def test_missing_field_reads_missing(self, section, field):
+        doc = example1_doc()
+        if section == "depot":
+            del doc["depot"][field]
+            expected = f"depot.{field}: missing"
+        else:
+            del doc["sites"][0][field]
+            expected = f"sites[0].{field}: missing"
+        with pytest.raises(InputError) as err:
+            instance_from_dict(doc)
+        assert str(err.value) == expected
+
+
 class TestScheduleCsv:
     def test_header_and_row_count(self, example1):
         schedule = expand_consecutive(example1, (1, 2, 1, 2))

@@ -145,6 +145,23 @@ class TestValidateSolution:
             ("coverage", (TripId(1, 1),), 2)
         ]
 
+    def test_dropped_trip_and_slot_clash_both_reported(self, example1):
+        schedule = expand_consecutive(example1, (1, 2, 1, 2))
+        assignment = encode_schedule(example1, 6, schedule)
+        # Trip (2, 2) leaves slot 4 for slot 1, which trip (1, 1) holds, and
+        # trip (1, 2) is dropped.
+        assignment["X_t4_s2_j2"] = 0.0
+        assignment["X_t1_s2_j2"] = 1.0
+        assignment["X_t3_s1_j2"] = 0.0
+        report, objective = validate_solution(example1, 6, assignment)
+        assert objective is None
+        assert [(v.kind, v.trips, v.measured) for v in report.violations] == [
+            ("coverage", (TripId(1, 2),), 0),
+            ("slot_conflict", (TripId(1, 1), TripId(2, 2)), 2),
+        ]
+        assert "c_eq30" in report.violations[0].detail
+        assert "c_eq29" in report.violations[1].detail
+
     @pytest.mark.parametrize("seed", range(10))
     def test_idle_free_schedules_always_validate(self, seed):
         rng = random.Random(seed)

@@ -8,6 +8,7 @@ from rmcdp.model import (
     Instance,
     InputError,
     SiteSpec,
+    TripId,
     ValidationError,
     loading_time,
     solution_space_size,
@@ -79,6 +80,19 @@ class TestDerivedQuantities:
     def test_total_trips(self):
         instance = make_instance([50, 45], [25 * MIN, 25 * MIN], [10, 10])
         assert total_trips(instance) == 10
+
+    def test_trips_follow_the_site_list(self):
+        sites = tuple(
+            SiteSpec(id=site_id, demand=demand, distance=5, speed=60,
+                     unload_time=10 * MIN, proposed_start=0)
+            for site_id, demand in ((3, 20), (1, 5), (2, 30))
+        )
+        instance = Instance(DepotSpec(8 * 3600, 10, 120, 10), sites)
+        assert instance.trips == (
+            TripId(3, 1), TripId(3, 2), TripId(1, 1),
+            TripId(2, 1), TripId(2, 2), TripId(2, 3),
+        )
+        assert total_trips(instance) == len(instance.trips) == 6
 
     def test_trip_duration_round_trip(self):
         instance = make_instance([50], [25 * MIN], [30])

@@ -8,12 +8,19 @@ from rmcdp.schedule import (
     check,
     evaluate,
     expand_consecutive,
+    schedule_from_slots,
     trucks_required,
 )
 
 from conftest import random_instance
 
 MIN = 60
+
+
+def delivered(entries):
+    """Load of each trip: the steps of ``cumulative_delivered``."""
+    cumulative = [e.cumulative_delivered for e in entries]
+    return [b - a for a, b in zip([0.0] + cumulative, cumulative)]
 
 
 class TestExpandConsecutive:
@@ -36,7 +43,7 @@ class TestExpandConsecutive:
         schedule = expand_consecutive(example1, (1, 2, 1, 2))
         for site in example1.sites:
             entries = schedule.by_site()[site.id]
-            assert sum(e.delivered for e in entries) == site.demand
+            assert sum(delivered(entries)) == site.demand
             assert entries[-1].cumulative_delivered == site.demand
 
     def test_partial_final_load(self):
@@ -51,9 +58,9 @@ class TestExpandConsecutive:
             schedule = expand_consecutive(instance, tuple(sequence))
             for site in instance.sites:
                 entries = schedule.by_site()[site.id]
-                delivered = [e.delivered for e in entries]
-                assert all(d == instance.depot.truck_capacity for d in delivered[:-1])
-                assert sum(delivered) == site.demand
+                loads = delivered(entries)
+                assert all(d == instance.depot.truck_capacity for d in loads[:-1])
+                assert sum(loads) == site.demand
 
     def test_wrong_multiset_rejected(self, example1):
         with pytest.raises(InputError):
@@ -66,6 +73,18 @@ class TestExpandConsecutive:
     def test_dispatch_sequence_round_trip(self, example1):
         schedule = expand_consecutive(example1, (2, 1, 2, 1))
         assert schedule.dispatch_sequence() == (2, 1, 2, 1)
+
+
+class TestScheduleFromSlots:
+    def test_slot_loads_at_depot_start_plus_loading_times(self, instance1):
+        # Slots 1, 4, 7, ...: the first slot and slots with gaps between them.
+        depot = instance1.depot
+        slots = {trip: 3 * k + 1 for k, trip in enumerate(instance1.trips)}
+        schedule = schedule_from_slots(instance1, slots)
+        assert [e.trip for e in schedule.entries] == sorted(slots)
+        for entry in schedule.entries:
+            slot = slots[entry.trip]
+            assert entry.depot_start == depot.start_time + (slot - 1) * depot.loading_time
 
 
 class TestCheck:
@@ -104,7 +123,6 @@ class TestCheck:
             depot_start=entries[0].depot_start,
             site_arrival=clash.site_arrival,
             site_departure=clash.site_departure,
-            delivered=clash.delivered,
             cumulative_delivered=clash.cumulative_delivered,
         )
         conflicted = type(base)(entries=tuple(entries))
