@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import io as rio
@@ -265,7 +266,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="rmcdp",
         description="Ready-mixed-concrete delivery scheduling for a single depot",

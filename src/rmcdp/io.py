@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
@@ -38,23 +39,22 @@ def parse_time(value: Any, what: str = "time") -> int:
         if minutes >= 60 or seconds >= 60:
             raise InputError(f"{what}: expected 'H:MM', got {value!r}")
         return hours * 3600 + minutes * 60 + seconds
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{what}: expected 'H:MM' or minutes, got {value!r}")
-    seconds = value * 60
-    if seconds != int(seconds):
-        raise InputError(f"{what}: {value!r} minutes is not a whole second count")
-    return int(seconds)
+    return _seconds(value, what, "'H:MM' or minutes")
 
 
 def parse_duration(value: Any, what: str) -> int:
     """Duration in minutes to seconds."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{what}: expected minutes, got {value!r}")
-    seconds = value * 60
-    if seconds != int(seconds):
-        raise InputError(f"{what}: {value!r} minutes is not a whole second count")
+    seconds = _seconds(value, what, "minutes")
     if seconds <= 0:
         raise InputError(f"{what}: must be positive")
+    return seconds
+
+
+def _seconds(value: Any, what: str, expected: str) -> int:
+    """A finite number of minutes that is a whole number of seconds."""
+    seconds = _number(value, what, expected) * 60
+    if seconds % 1:  # also true when the product overflows to infinity
+        raise InputError(f"{what}: {value!r} minutes is not a whole second count")
     return int(seconds)
 
 
@@ -80,17 +80,20 @@ def _field(doc: Mapping[str, Any], field: str, what: str, parse, default=_REQUIR
     return default
 
 
-def _number(value: Any, what: str):
+def _number(value: Any, what: str, expected: str = "a number"):
+    """A JSON number; ``NaN`` and the infinities, which ``json`` accepts,
+    are not numbers here."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{what}: expected a number, got {value!r}")
+        raise InputError(f"{what}: expected {expected}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InputError(f"{what}: expected a finite number, got {value!r}")
     return value
 
 
 def _integer(value: Any, what: str) -> int:
-    value = _number(value, what)
     if isinstance(value, float) and not value.is_integer():
         raise InputError(f"{what}: expected an integer, got {value!r}")
-    return int(value)
+    return int(_number(value, what))
 
 
 def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
@@ -226,8 +229,10 @@ def read_schedule_csv(path: str | Path, instance: Instance) -> Schedule:
         site_end = parse_time(row[4], f"{where}: site_end")
         try:
             cumulative = float(row[5])
-        except ValueError as exc:
-            raise InputError(f"{where}: delivery must be a number") from exc
+        except ValueError:
+            cumulative = math.nan
+        if not math.isfinite(cumulative):
+            raise InputError(f"{where}: delivery must be a finite number, got {row[5]!r}")
         entries.append(
             ScheduleEntry(
                 trip=TripId(site_id, trip_index),

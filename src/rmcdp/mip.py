@@ -7,14 +7,16 @@ delays plus delivery gaps beyond the unloading time.  Constraint names
 embed the defining equation numbers (``c_eq22`` .. ``c_eq30``) so rows can
 be traced back to the formulation.
 
-All numbers in the emitted LP are minutes.
+All numbers in the emitted LP are minutes.  Each is built once from the
+instance's integer seconds by one division by 60, so it is the correctly
+rounded float of the exact value.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .model import Instance, InputError, slot_horizon
@@ -33,16 +35,15 @@ from .schedule import (
 @dataclass(frozen=True)
 class Row:
     name: str
-    terms: tuple[tuple[Fraction, str], ...]
+    terms: tuple[tuple[float, str], ...]
     sense: str  # "=", "<=" or ">="
-    rhs: Fraction
+    rhs: float
 
 
 @dataclass(frozen=True)
 class MipModel:
-    instance: Instance
     horizon: int
-    objective: tuple[tuple[Fraction, str], ...]
+    objective: tuple[tuple[float, str], ...]
     rows: tuple[Row, ...]
     continuous: tuple[str, ...]
     binaries: tuple[str, ...]
@@ -52,147 +53,80 @@ class MipModel:
         return len(self.binaries)
 
 
-def _minutes(seconds: int) -> Fraction:
-    return Fraction(seconds, 60)
-
-
 def build_mip(instance: Instance, horizon: int | None = None) -> MipModel:
     horizon = slot_horizon(instance, horizon)
 
-    lt = _minutes(instance.depot.loading_time)
-    depot_start = _minutes(instance.depot.start_time)
-    slot_times = [depot_start + (t - 1) * lt for t in range(1, horizon + 1)]
+    lt = instance.depot.loading_time
+    start = instance.depot.start_time
+    slot_times = [(start + (t - 1) * lt) / 60 for t in range(1, horizon + 1)]
+    slot_names = {
+        trip: [f"X_t{t}_s{trip.site_id}_j{trip.trip_index}" for t in range(1, horizon + 1)]
+        for trip in instance.trips
+    }
 
-    objective: list[tuple[Fraction, str]] = []
+    objective: list[tuple[float, str]] = []
     rows: list[Row] = []
     continuous: list[str] = []
-    binaries: list[str] = []
+    for site, (sid, trips, _, unload, gamma) in zip(instance.sites, instance.timings):
+        for j in range(1, trips + 1):
+            continuous += [f"ks_s{sid}_j{j}", f"kd_s{sid}_j{j}"]
+        for j in range(1, trips):
+            continuous += [f"T_s{sid}_j{j}", f"W_s{sid}_j{j}"]
+            objective.append((1, f"W_s{sid}_j{j}"))
+        continuous.append(f"Wf_s{sid}")
+        objective.append((1, f"Wf_s{sid}"))
 
-    site_trips = {site.id: instance.trips_for(site) for site in instance.sites}
-    for site in instance.sites:
-        for j in range(1, site_trips[site.id] + 1):
-            continuous.append(f"ks_s{site.id}_j{j}")
-            continuous.append(f"kd_s{site.id}_j{j}")
-        for j in range(1, site_trips[site.id]):
-            continuous.append(f"T_s{site.id}_j{j}")
-            continuous.append(f"W_s{site.id}_j{j}")
-            objective.append((Fraction(1), f"W_s{site.id}_j{j}"))
-        continuous.append(f"Wf_s{site.id}")
-        objective.append((Fraction(1), f"Wf_s{site.id}"))
-    for t in range(1, horizon + 1):
-        for trip in instance.trips:
-            binaries.append(f"X_t{t}_s{trip.site_id}_j{trip.trip_index}")
-
-    one = Fraction(1)
-    for site in instance.sites:
-        sid = site.id
-        unload = _minutes(site.unload_time)
-        gamma = _minutes(instance.gamma_for(site))
-        haul = _minutes(site.haul_time)
-        proposed = _minutes(site.proposed_start)
-        for j in range(1, site_trips[sid]):
-            rows.append(
-                Row(
-                    f"c_eq22_s{sid}_j{j}",
-                    ((one, f"ks_s{sid}_j{j + 1}"), (-one, f"ks_s{sid}_j{j}"),
-                     (-one, f"T_s{sid}_j{j}")),
-                    "=",
-                    Fraction(0),
-                )
-            )
-            rows.append(
-                Row(
-                    f"c_eq23_s{sid}_j{j}",
-                    ((one, f"T_s{sid}_j{j}"), (-one, f"W_s{sid}_j{j}")),
-                    "=",
-                    unload,
-                )
-            )
-            rows.append(
-                Row(
-                    f"c_eq24_s{sid}_j{j}",
-                    ((one, f"T_s{sid}_j{j}"),),
-                    ">=",
-                    unload,
-                )
-            )
-            rows.append(
-                Row(
-                    f"c_eq25_s{sid}_j{j}",
-                    ((one, f"T_s{sid}_j{j}"),),
-                    "<=",
-                    gamma,
-                )
-            )
-        for j in range(1, site_trips[sid] + 1):
-            rows.append(
-                Row(
-                    f"c_eq26_s{sid}_j{j}",
-                    ((one, f"ks_s{sid}_j1"), (-one, f"Wf_s{sid}")),
-                    "=",
-                    proposed,
-                )
-            )
-            rows.append(
-                Row(
-                    f"c_eq27_s{sid}_j{j}",
-                    ((one, f"ks_s{sid}_j{j}"), (-one, f"kd_s{sid}_j{j}")),
-                    "=",
-                    lt + haul,
-                )
-            )
-            rows.append(
-                Row(
-                    f"c_eq28_s{sid}_j{j}",
-                    tuple(
-                        (slot_times[t - 1], f"X_t{t}_s{sid}_j{j}")
-                        for t in range(1, horizon + 1)
-                    )
-                    + ((-one, f"kd_s{sid}_j{j}"),),
-                    "=",
-                    Fraction(0),
-                )
-            )
-    for t in range(1, horizon + 1):
-        rows.append(
-            Row(
-                f"c_eq29_t{t}",
-                tuple(
-                    (one, f"X_t{t}_s{trip.site_id}_j{trip.trip_index}")
-                    for trip in instance.trips
-                ),
-                "<=",
-                Fraction(1),
-            )
-        )
-    for trip in instance.trips:
-        sid, j = trip.site_id, trip.trip_index
-        rows.append(
-            Row(
-                f"c_eq30_s{sid}_j{j}",
-                tuple((one, f"X_t{t}_s{sid}_j{j}") for t in range(1, horizon + 1)),
-                "=",
-                Fraction(1),
-            )
-        )
+        ks, gap = f"ks_s{sid}_j", f"T_s{sid}_j"
+        for j in range(1, trips):
+            rows += [
+                Row(f"c_eq22_s{sid}_j{j}",
+                    ((1, f"{ks}{j + 1}"), (-1, f"{ks}{j}"), (-1, f"{gap}{j}")), "=", 0),
+                Row(f"c_eq23_s{sid}_j{j}",
+                    ((1, f"{gap}{j}"), (-1, f"W_s{sid}_j{j}")), "=", unload / 60),
+                Row(f"c_eq24_s{sid}_j{j}", ((1, f"{gap}{j}"),), ">=", unload / 60),
+                Row(f"c_eq25_s{sid}_j{j}", ((1, f"{gap}{j}"),), "<=", gamma / 60),
+            ]
+        for j in range(1, trips + 1):
+            names = slot_names[TripId(sid, j)]
+            rows += [
+                Row(f"c_eq26_s{sid}_j{j}",
+                    ((1, f"{ks}1"), (-1, f"Wf_s{sid}")), "=", site.proposed_start / 60),
+                Row(f"c_eq27_s{sid}_j{j}",
+                    ((1, f"{ks}{j}"), (-1, f"kd_s{sid}_j{j}")), "=",
+                    (lt + site.haul_time) / 60),
+                Row(f"c_eq28_s{sid}_j{j}",
+                    (*zip(slot_times, names), (-1, f"kd_s{sid}_j{j}")), "=", 0),
+            ]
+    for t in range(horizon):
+        rows.append(Row(
+            f"c_eq29_t{t + 1}",
+            tuple((1, names[t]) for names in slot_names.values()),
+            "<=",
+            1,
+        ))
+    for trip, names in slot_names.items():
+        rows.append(Row(
+            f"c_eq30_s{trip.site_id}_j{trip.trip_index}",
+            tuple((1, name) for name in names),
+            "=",
+            1,
+        ))
 
     return MipModel(
-        instance=instance,
         horizon=horizon,
         objective=tuple(objective),
         rows=tuple(rows),
         continuous=tuple(continuous),
-        binaries=tuple(binaries),
+        binaries=tuple(names[t] for t in range(horizon) for names in slot_names.values()),
     )
 
 
-def _number(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return repr(float(value))
+def _number(value: float) -> str:
+    whole = int(value)
+    return str(whole) if whole == value else repr(value)
 
 
-def _terms(terms: Iterable[tuple[Fraction, str]]) -> str:
+def _terms(terms: Iterable[tuple[float, str]]) -> str:
     parts: list[str] = []
     for coefficient, name in terms:
         if not parts:
@@ -226,34 +160,42 @@ def emit_lp(model: MipModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_terms(text: str) -> tuple[tuple[Fraction, str], ...]:
-    tokens = text.split()
-    terms: list[tuple[Fraction, str]] = []
-    sign = Fraction(1)
-    coefficient: Fraction | None = None
-    for token in tokens:
+def _float(token: str) -> float | None:
+    """``token`` as a finite number, or ``None`` when it is a name."""
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _parse_terms(text: str) -> tuple[tuple[float, str], ...]:
+    terms: list[tuple[float, str]] = []
+    sign = 1
+    coefficient: float | None = None
+    for token in text.split():
         if token == "+":
-            sign = Fraction(1)
+            sign = 1
         elif token == "-":
-            sign = Fraction(-1)
+            sign = -1
+        elif (value := _float(token)) is not None:
+            coefficient = value
         else:
-            try:
-                value = Fraction(token)
-            except ValueError:
-                terms.append((sign * (coefficient if coefficient is not None else 1), token))
-                sign = Fraction(1)
-                coefficient = None
-            else:
-                coefficient = value
+            terms.append((sign * (1 if coefficient is None else coefficient), token))
+            sign = 1
+            coefficient = None
     if coefficient is not None:
         raise InputError("dangling coefficient in LP expression")
     return tuple(terms)
 
 
-def parse_lp(text: str, instance: Instance, horizon: int) -> MipModel:
-    """Parse an LP file produced by :func:`emit_lp` back into a model."""
+def parse_lp(text: str) -> MipModel:
+    """Parse an LP file produced by :func:`emit_lp` back into a model.
+
+    The horizon is the highest slot among the ``X_t{slot}_...`` binaries.
+    """
     section = None
-    objective: tuple[tuple[Fraction, str], ...] = ()
+    objective: tuple[tuple[float, str], ...] = ()
     rows: list[Row] = []
     continuous: list[str] = []
     binaries: list[str] = []
@@ -273,9 +215,10 @@ def parse_lp(text: str, instance: Instance, horizon: int) -> MipModel:
             for sense in ("<=", ">=", "="):
                 if f" {sense} " in body:
                     expr, _, rhs = body.partition(f" {sense} ")
-                    rows.append(
-                        Row(name.strip(), _parse_terms(expr), sense, Fraction(rhs.strip()))
-                    )
+                    value = _float(rhs)
+                    if value is None:
+                        raise InputError(f"right-hand side is not a number: {line}")
+                    rows.append(Row(name.strip(), _parse_terms(expr), sense, value))
                     break
             else:
                 raise InputError(f"constraint without relation: {line}")
@@ -283,8 +226,14 @@ def parse_lp(text: str, instance: Instance, horizon: int) -> MipModel:
             continuous.append(line.split()[-1])
         elif section == "binary":
             binaries.append(line)
+    try:
+        horizon = max(
+            (int(name.split("_")[1][1:]) for name in binaries if name.startswith("X_t")),
+            default=0,
+        )
+    except ValueError:
+        raise InputError("binary name without a slot number") from None
     return MipModel(
-        instance=instance,
         horizon=horizon,
         objective=objective,
         rows=tuple(rows),

@@ -202,8 +202,8 @@ def priority_solve(
         for index, slot in enumerate(booked, start=1)
     }
     schedule = schedule_from_slots(instance, slots)
-    wait = Fraction(wait_units, per)
-    objective = int(wait) if wait.denominator == 1 else float(wait)
+    whole, rest = divmod(wait_units, per)
+    objective = wait_units / per if rest else whole
     stats = PrioritySearchStats(
         permutations_created=created,
         feasible_count=feasible_classes * multiplicity,

@@ -183,7 +183,7 @@ def test_8_lp_export_and_solution_validation(example1, instance1, golden_schedul
 
     text = emit_lp(small)
     assert emit_lp(build_mip(example1, horizon=6)) == text
-    assert emit_lp(parse_lp(text, example1, 6)) == text
+    assert emit_lp(parse_lp(text)) == text
 
     large = build_mip(instance1, horizon=32)
     assert large.binary_count == 800

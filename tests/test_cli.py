@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from rmcdp.cli import main
+from rmcdp.cli import build_parser, main
 from rmcdp.io import bundled_instance_path, bundled_schedule_path
 
 EXAMPLE1 = str(bundled_instance_path("example-1"))
@@ -77,7 +78,7 @@ class TestSolve:
         [("sites", "id", "sites[0].id"), ("depot", "trucks", "depot.trucks")],
     )
     def test_non_integer_count_exit_code(self, capsys, tmp_path, section, field, message):
-        doc = json.loads(open(EXAMPLE1).read())
+        doc = json.loads(Path(EXAMPLE1).read_text())
         target = doc["sites"][0] if section == "sites" else doc["depot"]
         target[field] = 1.5
         path = tmp_path / "fractional.json"
@@ -88,9 +89,33 @@ class TestSolve:
         assert captured.out == ""
         assert f"{message}: expected an integer, got 1.5" in captured.err
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "section, field",
+        [("depot", f) for f in ("start", "plant_capacity", "productivity",
+                                "truck_capacity", "trucks", "gamma")]
+        + [("sites", f) for f in ("id", "demand", "distance", "speed", "unload",
+                                  "proposed_start", "gamma_override")],
+    )
+    def test_non_finite_number_exit_code(self, capsys, tmp_path, section, field, value):
+        # Python's json reads these literals as floats; no field takes them.
+        doc = json.loads(Path(EXAMPLE1).read_text())
+        target = doc["sites"][0] if section == "sites" else doc["depot"]
+        target[field] = float(value)
+        path = tmp_path / "non-finite.json"
+        path.write_text(json.dumps(doc))
+        assert value in path.read_text()
+        code = main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        where = "sites[0]" if section == "sites" else "depot"
+        expected = "an integer" if field in ("id", "trucks") else "a finite number"
+        assert f"{where}.{field}: expected {expected}, got" in captured.err
+
     @pytest.mark.parametrize("algorithm", ["priority", "greedy", "exact", "grid-exact"])
     def test_depot_trucks_bind_every_solver(self, capsys, tmp_path, algorithm):
-        doc = json.loads(open(EXAMPLE1).read())
+        doc = json.loads(Path(EXAMPLE1).read_text())
         doc["depot"]["trucks"] = 1
         path = tmp_path / "one-truck.json"
         path.write_text(json.dumps(doc))
@@ -125,6 +150,21 @@ class TestSolve:
             assert code == 3, option
             assert captured.out == ""
             assert option.split("=")[0].lstrip("-") in captured.err
+
+
+class TestParser:
+    def test_built_once_and_options_do_not_leak(self, capsys):
+        build_parser.cache_clear()
+        code, out = run(capsys, "solve", EXAMPLE1, "--trucks", "1")
+        assert code == 2
+        assert json.loads(out)["feasible"] is False
+        code, out = run(capsys, "solve", EXAMPLE1)
+        assert code == 0
+        assert json.loads(out)["feasible"] is True
+        code, _ = run(capsys, "space", EXAMPLE1)
+        assert code == 0
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestCheck:

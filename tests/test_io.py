@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -38,6 +39,15 @@ class TestParseTime:
         with pytest.raises(InputError):
             parse_time(0.001)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_minutes_rejected(self, value):
+        with pytest.raises(InputError, match="start: expected a finite number"):
+            parse_time(value, "start")
+
+    def test_overflowing_minutes_rejected(self):
+        with pytest.raises(InputError, match="not a whole second count"):
+            parse_time(1e308, "start")
+
 
 class TestParseDuration:
     def test_minutes(self):
@@ -51,6 +61,11 @@ class TestParseDuration:
     def test_rejects_fractional_second(self):
         with pytest.raises(InputError):
             parse_duration(0.0001, "unload")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_minutes_rejected(self, value):
+        with pytest.raises(InputError, match="unload: expected a finite number"):
+            parse_duration(value, "unload")
 
 
 class TestFormatTime:
@@ -213,4 +228,14 @@ class TestScheduleCsv:
             "9,1,8:00,8:20,8:40,10\n"
         )
         with pytest.raises(InputError):
+            read_schedule_csv(path, example1)
+
+    @pytest.mark.parametrize("delivery", ["nan", "inf", "-inf", "NaN", "Infinity", "ten"])
+    def test_non_finite_delivery_rejected(self, example1, tmp_path, delivery):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "site,trip,depot_start,site_start,site_end,delivery\n"
+            f"1,1,8:00,8:20,8:40,{delivery}\n"
+        )
+        with pytest.raises(InputError, match=f"{path}:2: delivery must be a finite number"):
             read_schedule_csv(path, example1)

@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+
+from rmcdp.io import instance_from_dict
 
 from rmcdp.mip import (
     build_mip,
@@ -11,13 +14,25 @@ from rmcdp.mip import (
     parse_lp,
     validate_solution,
 )
-from rmcdp.model import ValidationError, total_trips
+from rmcdp.model import InputError, ValidationError, total_trips
 from rmcdp.priority import priority_solve
 from rmcdp.schedule import TripId, expand_consecutive
 
 from conftest import random_instance
 
 MIN = 60
+
+#: Loading, haul, unload and requested start off the whole minute.
+FRACTIONAL_MINUTES = {
+    "depot": {"start": "7:35", "plant_capacity": 10, "productivity": 90,
+              "truck_capacity": 10, "gamma": 90},
+    "sites": [
+        {"id": 1, "demand": 25, "distance": 12.5, "speed": 60, "unload": 12.5,
+         "proposed_start": "8:10"},
+        {"id": 2, "demand": 18, "distance": 7, "speed": 40, "unload": 20,
+         "proposed_start": 490.5},
+    ],
+}
 
 
 class TestBuildMip:
@@ -79,12 +94,51 @@ class TestLpText:
 
     def test_parse_round_trips_byte_identically(self, example1):
         text = emit_lp(build_mip(example1, horizon=6))
-        reparsed = parse_lp(text, example1, 6)
+        reparsed = parse_lp(text)
         assert emit_lp(reparsed) == text
 
     def test_round_trip_on_large_instance(self, instance1):
         text = emit_lp(build_mip(instance1, horizon=32))
-        assert emit_lp(parse_lp(text, instance1, 32)) == text
+        assert emit_lp(parse_lp(text)) == text
+
+    def test_parse_reads_horizon_off_the_binaries(self, example1, instance1):
+        assert parse_lp(emit_lp(build_mip(example1, horizon=6))).horizon == 6
+        assert parse_lp(emit_lp(build_mip(instance1))).horizon == 50
+
+    def test_fractional_minutes_round_trip(self):
+        model = build_mip(instance_from_dict(FRACTIONAL_MINUTES))
+        text = emit_lp(model)
+        assert " c_eq27_s1_j1: ks_s1_j1 - kd_s1_j1 = 19.166666666666668\n" in text
+        reparsed = parse_lp(text)
+        assert reparsed == model
+        assert emit_lp(reparsed) == text
+
+    def test_non_numeric_right_hand_side_rejected(self):
+        text = "Minimize\n obj: x\nSubject To\n c1: x <= nan\nEnd\n"
+        with pytest.raises(InputError, match="right-hand side"):
+            parse_lp(text)
+
+    @pytest.mark.parametrize(
+        "name, horizon, digest",
+        [
+            ("example-1", 6,
+             "7e63cc60dff96a37ec79b512db2c5c3eaf33dc3b6a19061e9c985c0e17b55c6f"),
+            ("instance-1", 32,
+             "06db1232f7e0213f8250cf0f3bdf65848acfbdb0d89c58d52635644c3b851876"),
+            ("instance-2", None,
+             "2fe23dc65e2849eea6c899bc9a9015f32cdcdbbef3c8184e19750c1c503de534"),
+            ("fractional-minutes", None,
+             "19e3359d32e1e23de1740d5b90f99d838807fd025851e226192cb1e0b6b798fc"),
+        ],
+    )
+    def test_lp_bytes_pinned(self, request, name, horizon, digest):
+        # SHA-256 of the LP text as first written from exact fractions.
+        if name == "fractional-minutes":
+            instance = instance_from_dict(FRACTIONAL_MINUTES)
+        else:
+            instance = request.getfixturevalue(name.replace("-", ""))
+        text = emit_lp(build_mip(instance, horizon))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestValidateSolution:
