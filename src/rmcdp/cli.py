@@ -70,6 +70,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "feasible": result.stats.feasible_count,
             "feasibility_rate": result.stats.feasibility_rate,
             "runtime_s": round(result.stats.runtime, 3),
+            "states": result.stats.states,
+            "memo_hits": result.stats.memo_hits,
         }
         if result.permutation:
             payload["priority_order"] = list(result.permutation)

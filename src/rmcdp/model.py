@@ -21,6 +21,8 @@ from functools import cached_property
 
 MINUTE = 60
 HOUR = 3600
+#: All loadings of an instance must fit in one day at the depot.
+DAY = 24 * HOUR
 
 #: Default cold-joint window: 90 minutes.
 DEFAULT_GAMMA = 90 * MINUTE
@@ -165,6 +167,15 @@ class Instance:
                 raise ValidationError(
                     f"sites[{index}]: not accessible: loading + haul + unload "
                     f"= {span // MINUTE} min exceeds gamma = {gamma // MINUTE} min"
+                )
+        trips = 0
+        for index, (_, count, *_) in enumerate(self.timings):
+            trips += count
+            if trips * lt > DAY:
+                raise ValidationError(
+                    f"sites[{index}].demand: the trips up to this site need more "
+                    f"than 24 h of depot loading (at most {DAY // lt} trips of "
+                    f"{lt} s fit)"
                 )
 
     @cached_property

@@ -1,4 +1,4 @@
-"""Priority-rule search over site permutations.
+"""Priority-rule search over site permutations, by dynamic programming.
 
 Every permutation of the site list is turned into one schedule: the site in
 position ``r`` gets the ``r``-th loading slot for its first trip, and each
@@ -12,20 +12,23 @@ the instance's site list.
 The search reads the integer site table ``Instance.timings``.  Sites whose
 rows agree on everything but the id produce identical timings, so the search
 runs over the distinct orderings of those rows (classes) and fans each class
-out combinatorially.  Classes that share their first ``r`` rows share the
-grid those ``r`` sites leave behind, so the search is one depth-first walk:
-level ``r`` places the site in priority position ``r`` on its parent's grid,
-and backtracking drops that placement.  A failed placement prunes the whole
-subtree, since every class below it is infeasible too.  Each level keeps the
-slots it booked, so the winner's schedule is read off the search instead of
-being placed again.  The grid is an integer bitmask of booked slots (bit
-``s`` set: slot ``s``, loaded at ``start + (s - 1) * L_t``, is taken), and a
-slot is truck-starved when ``truck_limit`` loadings already fall in the
-inclusive gamma window ending at it.  Each site's step to its next target
-slot and its pour-window reach in slots are derived once per solve.  For
-``beta = p/q`` all waiting is summed in integer units of ``1/q`` seconds;
-``Fraction`` only appears at the API boundary.  The search runs in the
-calling process.
+out combinatorially.  Placing sites in priority order is a walk down a tree
+whose level ``r`` places the site in position ``r`` on the grid its parent
+left behind; a failed placement prunes the whole subtree.  What happens
+below a node depends only on the sites left and on the part of the grid any
+later placement can still read, so the walk is memoised on that pair, the
+``(sites left, slot frontier)`` dynamic programme the method is named for:
+Held-Karp over subsets of sites, with the frontier as extra state.  Each
+node keeps its count of feasible completions, their least waiting and the
+site placed next on the way to it; the winner's slots are read off by
+following those choices from the root.  The grid is an integer bitmask of
+booked slots (bit ``s`` set: slot ``s``, loaded at
+``start + (s - 1) * L_t``, is taken), and a slot is truck-starved when
+``truck_limit`` loadings already fall in the inclusive gamma window ending
+at it.  Each site's step to its next target slot and its pour-window reach
+in slots are derived once per solve.  For ``beta = p/q`` all waiting is
+summed in integer units of ``1/q`` seconds; ``Fraction`` only appears at the
+API boundary.  The search runs in the calling process.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ class PrioritySearchStats:
     feasible_count: int
     best_objective: int | None
     runtime: float
+    states: int      # search nodes solved: (sites left, slot frontier) pairs
+    memo_hits: int   # nodes reached again and answered from the memo
 
     @property
     def feasibility_rate(self) -> float:
@@ -68,33 +73,48 @@ class PriorityResult:
 #: units of ``1 / per`` s, and the positions of the sites sharing the key in
 #: the instance's site list.
 _KeyGroup = tuple[int, int, int, int, int, list[int]]
-#: Least total waiting (units of ``1 / per`` s), and each level's site
-#: position with the slots it booked.
-_Best = tuple[int, list[tuple[int, list[int]]]]
+#: What the search found below one node: feasible completions, their least
+#: total waiting (units of ``1 / per`` s, ``None`` when there is none), and
+#: the key group whose next site the best completion places first.
+_Entry = tuple[int, int | None, int]
 
 
 def _search(
     depot: DepotSpec, truck_limit: int | None, per: int, groups: Sequence[_KeyGroup]
-) -> tuple[int, _Best | None]:
-    """Depth-first walk over all classes of the key groups.
+) -> tuple[int, int | None, list[tuple[int, list[int]]], int, int]:
+    """Dynamic programming over the nodes ``(sites left, slot frontier)``.
 
     Level ``r`` books the first trip of a site in the first admissible slot
     at or after ``r``; each later trip takes the first admissible slot at or
     after ``step`` slots past the previous loading, and the site fails when
-    that slide passes ``reach``.  Returns the number of feasible classes and
-    the best ``(wait, order)``; ties on waiting go to the smallest
-    site-position list.  Equal positions in a shared prefix booked equal
-    slots, so comparing ``order`` compares positions alone.
+    that slide passes ``reach``.  From level ``r`` down only slots from
+    ``r + 1`` are tested, and a truck test at slot ``s`` reads the grid back
+    to ``s - busy + 1``, so nothing below the node reads a bit under
+    ``lo = r + 1``, or ``max(0, r + 2 - busy)`` under a truck limit.  A node
+    is therefore keyed by the sites left and the booked bits from ``lo`` up;
+    feasible counts add up over its children, and its best completion is
+    the least ``(wait, position)`` over them.  Different key groups always
+    offer different next positions, so that pair settles the tie-break on
+    the smallest site-position list exactly.
+
+    Returns the number of feasible classes, the least waiting, each level's
+    site position with the slots it booked, the nodes solved and the memo
+    hits.
     """
-    left = [len(group[-1]) for group in groups]
-    level_count = sum(left)
+    sizes = [len(group[-1]) for group in groups]
+    left = sizes[:]
+    level_count = sum(sizes)
+    # ``left`` as one mixed-radix number: group k counts in units of weights[k].
+    weights, radix = [], 1
+    for size in sizes:
+        weights.append(radix)
+        radix *= size + 1
     lt = depot.loading_time
     # Slot s is loaded at depot time base + s * lt; a loading keeps its truck
     # busy for ``busy`` slots, its own included.
     base, unit, busy = depot.start_time - lt, lt * per, depot.gamma // lt + 1
-    order: list[tuple[int, list[int]]] = []
-    feasible = 0
-    best: _Best | None = None
+    memo: dict[int, _Entry] = {}
+    hits = 0
 
     def free(booked: int, slot: int) -> int:
         """First admissible slot at or after ``slot``."""
@@ -107,42 +127,71 @@ def _search(
                 return slot
             slot += 1
 
-    def walk(booked: int, level: int, wait: int) -> None:
-        nonlocal feasible, best
+    def place(booked: int, level: int, group: _KeyGroup) -> tuple[int, list[int], int] | None:
+        """Book one site of ``group`` at ``level``: the grid after it, its
+        slots and its waiting, or ``None`` when it breaks its pour window."""
+        trips, offset, step, reach, planned, _ = group
+        first = slot = free(booked, level + 1)
+        booked |= 1 << slot
+        slots = [slot]
+        for _ in range(trips - 1):
+            previous = slot
+            slot = free(booked, previous + step)
+            if slot - previous > reach:
+                return None
+            booked |= 1 << slot
+            slots.append(slot)
+        # Each slide past a target is waiting, and the slides telescope to
+        # the span between first and last loading.
+        wait = max(0, base + first * lt + offset) * per + (slot - first) * unit - planned
+        return booked, slots, wait
+
+    def key(booked: int, level: int, code: int) -> int:
+        lo = level + 1 if truck_limit is None else max(0, level + 2 - busy)
+        return (booked >> lo) * radix + code
+
+    def walk(booked: int, level: int, code: int) -> _Entry:
+        nonlocal hits
         if level == level_count:
-            feasible += 1
-            if best is None or wait < best[0] or (wait == best[0] and order < best[1]):
-                best = (wait, order[:])
-            return
-        for k, (trips, offset, step, reach, planned, positions) in enumerate(groups):
+            return 1, 0, -1
+        node = key(booked, level, code)
+        entry = memo.get(node)
+        if entry is not None:
+            hits += 1
+            return entry
+        count, best, lead, choice = 0, None, 0, -1
+        for k, group in enumerate(groups):
             if not left[k]:
                 continue
-            first = slot = free(booked, level + 1)
-            child = booked | 1 << slot
-            slots = [slot]
-            for _ in range(trips - 1):
-                previous = slot
-                slot = free(child, previous + step)
-                if slot - previous > reach:
-                    break
-                child |= 1 << slot
-                slots.append(slot)
-            else:
-                # Each slide past a target is waiting, and the slides
-                # telescope to the span between first and last loading.
-                site_wait = (
-                    max(0, base + first * lt + offset) * per
-                    + (slot - first) * unit
-                    - planned
-                )
-                order.append((positions[len(positions) - left[k]], slots))
-                left[k] -= 1
-                walk(child, level + 1, wait + site_wait)
-                left[k] += 1
-                order.pop()
+            placed = place(booked, level, group)
+            if placed is None:
+                continue
+            child, _, site_wait = placed
+            left[k] -= 1
+            below, wait, _ = walk(child, level + 1, code - weights[k])
+            left[k] += 1
+            if not below:
+                continue
+            count += below
+            wait += site_wait
+            position = group[-1][sizes[k] - left[k]]
+            if best is None or (wait, position) < (best, lead):
+                best, lead, choice = wait, position, k
+        entry = memo[node] = (count, best, choice)
+        return entry
 
-    walk(0, 0, 0)
-    return feasible, best
+    code = radix - 1
+    feasible, wait, _ = walk(0, 0, code)
+    order: list[tuple[int, list[int]]] = []
+    if feasible:
+        booked = 0
+        for level in range(level_count):
+            k = memo[key(booked, level, code)][2]
+            booked, slots, _ = place(booked, level, groups[k])
+            order.append((groups[k][-1][sizes[k] - left[k]], slots))
+            left[k] -= 1
+            code -= weights[k]
+    return feasible, wait, order, len(memo), hits
 
 
 def parse_beta(beta: Fraction | int | float | str) -> Fraction:
@@ -158,7 +207,13 @@ def priority_solve(
     beta: Fraction | int | float | str = 1,
     truck_limit: int | None = None,
 ) -> PriorityResult:
-    """Search all ``n!`` site permutations for the least total waiting."""
+    """The site permutation with the least total waiting, over all ``n!``.
+
+    The permutations are searched as classes of interchangeable sites, by
+    dynamic programming over ``(sites left, slot frontier)``; the stats
+    report the ``n!`` permutations, how many are feasible, and the nodes
+    solved (``states``) and answered again from the memo (``memo_hits``).
+    """
     beta = parse_beta(beta)
     check_truck_limit(truck_limit)
 
@@ -185,34 +240,25 @@ def priority_solve(
     ]
     multiplicity = math.prod(math.factorial(len(p)) for p in members.values())
 
-    feasible_classes, best = _search(depot, truck_limit, per, groups)
-    if best is None:
-        stats = PrioritySearchStats(
-            permutations_created=created,
-            feasible_count=0,
-            best_objective=None,
-            runtime=time.perf_counter() - started,
-        )
-        return PriorityResult(None, None, None, stats)
-
-    wait_units, order = best
-    slots = {
-        TripId(rows[position][0], index): slot
-        for position, booked in order
-        for index, slot in enumerate(booked, start=1)
-    }
-    schedule = schedule_from_slots(instance, slots)
-    whole, rest = divmod(wait_units, per)
-    objective = wait_units / per if rest else whole
+    feasible_classes, wait, order, states, hits = _search(depot, truck_limit, per, groups)
+    schedule = permutation = sequence = objective = None
+    if wait is not None:
+        slots = {
+            TripId(rows[position][0], index): slot
+            for position, booked in order
+            for index, slot in enumerate(booked, start=1)
+        }
+        schedule = schedule_from_slots(instance, slots)
+        permutation = tuple(rows[position][0] for position, _ in order)
+        sequence = schedule.dispatch_sequence()
+        whole, rest = divmod(wait, per)
+        objective = wait / per if rest else whole
     stats = PrioritySearchStats(
         permutations_created=created,
         feasible_count=feasible_classes * multiplicity,
         best_objective=objective,
         runtime=time.perf_counter() - started,
+        states=states,
+        memo_hits=hits,
     )
-    return PriorityResult(
-        schedule=schedule,
-        permutation=tuple(rows[position][0] for position, _ in order),
-        sequence=schedule.dispatch_sequence(),
-        stats=stats,
-    )
+    return PriorityResult(schedule, permutation, sequence, stats)

@@ -34,6 +34,18 @@ def golden_schedule(instance1):
     )
 
 
+def eight_oclock_depot(lt_min: int) -> DepotSpec:
+    """A depot opening at 8:00 that loads a 10 m3 truck in ``lt_min`` minutes,
+    with a 90-minute pour window."""
+    return DepotSpec(
+        start_time=8 * 3600,
+        plant_capacity=10,
+        productivity=600 // lt_min,  # m3/h
+        truck_capacity=10,
+        gamma=90 * MIN,
+    )
+
+
 def random_instance(rng: random.Random, max_total_trips: int = 6) -> Instance:
     """Small random instance: up to 3 sites, up to 3 trips per site.
 
@@ -41,7 +53,6 @@ def random_instance(rng: random.Random, max_total_trips: int = 6) -> Instance:
     so instances always validate.
     """
     lt_min = rng.choice((3, 5, 10))          # loading time, minutes
-    productivity = {3: 200, 5: 120, 10: 60}[lt_min]
     n = rng.randint(1, 3)
     while True:
         trip_counts = [rng.randint(1, 3) for _ in range(n)]
@@ -64,11 +75,31 @@ def random_instance(rng: random.Random, max_total_trips: int = 6) -> Instance:
                 gamma_override=None,
             )
         )
-    depot = DepotSpec(
-        start_time=8 * 3600,
-        plant_capacity=10,
-        productivity=productivity,
-        truck_capacity=10,
-        gamma=90 * MIN,
+    return Instance(depot=eight_oclock_depot(lt_min), sites=tuple(sites))
+
+
+def repeated_row_instance(rng: random.Random, max_sites: int = 6) -> Instance:
+    """2 to ``max_sites`` sites, each a copy of one of 1-4 random site rows.
+
+    Sites that share a row are interchangeable, so the priority search must
+    pick which copy goes next by site position; ``random_instance`` almost
+    never repeats a row.
+    """
+    lt_min = rng.choice((3, 5, 10))
+    pool = []
+    for _ in range(rng.randint(1, 4)):
+        trips = rng.randint(1, 3)
+        unload_min = lt_min * rng.randint(1, 3)
+        haul_min = rng.randint(0, min(20, 90 - lt_min - unload_min))
+        pool.append(dict(
+            demand=10 * trips - rng.choice((0, 5)),
+            distance=haul_min,  # speed 60 km/h: 1 km == 1 minute
+            speed=60,
+            unload_time=unload_min * MIN,
+            proposed_start=(8 * 60 + rng.randint(0, 20)) * MIN,
+        ))
+    sites = tuple(
+        SiteSpec(id=sid, **rng.choice(pool))
+        for sid in range(1, rng.randint(2, max_sites) + 1)
     )
-    return Instance(depot=depot, sites=tuple(sites))
+    return Instance(depot=eight_oclock_depot(lt_min), sites=sites)

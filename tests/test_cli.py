@@ -25,6 +25,8 @@ class TestSolve:
         assert payload["objective"]["total_site_wait_min"] == 195
         assert payload["objective"]["trucks_required"] == 17
         assert payload["stats"]["permutations_created"] == 120
+        assert payload["stats"]["states"] == 34
+        assert payload["stats"]["memo_hits"] == 13
 
     def test_exact_on_small_example(self, capsys):
         code, out = run(capsys, "solve", EXAMPLE1, "--algorithm", "exact")
@@ -112,6 +114,19 @@ class TestSolve:
         where = "sites[0]" if section == "sites" else "depot"
         expected = "an integer" if field in ("id", "trucks") else "a finite number"
         assert f"{where}.{field}: expected {expected}, got" in captured.err
+
+    @pytest.mark.parametrize("command", ["solve", "space", "export-mip"])
+    def test_demand_beyond_a_day_of_loading_rejected(self, capsys, tmp_path, command):
+        # 1e308 m3 is a finite number, but about 10^307 trips.
+        doc = json.loads(Path(EXAMPLE1).read_text())
+        doc["sites"][0]["demand"] = 1e308
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "sites[0].demand: the trips up to this site need more than 24 h" in captured.err
 
     @pytest.mark.parametrize("algorithm", ["priority", "greedy", "exact", "grid-exact"])
     def test_depot_trucks_bind_every_solver(self, capsys, tmp_path, algorithm):

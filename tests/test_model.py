@@ -168,3 +168,13 @@ class TestValidation:
         depot = DepotSpec(8 * 3600, 10, 120, 10)
         with pytest.raises(ValidationError, match="whole number of seconds"):
             Instance(depot=depot, sites=sites)
+
+    def test_loading_must_fit_in_one_day(self):
+        # Five-minute loadings: 288 trips fill 24 h at the depot.
+        full = make_instance([1440, 1440], [10 * MIN] * 2, [5, 5])
+        assert len(full.trips) == 288
+        with pytest.raises(
+            ValidationError,
+            match=r"sites\[1\]\.demand: .* more than 24 h .*at most 288 trips of 300 s",
+        ):
+            make_instance([1440, 1441], [10 * MIN] * 2, [5, 5])

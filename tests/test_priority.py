@@ -10,7 +10,7 @@ from rmcdp.model import DepotSpec, Instance, InputError, SiteSpec, ValidationErr
 from rmcdp.priority import priority_solve
 from rmcdp.schedule import check, evaluate
 
-from conftest import random_instance
+from conftest import random_instance, repeated_row_instance
 
 MIN = 60
 
@@ -191,6 +191,16 @@ class TestPrioritySolve:
         # With the default pacing the solver never lets a truck idle.
         assert objective.truck_idle_total == 0
 
+    @pytest.mark.parametrize(
+        "name, states, memo_hits",
+        [("example1", 3, 0), ("instance1", 34, 13), ("instance2", 63, 79)],
+    )
+    def test_memo_counts(self, request, name, states, memo_hits):
+        # instance-2's 1,680 classes share 63 search nodes.
+        stats = priority_solve(request.getfixturevalue(name)).stats
+        assert (stats.states, stats.memo_hits) == (states, memo_hits)
+        assert stats.states < 1680
+
     def test_feasibility_rate(self, instance1):
         result = priority_solve(instance1)
         assert result.stats.feasibility_rate == 1.0
@@ -303,6 +313,15 @@ class TestMatchesReplayFromEmptyGrid:
         instance = random_instance(rng, max_total_trips=rng.choice((5, 6, 8)))
         for beta in ("1", "3/2", "2"):
             for truck_limit in (None, 1, 2, 3):
+                assert_matches_reference(instance, beta, truck_limit)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_repeated_rows(self, seed):
+        # Copies of one row differ only in position, so the best order must
+        # take the next copy of each row by position, not by row.
+        instance = repeated_row_instance(random.Random(seed))
+        for beta in ("1", "3/2", "2"):
+            for truck_limit in (None, 1, 2, 3, 5):
                 assert_matches_reference(instance, beta, truck_limit)
 
     def test_example1(self, example1):

@@ -10,7 +10,8 @@ from rmcdp.model import DepotSpec, Instance
 from rmcdp.priority import priority_solve
 from rmcdp.schedule import check, evaluate, expand_consecutive
 
-from conftest import random_instance
+from conftest import random_instance, repeated_row_instance
+from test_priority import assert_matches_reference
 
 MIN = 60
 
@@ -146,3 +147,21 @@ class TestPriorityScheduleValidity:
         objective = evaluate(instance, result.schedule)
         assert objective.total_site_wait == result.stats.best_objective
         assert objective.truck_idle_total == 0
+
+
+def test_priority_matches_replay_on_drawn_repeated_rows():
+    # Drawn instances whose sites repeat rows, so the tie-break between
+    # copies is exercised; the fixed-seed sweep lives in test_priority.py.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(
+        rng=st.randoms(use_true_random=False),
+        beta=st.sampled_from(("1", "3/2", "2")),
+        truck_limit=st.sampled_from((None, 1, 2, 3, 5)),
+    )
+    def matches(rng, beta, truck_limit):
+        assert_matches_reference(repeated_row_instance(rng, max_sites=5), beta, truck_limit)
+
+    matches()
