@@ -85,6 +85,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         result = enumerate_exact(instance, truck_limit=truck_limit)
         schedule = result.schedule
         payload["visited"] = result.visited
+        payload["states"] = result.states
     else:  # grid-exact
         result = grid_exact(instance, args.horizon, truck_limit)
         schedule = result.schedule

@@ -7,19 +7,23 @@ the depot, its cost the total site waiting.  This module provides:
 * ``circuit_cost`` -- vertex-cost evaluation of one path,
 * ``greedy_solve`` -- cheapest-next-vertex heuristic with label-level
   dynamic edge costs,
-* ``enumerate_exact`` -- exhaustive search over all distinct dispatch
+* ``enumerate_exact`` -- exact search over all distinct dispatch
   sequences (consecutive loading slots),
 * ``grid_exact`` -- exhaustive search that may also leave loading slots
   empty.
 
-Every search reads the integer site table ``Instance.timings``.  Both
-exhaustive searches are depth-first walks over shared prefixes on it: each
-level loads one trip at a depot time and carries the running waiting down,
-and backtracking undoes it.  A trip that breaks its site's pour
-window prunes every schedule below it.  ``grid_exact`` also prunes a prefix
-whose waiting already reaches the best found, so it counts neither the
-schedules it visits nor the feasible ones; ``enumerate_exact`` does not,
-and counts the feasible sequences exactly.
+Every search reads the integer site table ``Instance.timings``.
+``enumerate_exact`` is a dynamic programme over sequence prefixes: on
+consecutive slots the depth fixes the load time, so a prefix is summed up
+by the trips each site has left and the slots since each open site's last
+load, and prefixes that agree on those share one memo node.
+``grid_exact`` is a depth-first walk over shared prefixes: each level
+loads one trip at a depot time and carries the running waiting down, and
+backtracking undoes it.  In both, a trip that breaks its site's pour
+window prunes every schedule below it.  ``grid_exact`` also prunes a
+prefix whose waiting already reaches the best found, so it counts neither
+the schedules it visits nor the feasible ones; ``enumerate_exact`` does
+not, and counts the feasible sequences exactly.
 """
 
 from __future__ import annotations
@@ -199,6 +203,15 @@ class EnumerationResult:
     #: :func:`grid_exact`, whose search prunes by bound and counts neither.
     visited: int | None
     feasible_count: int | None
+    #: Nodes of the :func:`enumerate_exact` dynamic programme; ``None`` from
+    #: :func:`grid_exact`.
+    states: int | None
+
+
+#: What the search found below one node: feasible completions, their least
+#: total waiting (``None`` when there is none), and the site index the best
+#: completion loads next.
+_Entry = tuple[int, int | None, int]
 
 
 def enumerate_exact(
@@ -206,12 +219,21 @@ def enumerate_exact(
 ) -> EnumerationResult:
     """Try every distinct dispatch sequence on consecutive loading slots.
 
-    Sequences are walked depth first as shared prefixes, in the order of
-    :func:`dispatch_sequences`; each level loads one trip, carrying the
-    running waiting and every site's last depot load time.  A trip that
-    breaks its site's pour window prunes its subtree, so ``feasible_count``
-    counts the feasible sequences exactly.  Ties go to the smallest
-    sequence.
+    The sequences are the prefixes of :func:`dispatch_sequences`, searched
+    by dynamic programming.  Depth ``d`` loads at ``start + d * L_t``, so
+    what happens below a prefix depends only on the trips each site has
+    left and, for each started but unfinished site, the slots since its
+    last load (its gap ``g``): a next trip waits ``max(0, g * L_t - U_i)``
+    and breaks the pour window when ``g > gamma_i // L_t``, the site's
+    reach.  A node is keyed by those two digits per site in one mixed-radix
+    int; it keeps its count of feasible completions, their least waiting
+    and the site loaded next on the way to it.  A child in which an open
+    site's gap would pass its reach has no feasible completion and is
+    pruned, so ``feasible_count`` still counts the feasible sequences
+    exactly, while ``visited`` reports the whole space.  The best child is
+    the first site, in id order, with strictly the least waiting, so ties
+    go to the smallest sequence; the winner is read off the memo from the
+    root.  ``states`` is the number of nodes solved.
     """
     check_truck_limit(truck_limit)
     size = solution_space_size(instance)
@@ -221,54 +243,91 @@ def enumerate_exact(
         )
 
     lt = instance.depot.loading_time
+    start = instance.depot.start_time
     ids, left, offsets, unloads, gammas = map(list, zip(*sorted(instance.timings)))
     total = sum(left)
     # Consecutive slots: peak fleet need is the number of loadings inside
     # one inclusive gamma window, the same for every sequence.
     if truck_limit is not None and min(total, instance.depot.gamma // lt + 1) > truck_limit:
-        return EnumerationResult(None, None, None, size, 0)
+        return EnumerationResult(None, None, None, size, 0, 0)
 
-    last: list[int | None] = [None] * len(ids)  # latest load time per site
-    sequence: list[int] = []
-    feasible = 0
-    best: tuple[int, tuple[int, ...]] | None = None
+    # Accessibility (L_t + h_i + U_i <= gamma_i) makes every reach at least
+    # one slot, so a site's own next slot never breaks its window.
+    reaches = [gamma // lt for gamma in gammas]
+    # Per site, a trips-left digit then a gap digit (0: unstarted or done).
+    left_weights, gap_weights, radix = [], [], 1
+    for trips, reach in zip(left, reaches):
+        left_weights.append(radix)
+        gap_weights.append(radix * (trips + 1))
+        radix *= (trips + 1) * (reach + 1)
+    sites = range(len(ids))
+    last: list[int | None] = [None] * len(ids)  # depth of each site's last load
+    memo: dict[int, _Entry] = {}
 
-    def walk(load: int, wait: int) -> None:
-        """Extend the prefix by a truck loaded at depot time ``load``."""
-        nonlocal feasible, best
-        if len(sequence) == total:
-            feasible += 1
-            if best is None or wait < best[0]:
-                best = (wait, tuple(sequence))
-            return
-        for i, site_id in enumerate(ids):
-            if not left[i]:
+    def child(depth: int, k: int, key: int, opened: int) -> tuple[int, int, int]:
+        """Load site ``k`` at ``depth``: its waiting, the child's key and the
+        child's ``opened``, the sum of the open sites' gap weights."""
+        previous = last[k]
+        if previous is None:
+            gap, cost = 0, start + depth * lt + offsets[k]
+        else:
+            gap = depth - previous
+            cost = gap * lt - unloads[k]
+        # Every open gap grows by one; k's own gap digit becomes 1 while it
+        # has trips left after this one, else 0.
+        delta = ((left[k] > 1) - (previous is not None)) * gap_weights[k]
+        key += opened - left_weights[k] + delta - gap * gap_weights[k]
+        return max(0, cost), key, opened + delta
+
+    def walk(depth: int, key: int, opened: int) -> _Entry:
+        if depth == total:
+            return 1, 0, -1
+        entry = memo.get(key)
+        if entry is not None:
+            return entry
+        # An open site at the end of its reach loads now or never finishes.
+        due = [
+            i for i in sites
+            if left[i] and last[i] is not None and last[i] + reaches[i] == depth
+        ]
+        # Two of them cannot both load now, so the node is dead.
+        candidates = () if len(due) > 1 else due or sites
+        count, best, choice = 0, None, -1
+        for k in candidates:
+            if not left[k]:
                 continue
-            previous = last[i]
-            if previous is None:
-                cost = load + offsets[i]
-            elif load - previous > gammas[i]:
-                continue
-            else:
-                cost = load - previous - unloads[i]
-            left[i] -= 1
-            last[i] = load
-            sequence.append(site_id)
-            walk(load + lt, wait + max(0, cost))
-            sequence.pop()
-            last[i] = previous
-            left[i] += 1
+            cost, child_key, child_opened = child(depth, k, key, opened)
+            previous = last[k]
+            left[k] -= 1
+            last[k] = depth
+            below, wait, _ = walk(depth + 1, child_key, child_opened)
+            last[k] = previous
+            left[k] += 1
+            if below:
+                count += below
+                if best is None or wait + cost < best:
+                    best, choice = wait + cost, k
+        entry = memo[key] = (count, best, choice)
+        return entry
 
-    walk(instance.depot.start_time, 0)
-
-    if best is None:
-        return EnumerationResult(None, None, None, size, 0)
+    key = sum(trips * weight for trips, weight in zip(left, left_weights))
+    feasible, objective, _ = walk(0, key, 0)
+    if not feasible:
+        return EnumerationResult(None, None, None, size, 0, len(memo))
+    sequence, opened = [], 0
+    for depth in range(total):
+        k = memo[key][2]
+        _, key, opened = child(depth, k, key, opened)
+        left[k] -= 1
+        last[k] = depth
+        sequence.append(ids[k])
     return EnumerationResult(
-        schedule=expand_consecutive(instance, best[1]),
-        sequence=best[1],
-        objective=best[0],
+        schedule=expand_consecutive(instance, sequence),
+        sequence=tuple(sequence),
+        objective=objective,
         visited=size,
         feasible_count=feasible,
+        states=len(memo),
     )
 
 
@@ -360,7 +419,7 @@ def grid_exact(
     rec(1, 0, 0)
 
     if best is None:
-        return EnumerationResult(None, None, None, None, None)
+        return EnumerationResult(None, None, None, None, None, None)
 
     wait, assignment = best
     seen = [0] * len(ids)
@@ -375,4 +434,5 @@ def grid_exact(
         objective=wait,
         visited=None,
         feasible_count=None,
+        states=None,
     )

@@ -34,8 +34,12 @@ def parse_time(value: Any, what: str = "time") -> int:
         parts = value.split(":")
         if len(parts) not in (2, 3) or not all(p.isdigit() for p in parts):
             raise InputError(f"{what}: expected 'H:MM', got {value!r}")
-        hours, minutes = int(parts[0]), int(parts[1])
-        seconds = int(parts[2]) if len(parts) == 3 else 0
+        try:
+            hours, minutes = int(parts[0]), int(parts[1])
+            seconds = int(parts[2]) if len(parts) == 3 else 0
+        except ValueError:  # a digit int() does not read, or too many digits
+            shown = repr(value) if len(value) <= 40 else f"{len(value)} characters"
+            raise InputError(f"{what}: expected 'H:MM', got {shown}") from None
         if minutes >= 60 or seconds >= 60:
             raise InputError(f"{what}: expected 'H:MM', got {value!r}")
         return hours * 3600 + minutes * 60 + seconds
@@ -142,14 +146,25 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
     return Instance(depot=depot, sites=tuple(sites))
 
 
-def load_instance(path: str | Path) -> Instance:
-    path = Path(path)
+def _read_text(path: Path) -> str:
+    """The file's text, which must be UTF-8."""
     try:
-        doc = json.loads(path.read_text())
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
+def load_instance(path: str | Path) -> Instance:
+    path = Path(path)
+    text = _read_text(path)
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer with more digits than int() reads
+        raise InputError(f"{path}: invalid JSON: a number with too many digits") from exc
     try:
         return instance_from_dict(doc)
     except InputError as exc:
@@ -200,11 +215,7 @@ def write_schedule_csv(path: str | Path, schedule: Schedule) -> None:
 
 def read_schedule_csv(path: str | Path, instance: Instance) -> Schedule:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    reader = csv.reader(_io.StringIO(text))
+    reader = csv.reader(_io.StringIO(_read_text(path)))
     rows = list(reader)
     if not rows or tuple(rows[0]) != SCHEDULE_HEADER:
         raise InputError(

@@ -103,3 +103,36 @@ def repeated_row_instance(rng: random.Random, max_sites: int = 6) -> Instance:
         for sid in range(1, rng.randint(2, max_sites) + 1)
     )
     return Instance(depot=eight_oclock_depot(lt_min), sites=sites)
+
+
+def tight_gamma_instance(rng: random.Random, max_total_trips: int = 8) -> Instance:
+    """2 or 3 sites of up to 4 trips, each with a pour window of at most two
+    loading times above the accessibility minimum ``L_t + h_i + U_i``.
+
+    Interleaving other sites' trips then breaks a site's window, so many
+    dispatch sequences are infeasible; ``random_instance``'s 90-minute
+    window almost never does that.
+    """
+    lt_min = rng.choice((3, 5, 10))
+    n = rng.randint(2, 3)
+    while True:
+        trip_counts = [rng.randint(1, 4) for _ in range(n)]
+        if sum(trip_counts) <= max_total_trips:
+            break
+    sites = []
+    for sid, trips in enumerate(trip_counts, start=1):
+        unload_min = lt_min * rng.randint(1, 3)
+        haul_min = rng.randint(0, min(20, 90 - lt_min - unload_min))
+        slack_min = rng.randint(0, 2 * lt_min)
+        sites.append(
+            SiteSpec(
+                id=sid,
+                demand=10 * trips - rng.choice((0, 5)),
+                distance=haul_min,  # speed 60 km/h: 1 km == 1 minute
+                speed=60,
+                unload_time=unload_min * MIN,
+                proposed_start=(8 * 60 + rng.randint(0, 20)) * MIN,
+                gamma_override=(lt_min + haul_min + unload_min + slack_min) * MIN,
+            )
+        )
+    return Instance(depot=eight_oclock_depot(lt_min), sites=tuple(sites))

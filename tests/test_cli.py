@@ -34,6 +34,7 @@ class TestSolve:
         assert code == 0
         assert payload["dispatch_sequence"] == [1, 2, 1, 2]
         assert payload["objective"]["total_site_wait_min"] == 60
+        assert (payload["visited"], payload["states"]) == (6, 13)
 
     def test_greedy(self, capsys):
         code, out = run(capsys, "solve", EXAMPLE1, "--algorithm", "greedy")
@@ -114,6 +115,51 @@ class TestSolve:
         where = "sites[0]" if section == "sites" else "depot"
         expected = "an integer" if field in ("id", "trucks") else "a finite number"
         assert f"{where}.{field}: expected {expected}, got" in captured.err
+
+    def test_integer_with_too_many_digits_exit_code(self, capsys, tmp_path):
+        # json.loads refuses to convert an integer of more than 4,300 digits.
+        doc = json.loads(Path(EXAMPLE1).read_text())
+        doc["sites"][0]["demand"] = "HUGE"
+        path = tmp_path / "long-integer.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 5000))
+        code = main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+
+    def test_clock_with_too_many_digits_exit_code(self, capsys, tmp_path):
+        doc = json.loads(Path(EXAMPLE1).read_text())
+        doc["depot"]["start"] = "1" + "0" * 5000 + ":00"
+        path = tmp_path / "long-clock.json"
+        path.write_text(json.dumps(doc))
+        code = main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: depot.start: expected 'H:MM', got 5004 characters\n"
+        )
+
+    def test_clock_digit_int_cannot_read_exit_code(self, capsys, tmp_path):
+        # '²'.isdigit() is true, but int() does not read it.
+        doc = json.loads(Path(EXAMPLE1).read_text())
+        doc["depot"]["start"] = "8:0\u00b2"
+        path = tmp_path / "superscript-clock.json"
+        path.write_text(json.dumps(doc))
+        code = main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == f"error: {path}: depot.start: expected 'H:MM', got '8:0²'\n"
+
+    def test_instance_not_utf8_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "latin-1.json"
+        path.write_bytes(Path(EXAMPLE1).read_bytes().replace(b"{", b'{"note": "caf\xe9", ', 1))
+        code = main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not UTF-8 text (byte 13)\n"
 
     @pytest.mark.parametrize("command", ["solve", "space", "export-mip"])
     def test_demand_beyond_a_day_of_loading_rejected(self, capsys, tmp_path, command):
@@ -217,6 +263,15 @@ class TestCheck:
         assert code == 3
         assert captured.out == ""
         assert message in captured.err
+
+    def test_schedule_not_utf8_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "latin-1.csv"
+        path.write_bytes(Path(GOLDEN).read_bytes() + b"caf\xe9\n")
+        code = main(["check", INSTANCE1, str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not UTF-8 text (byte ")
 
 
 class TestSpace:

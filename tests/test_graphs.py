@@ -31,11 +31,25 @@ from rmcdp.schedule import (
     trucks_required,
 )
 
-from conftest import random_instance
+from conftest import random_instance, tight_gamma_instance
 
 MIN = 60
 
 TRUCK_LIMITS = (None, 1, 2, 3, 5)
+
+
+def e11_shaped_instance():
+    """Sites of 4, 4 and 3 trips on 10-minute loadings with a 70-minute
+    window: 11,550 dispatch sequences."""
+    rows = ((4, 25, 12, 20), (4, 15, 18, 35), (3, 20, 22, 10))
+    sites = tuple(
+        SiteSpec(id=sid, demand=10 * trips, distance=haul, speed=60,
+                 unload_time=unload * MIN, proposed_start=8 * 3600 + requested * MIN)
+        for sid, (trips, unload, haul, requested) in enumerate(rows, start=1)
+    )
+    depot = DepotSpec(start_time=8 * 3600, plant_capacity=10, productivity=60,
+                      truck_capacity=10, gamma=70 * MIN)
+    return Instance(depot=depot, sites=sites)
 
 
 def reference_enumeration(instance, truck_limit):
@@ -54,6 +68,16 @@ def reference_enumeration(instance, truck_limit):
             best = (wait, sequence)
     objective, sequence = best if best else (None, None)
     return objective, sequence, visited, feasible
+
+
+def assert_exact_matches_reference(instance, truck_limit):
+    result = enumerate_exact(instance, truck_limit=truck_limit)
+    assert (
+        result.objective,
+        result.sequence,
+        result.visited,
+        result.feasible_count,
+    ) == reference_enumeration(instance, truck_limit)
 
 
 def reference_grid(instance, horizon, truck_limit=None):
@@ -253,24 +277,32 @@ class TestEnumerateExact:
     @pytest.mark.parametrize("truck_limit", TRUCK_LIMITS)
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_reference_on_random_instances(self, seed, truck_limit):
-        instance = random_instance(random.Random(seed))
-        result = enumerate_exact(instance, truck_limit=truck_limit)
-        assert (
-            result.objective,
-            result.sequence,
-            result.visited,
-            result.feasible_count,
-        ) == reference_enumeration(instance, truck_limit)
+        assert_exact_matches_reference(random_instance(random.Random(seed)), truck_limit)
 
     @pytest.mark.parametrize("truck_limit", TRUCK_LIMITS)
     def test_matches_reference_on_example(self, example1, truck_limit):
-        result = enumerate_exact(example1, truck_limit=truck_limit)
-        assert (
-            result.objective,
-            result.sequence,
-            result.visited,
-            result.feasible_count,
-        ) == reference_enumeration(example1, truck_limit)
+        assert_exact_matches_reference(example1, truck_limit)
+
+    @pytest.mark.parametrize("truck_limit", (None, 1, 2, 3))
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_under_tight_pour_windows(self, seed, truck_limit):
+        assert_exact_matches_reference(tight_gamma_instance(random.Random(seed)), truck_limit)
+
+    def test_tight_pour_windows_prune(self):
+        # The family above must reach the pour-window prune: without a truck
+        # limit, only a broken window makes a sequence infeasible.
+        pruned = 0
+        for seed in range(40):
+            result = enumerate_exact(tight_gamma_instance(random.Random(seed)))
+            pruned += result.feasible_count < result.visited
+        assert pruned >= 10
+
+    def test_memo_counts(self, example1):
+        assert enumerate_exact(example1).states == 13
+        result = enumerate_exact(e11_shaped_instance())
+        assert (result.visited, result.feasible_count, result.states) == (
+            11_550, 10_780, 1_379
+        )
 
     @pytest.mark.parametrize("seed", range(10))
     def test_feasible_count_bounded_by_space(self, seed):
@@ -294,6 +326,7 @@ class TestGridExact:
         gridded = grid_exact(example1, horizon=8)
         assert gridded.visited is None
         assert gridded.feasible_count is None
+        assert gridded.states is None
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_leaf_rescoring_reference(self, seed):
@@ -341,9 +374,7 @@ class TestGridExact:
         rng = random.Random(seed)
         instance = random_instance(rng, max_total_trips=4)
         consecutive = enumerate_exact(instance)
-        horizon = sum(
-            1 for _ in build_graph(instance).labels
-        ) + 2
+        horizon = total_trips(instance) + 2
         gridded = grid_exact(instance, horizon=horizon)
         if consecutive.schedule is not None:
             assert gridded.schedule is not None

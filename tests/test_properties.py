@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from rmcdp.graphs import build_graph, circuit_cost, dispatch_sequences, greedy_solve
+from rmcdp.graphs import build_graph, circuit_cost, greedy_solve
 from rmcdp.model import DepotSpec, Instance
 from rmcdp.priority import priority_solve
 from rmcdp.schedule import check, evaluate, expand_consecutive
 
-from conftest import random_instance, repeated_row_instance
+from conftest import random_instance, repeated_row_instance, tight_gamma_instance
+from test_graphs import assert_exact_matches_reference
 from test_priority import assert_matches_reference
 
 MIN = 60
@@ -163,5 +164,22 @@ def test_priority_matches_replay_on_drawn_repeated_rows():
     )
     def matches(rng, beta, truck_limit):
         assert_matches_reference(repeated_row_instance(rng, max_sites=5), beta, truck_limit)
+
+    matches()
+
+
+def test_exact_matches_reference_on_drawn_tight_pour_windows():
+    # Drawn instances whose pour windows break often, so the exact search's
+    # dead-node prune is exercised; the fixed-seed sweep is in test_graphs.py.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(
+        rng=st.randoms(use_true_random=False),
+        truck_limit=st.sampled_from((None, 1, 2, 3)),
+    )
+    def matches(rng, truck_limit):
+        assert_exact_matches_reference(tight_gamma_instance(rng), truck_limit)
 
     matches()
