@@ -153,7 +153,7 @@ def cmd_export_mip(args: argparse.Namespace) -> int:
     text = emit_lp(model)
     stem = Path(args.instance).stem
     out = Path(args.out) if args.out else Path(f"{stem}_{model.horizon}.lp")
-    out.write_text(text)
+    rio.write_text(out, text)
     print(
         json.dumps(
             {

@@ -165,6 +165,8 @@ def load_instance(path: str | Path) -> Instance:
         raise InputError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     except ValueError as exc:  # an integer with more digits than int() reads
         raise InputError(f"{path}: invalid JSON: a number with too many digits") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: invalid JSON: nested too deeply") from exc
     try:
         return instance_from_dict(doc)
     except InputError as exc:
@@ -209,14 +211,26 @@ def _format_quantity(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(float(value))
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is an
+    input error naming it."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def write_schedule_csv(path: str | Path, schedule: Schedule) -> None:
-    Path(path).write_text(schedule_to_csv(schedule))
+    write_text(path, schedule_to_csv(schedule))
 
 
 def read_schedule_csv(path: str | Path, instance: Instance) -> Schedule:
     path = Path(path)
     reader = csv.reader(_io.StringIO(_read_text(path)))
-    rows = list(reader)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows or tuple(rows[0]) != SCHEDULE_HEADER:
         raise InputError(
             f"{path}:1: expected header {','.join(SCHEDULE_HEADER)}"

@@ -3,9 +3,10 @@
 The model assigns every trip to one loading slot on a discrete horizon
 (binary ``X`` variables) and links slot times to site arrival times with
 continuous variables.  The objective is total site waiting: first-delivery
-delays plus delivery gaps beyond the unloading time.  Constraint names
-embed the defining equation numbers (``c_eq22`` .. ``c_eq30``) so rows can
-be traced back to the formulation.
+delays plus delivery gaps beyond the unloading time.  Each row holds column
+indices into one tuple of variable names, so a solver can read the rows as
+a sparse matrix.  Constraint names embed the defining equation numbers
+(``c_eq22`` .. ``c_eq30``) so rows can be traced back to the formulation.
 
 All numbers in the emitted LP are minutes.  Each is built once from the
 instance's integer seconds by one division by 60, so it is the correctly
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .model import Instance, InputError, slot_horizon
 from .model import default_horizon  # noqa: F401 (re-exported)
@@ -35,7 +36,8 @@ from .schedule import (
 @dataclass(frozen=True)
 class Row:
     name: str
-    terms: tuple[tuple[float, str], ...]
+    cols: tuple[int, ...]  # indices into the model's names
+    coefs: tuple[float, ...] | None  # one per column; None when all are 1
     sense: str  # "=", "<=" or ">="
     rhs: float
 
@@ -43,82 +45,77 @@ class Row:
 @dataclass(frozen=True)
 class MipModel:
     horizon: int
-    objective: tuple[tuple[float, str], ...]
+    # The continuous variables, then from first_binary on the X binaries:
+    # slot by slot, and within a slot in trip order.
+    names: tuple[str, ...]
+    first_binary: int
+    objective: tuple[int, ...]  # columns summed with coefficient 1
     rows: tuple[Row, ...]
-    continuous: tuple[str, ...]
-    binaries: tuple[str, ...]
+
+    @property
+    def continuous(self) -> tuple[str, ...]:
+        return self.names[: self.first_binary]
+
+    @property
+    def binaries(self) -> tuple[str, ...]:
+        return self.names[self.first_binary :]
 
     @property
     def binary_count(self) -> int:
-        return len(self.binaries)
+        return len(self.names) - self.first_binary
+
+    def terms(self, row: Row) -> tuple[tuple[float, str], ...]:
+        """The row as ``(coefficient, variable name)`` pairs."""
+        names = map(self.names.__getitem__, row.cols)
+        return tuple(zip(row.coefs or (1,) * len(row.cols), names))
 
 
 def build_mip(instance: Instance, horizon: int | None = None) -> MipModel:
     horizon = slot_horizon(instance, horizon)
+    lt, start = instance.depot.loading_time, instance.depot.start_time
+    count = len(instance.trips)
+    # A site of n trips owns 4n - 1 continuous columns: ks and kd of each
+    # trip, T and W of each consecutive pair, then Wf.  The binary of trip k
+    # in slot t + 1 is column first_binary + t * count + k.
+    first_binary = 4 * count - len(instance.sites)
+    end = first_binary + horizon * count
+    trip_slots = [tuple(range(first_binary + k, end, count)) for k in range(count)]
+    slot_coefs = (*((start + t * lt) / 60 for t in range(horizon)), -1)
 
-    lt = instance.depot.loading_time
-    start = instance.depot.start_time
-    slot_times = [(start + (t - 1) * lt) / 60 for t in range(1, horizon + 1)]
-    slot_names = {
-        trip: [f"X_t{t}_s{trip.site_id}_j{trip.trip_index}" for t in range(1, horizon + 1)]
-        for trip in instance.trips
-    }
-
-    objective: list[tuple[float, str]] = []
+    names: list[str] = []
+    objective: list[int] = []
     rows: list[Row] = []
-    continuous: list[str] = []
-    for site, (sid, trips, _, unload, gamma) in zip(instance.sites, instance.timings):
-        for j in range(1, trips + 1):
-            continuous += [f"ks_s{sid}_j{j}", f"kd_s{sid}_j{j}"]
-        for j in range(1, trips):
-            continuous += [f"T_s{sid}_j{j}", f"W_s{sid}_j{j}"]
-            objective.append((1, f"W_s{sid}_j{j}"))
-        continuous.append(f"Wf_s{sid}")
-        objective.append((1, f"Wf_s{sid}"))
-
-        ks, gap = f"ks_s{sid}_j", f"T_s{sid}_j"
-        for j in range(1, trips):
+    slots = iter(trip_slots)
+    for site, (sid, n, _, unload, gamma) in zip(instance.sites, instance.timings):
+        ks = len(names)  # ks_j is column ks + 2(j - 1) and kd_j the next one
+        gap = ks + 2 * n  # T_j is column gap + 2(j - 1) and W_j the next one
+        wf = gap + 2 * (n - 1)
+        names += [f"{v}_s{sid}_j{j}" for j in range(1, n + 1) for v in ("ks", "kd")]
+        names += [f"{v}_s{sid}_j{j}" for j in range(1, n) for v in ("T", "W")] + [f"Wf_s{sid}"]
+        objective += [*range(gap + 1, wf, 2), wf]
+        for j, t in enumerate(range(gap, wf, 2), start=1):
             rows += [
-                Row(f"c_eq22_s{sid}_j{j}",
-                    ((1, f"{ks}{j + 1}"), (-1, f"{ks}{j}"), (-1, f"{gap}{j}")), "=", 0),
-                Row(f"c_eq23_s{sid}_j{j}",
-                    ((1, f"{gap}{j}"), (-1, f"W_s{sid}_j{j}")), "=", unload / 60),
-                Row(f"c_eq24_s{sid}_j{j}", ((1, f"{gap}{j}"),), ">=", unload / 60),
-                Row(f"c_eq25_s{sid}_j{j}", ((1, f"{gap}{j}"),), "<=", gamma / 60),
+                Row(f"c_eq22_s{sid}_j{j}", (ks + 2 * j, ks + 2 * j - 2, t), (1, -1, -1),
+                    "=", 0),
+                Row(f"c_eq23_s{sid}_j{j}", (t, t + 1), (1, -1), "=", unload / 60),
+                Row(f"c_eq24_s{sid}_j{j}", (t,), None, ">=", unload / 60),
+                Row(f"c_eq25_s{sid}_j{j}", (t,), None, "<=", gamma / 60),
             ]
-        for j in range(1, trips + 1):
-            names = slot_names[TripId(sid, j)]
+        for j, kd in enumerate(range(ks + 1, gap, 2), start=1):
             rows += [
-                Row(f"c_eq26_s{sid}_j{j}",
-                    ((1, f"{ks}1"), (-1, f"Wf_s{sid}")), "=", site.proposed_start / 60),
-                Row(f"c_eq27_s{sid}_j{j}",
-                    ((1, f"{ks}{j}"), (-1, f"kd_s{sid}_j{j}")), "=",
+                Row(f"c_eq26_s{sid}_j{j}", (ks, wf), (1, -1), "=",
+                    site.proposed_start / 60),
+                Row(f"c_eq27_s{sid}_j{j}", (kd - 1, kd), (1, -1), "=",
                     (lt + site.haul_time) / 60),
-                Row(f"c_eq28_s{sid}_j{j}",
-                    (*zip(slot_times, names), (-1, f"kd_s{sid}_j{j}")), "=", 0),
+                Row(f"c_eq28_s{sid}_j{j}", (*next(slots), kd), slot_coefs, "=", 0),
             ]
-    for t in range(horizon):
-        rows.append(Row(
-            f"c_eq29_t{t + 1}",
-            tuple((1, names[t]) for names in slot_names.values()),
-            "<=",
-            1,
-        ))
-    for trip, names in slot_names.items():
-        rows.append(Row(
-            f"c_eq30_s{trip.site_id}_j{trip.trip_index}",
-            tuple((1, name) for name in names),
-            "=",
-            1,
-        ))
-
-    return MipModel(
-        horizon=horizon,
-        objective=tuple(objective),
-        rows=tuple(rows),
-        continuous=tuple(continuous),
-        binaries=tuple(names[t] for t in range(horizon) for names in slot_names.values()),
-    )
+    for t, first in enumerate(range(first_binary, end, count), start=1):
+        rows.append(Row(f"c_eq29_t{t}", tuple(range(first, first + count)), None, "<=", 1))
+    trip_names = [f"_s{trip.site_id}_j{trip.trip_index}" for trip in instance.trips]
+    rows += [Row(f"c_eq30{t}", c, None, "=", 1) for t, c in zip(trip_names, trip_slots)]
+    slot_names = [f"X_t{t}" for t in range(1, horizon + 1)]
+    names += [slot + trip for slot in slot_names for trip in trip_names]
+    return MipModel(horizon, tuple(names), first_binary, tuple(objective), tuple(rows))
 
 
 def _number(value: float) -> str:
@@ -126,38 +123,35 @@ def _number(value: float) -> str:
     return str(whole) if whole == value else repr(value)
 
 
-def _terms(terms: Iterable[tuple[float, str]]) -> str:
-    parts: list[str] = []
-    for coefficient, name in terms:
-        if not parts:
-            if coefficient == 1:
-                parts.append(name)
-            elif coefficient == -1:
-                parts.append(f"- {name}")
-            else:
-                parts.append(f"{_number(coefficient)} {name}")
-            continue
-        sign = "+" if coefficient > 0 else "-"
-        magnitude = abs(coefficient)
-        if magnitude == 1:
-            parts.append(f"{sign} {name}")
-        else:
-            parts.append(f"{sign} {_number(magnitude)} {name}")
-    return " ".join(parts)
+def _prefix(coefficient: float, first: bool) -> str:
+    """The text before a variable's name in an LP expression."""
+    if first:
+        return {1: "", -1: "- "}.get(coefficient, f"{_number(coefficient)} ")
+    sign, magnitude = "+ " if coefficient > 0 else "- ", abs(coefficient)
+    return sign if magnitude == 1 else f"{sign}{_number(magnitude)} "
 
 
 def emit_lp(model: MipModel) -> str:
-    lines = ["Minimize", f" obj: {_terms(model.objective)}", "Subject To"]
+    names = model.names
+    # Rows that share a coefficient tuple (every c_eq28 row shares the slot
+    # times) share one template of formatted coefficients.
+    templates: dict[tuple[float, ...], str] = {}
+    lines = ["Minimize", " obj: " + " + ".join([names[c] for c in model.objective])]
+    lines.append("Subject To")
     for row in model.rows:
-        lines.append(f" {row.name}: {_terms(row.terms)} {row.sense} {_number(row.rhs)}")
-    lines.append("Bounds")
-    for name in model.continuous:
-        lines.append(f" 0 <= {name}")
-    lines.append("Binary")
-    for name in model.binaries:
-        lines.append(f" {name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+        if row.coefs is None:
+            body = " + ".join([names[c] for c in row.cols])
+        else:
+            if (template := templates.get(row.coefs)) is None:
+                template = templates[row.coefs] = " ".join(
+                    f"{_prefix(c, i == 0)}{{}}" for i, c in enumerate(row.coefs)
+                )
+            body = template.format(*[names[c] for c in row.cols])
+        lines.append(f" {row.name}: {body} {row.sense} {_number(row.rhs)}")
+    lines.append("\n 0 <= ".join(("Bounds", *model.continuous)))
+    lines.append("\n ".join(("Binary", *model.binaries)))
+    lines.append("End\n")
+    return "\n".join(lines)
 
 
 def _float(token: str) -> float | None:
@@ -169,8 +163,10 @@ def _float(token: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _parse_terms(text: str) -> tuple[tuple[float, str], ...]:
-    terms: list[tuple[float, str]] = []
+def _parse_terms(text: str) -> tuple[list[str], tuple[float, ...] | None]:
+    """An LP expression's names and coefficients (``None`` when all are 1)."""
+    names: list[str] = []
+    coefs: list[float] = []
     sign = 1
     coefficient: float | None = None
     for token in text.split():
@@ -181,22 +177,24 @@ def _parse_terms(text: str) -> tuple[tuple[float, str], ...]:
         elif (value := _float(token)) is not None:
             coefficient = value
         else:
-            terms.append((sign * (1 if coefficient is None else coefficient), token))
+            names.append(token)
+            coefs.append(sign * (1 if coefficient is None else coefficient))
             sign = 1
             coefficient = None
     if coefficient is not None:
         raise InputError("dangling coefficient in LP expression")
-    return tuple(terms)
+    return names, None if all(c == 1 for c in coefs) else tuple(coefs)
 
 
 def parse_lp(text: str) -> MipModel:
     """Parse an LP file produced by :func:`emit_lp` back into a model.
 
-    The horizon is the highest slot among the ``X_t{slot}_...`` binaries.
+    Variables must be declared and objective coefficients 1.  The horizon
+    is the highest slot among the ``X_t{slot}_...`` binaries.
     """
     section = None
-    objective: tuple[tuple[float, str], ...] = ()
-    rows: list[Row] = []
+    objective: list[str] = []
+    rows: list[tuple[str, list[str], tuple[float, ...] | None, str, float]] = []
     continuous: list[str] = []
     binaries: list[str] = []
     for raw in text.splitlines():
@@ -208,8 +206,9 @@ def parse_lp(text: str) -> MipModel:
             section = lowered
             continue
         if section == "minimize":
-            _, _, expr = line.partition(":")
-            objective = _parse_terms(expr)
+            objective, coefs = _parse_terms(line.partition(":")[2])
+            if coefs is not None:
+                raise InputError(f"objective coefficient other than 1: {line}")
         elif section == "subject to":
             name, _, body = line.partition(":")
             for sense in ("<=", ">=", "="):
@@ -218,7 +217,7 @@ def parse_lp(text: str) -> MipModel:
                     value = _float(rhs)
                     if value is None:
                         raise InputError(f"right-hand side is not a number: {line}")
-                    rows.append(Row(name.strip(), _parse_terms(expr), sense, value))
+                    rows.append((name.strip(), *_parse_terms(expr), sense, value))
                     break
             else:
                 raise InputError(f"constraint without relation: {line}")
@@ -233,13 +232,14 @@ def parse_lp(text: str) -> MipModel:
         )
     except ValueError:
         raise InputError("binary name without a slot number") from None
-    return MipModel(
-        horizon=horizon,
-        objective=objective,
-        rows=tuple(rows),
-        continuous=tuple(continuous),
-        binaries=tuple(binaries),
-    )
+    names = (*continuous, *binaries)
+    column = {name: col for col, name in enumerate(names)}.__getitem__
+    try:
+        objective_cols = tuple(map(column, objective))
+        resolved = tuple(Row(r[0], tuple(map(column, r[1])), *r[2:]) for r in rows)
+    except KeyError as exc:
+        raise InputError(f"undeclared variable {exc.args[0]}") from None
+    return MipModel(horizon, names, len(continuous), objective_cols, resolved)
 
 
 def encode_schedule(

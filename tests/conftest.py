@@ -34,6 +34,50 @@ def golden_schedule(instance1):
     )
 
 
+def _lp_number(value: float) -> str:
+    whole = int(value)
+    return str(whole) if whole == value else repr(value)
+
+
+def _lp_terms(terms) -> str:
+    parts: list[str] = []
+    for coefficient, name in terms:
+        if not parts:
+            if coefficient == 1:
+                parts.append(name)
+            elif coefficient == -1:
+                parts.append(f"- {name}")
+            else:
+                parts.append(f"{_lp_number(coefficient)} {name}")
+            continue
+        sign = "+" if coefficient > 0 else "-"
+        magnitude = abs(coefficient)
+        if magnitude == 1:
+            parts.append(f"{sign} {name}")
+        else:
+            parts.append(f"{sign} {_lp_number(magnitude)} {name}")
+    return " ".join(parts)
+
+
+def reference_lp(model) -> str:
+    """The LP text of a ``MipModel``, written term by term; ``emit_lp`` must
+    produce the same bytes."""
+    objective = ((1, model.names[col]) for col in model.objective)
+    lines = ["Minimize", f" obj: {_lp_terms(objective)}", "Subject To"]
+    for row in model.rows:
+        lines.append(
+            f" {row.name}: {_lp_terms(model.terms(row))} {row.sense} {_lp_number(row.rhs)}"
+        )
+    lines.append("Bounds")
+    for name in model.continuous:
+        lines.append(f" 0 <= {name}")
+    lines.append("Binary")
+    for name in model.binaries:
+        lines.append(f" {name}")
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
 def eight_oclock_depot(lt_min: int) -> DepotSpec:
     """A depot opening at 8:00 that loads a 10 m3 truck in ``lt_min`` minutes,
     with a 90-minute pour window."""

@@ -152,6 +152,22 @@ class TestSolve:
         assert code == 3
         assert captured.err == f"error: {path}: depot.start: expected 'H:MM', got '8:0²'\n"
 
+    def test_deeply_nested_json_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code = main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: invalid JSON: nested too deeply\n"
+
+    def test_unwritable_out_exit_code(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "schedule.csv"
+        code = main(["solve", EXAMPLE1, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(f"error: {out_path}: ")
+
     def test_instance_not_utf8_exit_code(self, capsys, tmp_path):
         path = tmp_path / "latin-1.json"
         path.write_bytes(Path(EXAMPLE1).read_bytes().replace(b"{", b'{"note": "caf\xe9", ', 1))
@@ -274,6 +290,16 @@ class TestCheck:
         assert captured.err.startswith(f"error: {path}: not UTF-8 text (byte ")
 
 
+    def test_schedule_field_over_csv_limit_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "long-field.csv"
+        path.write_text(Path(GOLDEN).read_text() + "1,1," + "1" * 200_000 + ":00,8:00,8:30,10\n")
+        code = main(["check", INSTANCE1, str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:27: field larger than field limit")
+
+
 class TestSpace:
     def test_reference_instance(self, capsys):
         code, out = run(capsys, "space", INSTANCE1)
@@ -315,6 +341,15 @@ class TestExportMip:
         assert code == 0
         assert payload["binaries"] == 800
         assert "c_eq25_s1_j1" in out_path.read_text()
+
+
+    def test_unwritable_out_exit_code(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "model.lp"
+        code = main(["export-mip", EXAMPLE1, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {out_path}: ")
 
 
 class TestBench:

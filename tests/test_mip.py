@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -14,11 +15,11 @@ from rmcdp.mip import (
     parse_lp,
     validate_solution,
 )
-from rmcdp.model import InputError, ValidationError, total_trips
+from rmcdp.model import Instance, InputError, ValidationError, total_trips
 from rmcdp.priority import priority_solve
 from rmcdp.schedule import TripId, expand_consecutive
 
-from conftest import random_instance
+from conftest import random_instance, reference_lp
 
 MIN = 60
 
@@ -33,6 +34,18 @@ FRACTIONAL_MINUTES = {
          "proposed_start": 490.5},
     ],
 }
+
+
+def one_minute_slots(instance: Instance, start: int) -> Instance:
+    """``instance`` with 1-minute loading from a depot opening at ``start``
+    (seconds), every requested start moved with the opening."""
+    depot = dataclasses.replace(instance.depot, start_time=start, productivity=600)
+    shift = start - instance.depot.start_time
+    sites = tuple(
+        dataclasses.replace(site, proposed_start=site.proposed_start + shift)
+        for site in instance.sites
+    )
+    return Instance(depot=depot, sites=sites)
 
 
 class TestBuildMip:
@@ -58,7 +71,7 @@ class TestBuildMip:
         row = next(r for r in model.rows if r.name == "c_eq25_s1_j1")
         assert row.sense == "<="
         assert row.rhs == 90
-        assert row.terms == ((1, "T_s1_j1"),)
+        assert model.terms(row) == ((1, "T_s1_j1"),)
 
     def test_row_families_cover_every_trip(self, example1):
         model = build_mip(example1, horizon=6)
@@ -101,6 +114,12 @@ class TestLpText:
         text = emit_lp(build_mip(instance1, horizon=32))
         assert emit_lp(parse_lp(text)) == text
 
+    def test_round_trip_on_instance2(self, instance2):
+        model = build_mip(instance2)
+        text = emit_lp(model)
+        assert parse_lp(text) == model
+        assert emit_lp(parse_lp(text)) == text
+
     def test_parse_reads_horizon_off_the_binaries(self, example1, instance1):
         assert parse_lp(emit_lp(build_mip(example1, horizon=6))).horizon == 6
         assert parse_lp(emit_lp(build_mip(instance1))).horizon == 50
@@ -112,6 +131,58 @@ class TestLpText:
         reparsed = parse_lp(text)
         assert reparsed == model
         assert emit_lp(reparsed) == text
+
+    @pytest.mark.parametrize(
+        "start, first_slots",
+        [
+            # Slot times 0 and 1 min: a coefficient the writer prints as "0",
+            # then one it leaves out.
+            (0, "0 X_t1_s1_j1 + X_t2_s1_j1 + 2 X_t3_s1_j1"),
+            (60, "X_t1_s1_j1 + 2 X_t2_s1_j1 + 3 X_t3_s1_j1"),
+            (23 * 3600, "1380 X_t1_s1_j1 + 1381 X_t2_s1_j1 + 1382 X_t3_s1_j1"),
+        ],
+    )
+    def test_one_minute_slots_match_reference_writer(self, start, first_slots):
+        instance = one_minute_slots(random_instance(random.Random(3)), start)
+        model = build_mip(instance, total_trips(instance) + 2)
+        text = emit_lp(model)
+        assert f" c_eq28_s1_j1: {first_slots} + " in text
+        assert text == reference_lp(model)
+        assert parse_lp(text) == model
+
+    def test_matches_reference_writer_on_drawn_instances(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(
+            rng=st.randoms(use_true_random=False),
+            extra=st.integers(0, 4),
+            start=st.sampled_from((None, 0, 60, 23 * 3600)),
+        )
+        def matches(rng, extra, start):
+            instance = random_instance(rng)
+            if start is not None:
+                instance = one_minute_slots(instance, start)
+            model = build_mip(instance, total_trips(instance) + extra)
+            text = emit_lp(model)
+            assert text == reference_lp(model)
+            assert parse_lp(text) == model
+
+        matches()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Minimize\n obj: x\nSubject To\n c1: x + y <= 1\nBounds\n 0 <= x\nEnd\n",
+             "undeclared variable y"),
+            ("Minimize\n obj: 2 x\nSubject To\nBounds\n 0 <= x\nEnd\n",
+             "objective coefficient other than 1"),
+        ],
+    )
+    def test_model_outside_the_columnar_form_rejected(self, text, message):
+        with pytest.raises(InputError, match=message):
+            parse_lp(text)
 
     def test_non_numeric_right_hand_side_rejected(self):
         text = "Minimize\n obj: x\nSubject To\n c1: x <= nan\nEnd\n"
