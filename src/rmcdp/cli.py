@@ -1,13 +1,15 @@
 """Command-line interface.
 
-Exit codes: 0 success / feasible, 2 infeasible or no solution, 3 malformed
-input, 4 instance too large for exhaustive enumeration.
+Exit codes: 0 success / feasible, 1 stdout closed early (no traceback), 2
+infeasible or no solution, 3 malformed input, 4 instance too large for
+exhaustive enumeration.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -26,6 +28,7 @@ from .priority import parse_beta, priority_solve
 from .schedule import Schedule, check, evaluate
 
 EXIT_OK = 0
+EXIT_STDOUT_CLOSED = 1
 EXIT_INFEASIBLE = 2
 EXIT_INPUT = 3
 EXIT_TOO_LARGE = 4
@@ -320,13 +323,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
 
 
 if __name__ == "__main__":

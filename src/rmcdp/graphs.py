@@ -9,27 +9,22 @@ the depot, its cost the total site waiting.  This module provides:
   dynamic edge costs,
 * ``enumerate_exact`` -- exact search over all distinct dispatch
   sequences (consecutive loading slots),
-* ``grid_exact`` -- exhaustive search that may also leave loading slots
-  empty.
+* ``grid_exact`` -- exact search over loading-slot assignments, which may
+  leave a slot idle under a fleet limit.
 
-Every search reads the integer site table ``Instance.timings``.
-``enumerate_exact`` is a dynamic programme over sequence prefixes: on
-consecutive slots the depth fixes the load time, so a prefix is summed up
-by the trips each site has left and the slots since each open site's last
-load, and prefixes that agree on those share one memo node.
-``grid_exact`` is a depth-first walk over shared prefixes: each level
-loads one trip at a depot time and carries the running waiting down, and
-backtracking undoes it.  In both, a trip that breaks its site's pour
-window prunes every schedule below it.  ``grid_exact`` also prunes a
-prefix whose waiting already reaches the best found, so it counts neither
-the schedules it visits nor the feasible ones; ``enumerate_exact`` does
-not, and counts the feasible sequences exactly.
+Every search reads the integer site table ``Instance.timings``.  Both
+exact searches run one dynamic programme over slot prefixes,
+``_slot_search``, which prunes every schedule below a trip that breaks
+its site's pour window and breaks ties towards the assignment smallest in
+``(slot, site position)`` order.  It leaves a slot idle only under a
+fleet limit: otherwise repacking the loads onto the first slots shortens
+no gap, so an idle slot never lowers the waiting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .model import (
     Instance,
@@ -166,41 +161,12 @@ def greedy_solve(
     )
 
 
-def _multiset_permutations(
-    values: Sequence[int], counts: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of a multiset, in lexicographic order."""
-    total = sum(counts)
-    counts = list(counts)
-    prefix: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(prefix) == total:
-            yield tuple(prefix)
-            return
-        for i, value in enumerate(values):
-            if counts[i] > 0:
-                counts[i] -= 1
-                prefix.append(value)
-                yield from rec()
-                prefix.pop()
-                counts[i] += 1
-
-    return rec()
-
-
-def dispatch_sequences(instance: Instance) -> Iterator[tuple[int, ...]]:
-    rows = sorted(instance.timings)  # site-id order
-    return _multiset_permutations([r[0] for r in rows], [r[1] for r in rows])
-
-
 @dataclass(frozen=True)
 class EnumerationResult:
     schedule: Schedule | None
     sequence: tuple[int, ...] | None
     objective: int | None
-    #: Sequences searched and feasible among them; ``None`` from
-    #: :func:`grid_exact`, whose search prunes by bound and counts neither.
+    #: Sequences searched and feasible among them; ``None`` from :func:`grid_exact`.
     visited: int | None
     feasible_count: int | None
     #: Nodes of the :func:`enumerate_exact` dynamic programme; ``None`` from
@@ -210,47 +176,51 @@ class EnumerationResult:
 
 #: What the search found below one node: feasible completions, their least
 #: total waiting (``None`` when there is none), and the site index the best
-#: completion loads next.
+#: completion loads next (the number of sites for an idle slot).
 _Entry = tuple[int, int | None, int]
 
 
-def enumerate_exact(
-    instance: Instance, truck_limit: int | None = None
-) -> EnumerationResult:
-    """Try every distinct dispatch sequence on consecutive loading slots.
+def _slot_search(
+    instance: Instance,
+    rows: Sequence[tuple[int, int, int, int, int]],
+    horizon: int,
+    truck_limit: int | None,
+) -> tuple[int, int | None, Schedule | None, int]:
+    """Least total waiting over assignments of the site table ``rows`` to
+    ``horizon`` loading slots.
 
-    The sequences are the prefixes of :func:`dispatch_sequences`, searched
-    by dynamic programming.  Depth ``d`` loads at ``start + d * L_t``, so
-    what happens below a prefix depends only on the trips each site has
-    left and, for each started but unfinished site, the slots since its
-    last load (its gap ``g``): a next trip waits ``max(0, g * L_t - U_i)``
-    and breaks the pour window when ``g > gamma_i // L_t``, the site's
-    reach.  A node is keyed by those two digits per site in one mixed-radix
-    int; it keeps its count of feasible completions, their least waiting
-    and the site loaded next on the way to it.  A child in which an open
-    site's gap would pass its reach has no feasible completion and is
-    pruned, so ``feasible_count`` still counts the feasible sequences
-    exactly, while ``visited`` reports the whole space.  The best child is
-    the first site, in id order, with strictly the least waiting, so ties
-    go to the smallest sequence; the winner is read off the memo from the
-    root.  ``states`` is the number of nodes solved.
+    Slot ``d`` (from 0) loads at ``start + d * L_t``, so below a prefix
+    only each site's trips left and, for a site started but unfinished,
+    its gap ``g`` (slots since its last load) matter: a next trip waits
+    ``max(0, g * L_t - U_i)`` and breaks the pour window when
+    ``g > gamma_i // L_t``, the site's reach.  A node is keyed by those two
+    digits per site in one mixed-radix int and keeps its count of feasible
+    completions, their least waiting and its best next choice: the first
+    with strictly the least waiting, so ties go to the assignment smallest
+    in ``(slot, row position)`` order.  A child whose open gap passes its
+    reach is pruned, so the count stays exact.
+
+    Without ``truck_limit`` no slot is left idle: repacking any
+    assignment's loads onto slots 1..T in the same order keeps it
+    feasible, lengthens no gap and delays no first trip, so it waits no
+    more and is smaller in the tie-break order.  The optimum and its
+    tie-break winner are consecutive, and ``horizon`` does not matter.
+
+    With ``truck_limit`` an idle slot can free a truck, so each node also
+    tries an idle child, after the sites to keep the tie-break.  The key
+    gains a digit for the idle slots used (radix ``horizon - trips + 1``)
+    and above it one bit per slot of the last ``gamma // L_t`` slots, set
+    where a truck was loaded; a site loads only while fewer than
+    ``truck_limit`` bits are set, the inclusive window
+    :func:`trucks_required` counts.
+
+    Returns the feasible count, the least waiting and the winning schedule
+    (both ``None`` when there is none), and the nodes solved.
     """
-    check_truck_limit(truck_limit)
-    size = solution_space_size(instance)
-    if size > ENUMERATION_CAP:
-        raise SizeCapError(
-            f"sequence space has {size} members, above the cap of {ENUMERATION_CAP}"
-        )
-
     lt = instance.depot.loading_time
     start = instance.depot.start_time
-    ids, left, offsets, unloads, gammas = map(list, zip(*sorted(instance.timings)))
+    ids, left, offsets, unloads, gammas = map(list, zip(*rows))
     total = sum(left)
-    # Consecutive slots: peak fleet need is the number of loadings inside
-    # one inclusive gamma window, the same for every sequence.
-    if truck_limit is not None and min(total, instance.depot.gamma // lt + 1) > truck_limit:
-        return EnumerationResult(None, None, None, size, 0, 0)
-
     # Accessibility (L_t + h_i + U_i <= gamma_i) makes every reach at least
     # one slot, so a site's own next slot never breaks its window.
     reaches = [gamma // lt for gamma in gammas]
@@ -260,8 +230,12 @@ def enumerate_exact(
         left_weights.append(radix)
         gap_weights.append(radix * (trips + 1))
         radix *= (trips + 1) * (reach + 1)
+    spare = horizon - total  # idle slots the horizon leaves
+    idle_weight, busy_weight = radix, radix * (spare + 1)
+    busy_mask = (1 << instance.depot.gamma // lt) - 1 if truck_limit else 0
+    idle = len(ids)
     sites = range(len(ids))
-    last: list[int | None] = [None] * len(ids)  # depth of each site's last load
+    last: list[int | None] = [None] * len(ids)  # slot of each site's last load
     memo: dict[int, _Entry] = {}
 
     def child(depth: int, k: int, key: int, opened: int) -> tuple[int, int, int]:
@@ -310,24 +284,99 @@ def enumerate_exact(
         entry = memo[key] = (count, best, choice)
         return entry
 
+    def walk_limited(depth: int, key: int, opened: int, busy: int) -> _Entry:
+        # walk with the fleet limit on the load bits and an idle child.
+        if key % idle_weight == 0:  # no trips left and no open gap
+            return 1, 0, -1
+        node = key + busy * busy_weight
+        entry = memo.get(node)
+        if entry is not None:
+            return entry
+        due = [
+            i for i in sites
+            if left[i] and last[i] is not None and last[i] + reaches[i] == depth
+        ]
+        full = busy.bit_count() >= truck_limit  # every truck still out
+        candidates = () if len(due) > 1 or full else due or sites
+        loaded = (busy << 1 | 1) & busy_mask
+        count, best, choice = 0, None, -1
+        for k in candidates:
+            if not left[k]:
+                continue
+            cost, child_key, child_opened = child(depth, k, key, opened)
+            previous = last[k]
+            left[k] -= 1
+            last[k] = depth
+            below, wait, _ = walk_limited(depth + 1, child_key, child_opened, loaded)
+            last[k] = previous
+            left[k] += 1
+            if below:
+                count += below
+                if best is None or wait + cost < best:
+                    best, choice = wait + cost, k
+        if not due and key // idle_weight < spare:
+            below, wait, _ = walk_limited(
+                depth + 1, key + opened + idle_weight, opened, busy << 1 & busy_mask
+            )
+            if below:
+                count += below
+                if best is None or wait < best:
+                    best, choice = wait, idle
+        entry = memo[node] = (count, best, choice)
+        return entry
+
     key = sum(trips * weight for trips, weight in zip(left, left_weights))
-    feasible, objective, _ = walk(0, key, 0)
-    if not feasible:
-        return EnumerationResult(None, None, None, size, 0, len(memo))
-    sequence, opened = [], 0
-    for depth in range(total):
-        k = memo[key][2]
-        _, key, opened = child(depth, k, key, opened)
-        left[k] -= 1
-        last[k] = depth
-        sequence.append(ids[k])
+    if truck_limit is None:
+        feasible, objective, _ = walk(0, key, 0)
+    else:
+        feasible, objective, _ = walk_limited(0, key, 0, 0)
+    slots: dict[TripId, int] = {}
+    depth = opened = busy = 0
+    while feasible and len(slots) < total:
+        k = memo[key + busy * busy_weight][2]
+        if k == idle:
+            key += opened + idle_weight
+        else:
+            _, key, opened = child(depth, k, key, opened)
+            slots[TripId(ids[k], rows[k][1] - left[k] + 1)] = depth + 1
+            left[k] -= 1
+            last[k] = depth
+        busy = (busy << 1 | (k != idle)) & busy_mask
+        depth += 1
+    schedule = schedule_from_slots(instance, slots) if feasible else None
+    return feasible, objective, schedule, len(memo)
+
+
+def enumerate_exact(
+    instance: Instance, truck_limit: int | None = None
+) -> EnumerationResult:
+    """Try every distinct dispatch sequence on consecutive loading slots.
+
+    The sites are searched in id order by :func:`_slot_search`, so ties go
+    to the smallest sequence.  ``feasible_count`` counts the feasible
+    sequences exactly, ``visited`` reports the whole space and ``states``
+    is the number of nodes solved.
+    """
+    check_truck_limit(truck_limit)
+    size = solution_space_size(instance)
+    if size > ENUMERATION_CAP:
+        raise SizeCapError(
+            f"sequence space has {size} members, above the cap of {ENUMERATION_CAP}"
+        )
+    total = total_trips(instance)
+    # Consecutive slots: peak fleet need is the number of loadings inside
+    # one inclusive gamma window, the same for every sequence.
+    lt = instance.depot.loading_time
+    if truck_limit is not None and min(total, instance.depot.gamma // lt + 1) > truck_limit:
+        return EnumerationResult(None, None, None, size, 0, 0)
+
+    feasible, objective, schedule, states = _slot_search(
+        instance, sorted(instance.timings), total, None
+    )
+    if schedule is None:
+        return EnumerationResult(None, None, None, size, 0, states)
     return EnumerationResult(
-        schedule=expand_consecutive(instance, sequence),
-        sequence=tuple(sequence),
-        objective=objective,
-        visited=size,
-        feasible_count=feasible,
-        states=len(memo),
+        schedule, schedule.dispatch_sequence(), objective, size, feasible, states
     )
 
 
@@ -339,15 +388,13 @@ GRID_MAX_HORIZON = 24
 def grid_exact(
     instance: Instance, horizon: int | None = None, truck_limit: int | None = None
 ) -> EnumerationResult:
-    """Exhaustive search over loading-slot assignments, allowing gaps.
+    """Exact search over loading-slot assignments, allowing idle slots.
 
-    Unlike :func:`enumerate_exact` this explores schedules whose loadings
-    are not back-to-back, at the price of a much larger search space; the
-    instance size is therefore capped hard.  ``horizon`` is the number of
-    loading slots, twice the trip count unless given.  With ``truck_limit``
-    a slot is used only while fewer than that many loadings fall in the
-    inclusive gamma window ending at it, the window :func:`trucks_required`
-    counts.
+    :func:`_slot_search` with the sites in site-list order, so ties go by
+    ``(slot, site position)``.  With ``truck_limit`` a slot is used only
+    while fewer than that many loadings fall in the inclusive gamma window
+    ending at it.  ``horizon`` is the number of loading slots, twice the
+    trip count unless given; the instance size is capped hard.
     """
     trips = total_trips(instance)
     if len(instance.sites) > GRID_MAX_SITES:
@@ -367,72 +414,11 @@ def grid_exact(
         )
     check_truck_limit(truck_limit)
 
-    lt = instance.depot.loading_time
-    start = instance.depot.start_time
-    # A loading still ties up its truck this many slots later.
-    reach = instance.depot.gamma // lt
-    ids, remaining, offsets, unloads, gammas = map(list, zip(*instance.timings))
-    last_load = [None] * len(ids)  # depot time of the site's last loading
-    slots: list[tuple[int, int]] = []  # (slot index, site index), ascending
-
-    best: tuple[int, tuple[tuple[int, int], ...]] | None = None
-
-    def rec(slot: int, placed: int, wait: int) -> None:
-        nonlocal best
-        # Waiting only grows, and leaves come in increasing (slot, site)
-        # order, so a later leaf must wait strictly less to win.
-        if best is not None and wait >= best[0]:
-            return
-        if placed == trips:
-            best = (wait, tuple(slots))
-            return
-        if horizon - slot + 1 < trips - placed:
-            return
-        slot_time = start + (slot - 1) * lt
-        # A site whose pour window already closed can never be finished.
-        for i, left in enumerate(remaining):
-            if left and last_load[i] is not None and slot_time - last_load[i] > gammas[i]:
-                return
-        # Every truck still out: this slot can only stay empty.
-        if truck_limit is not None and truck_limit <= len(slots) and (
-            slots[-truck_limit][0] >= slot - reach
-        ):
-            rec(slot + 1, placed, wait)
-            return
-        for i, left in enumerate(remaining):
-            if not left:
-                continue
-            previous = last_load[i]
-            if previous is None:
-                cost = slot_time + offsets[i]
-            else:
-                cost = slot_time - previous - unloads[i]
-            remaining[i] -= 1
-            last_load[i] = slot_time
-            slots.append((slot, i))
-            rec(slot + 1, placed + 1, wait + max(0, cost))
-            slots.pop()
-            last_load[i] = previous
-            remaining[i] += 1
-        rec(slot + 1, placed, wait)
-
-    rec(1, 0, 0)
-
-    if best is None:
+    _, objective, schedule, _ = _slot_search(
+        instance, instance.timings, horizon, truck_limit
+    )
+    if schedule is None:
         return EnumerationResult(None, None, None, None, None, None)
-
-    wait, assignment = best
-    seen = [0] * len(ids)
-    slots = {}
-    for slot, i in assignment:
-        seen[i] += 1
-        slots[TripId(ids[i], seen[i])] = slot
-    schedule = schedule_from_slots(instance, slots)
     return EnumerationResult(
-        schedule=schedule,
-        sequence=schedule.dispatch_sequence(),
-        objective=wait,
-        visited=None,
-        feasible_count=None,
-        states=None,
+        schedule, schedule.dispatch_sequence(), objective, None, None, None
     )

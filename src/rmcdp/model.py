@@ -242,12 +242,15 @@ def default_horizon(instance: Instance) -> int:
 
 def slot_horizon(instance: Instance, horizon: int | None = None) -> int:
     """The given number of loading slots, or the default; it must hold
-    every trip."""
+    every trip and span at most 48 h of loading, which the default, twice
+    the trips, always does: the trips fit in 24 h."""
     if horizon is None:
         return default_horizon(instance)
-    trips = total_trips(instance)
-    if horizon < trips:
-        raise ValidationError(f"horizon: {horizon} slots cannot hold {trips} trips")
+    trips, most = total_trips(instance), 2 * DAY // instance.depot.loading_time
+    if not trips <= horizon <= most:
+        raise ValidationError(
+            f"horizon: {horizon} slots, need {trips} trips to {most} (48 h of loading)"
+        )
     return horizon
 
 

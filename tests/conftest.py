@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Iterator, Sequence
 
 import pytest
 
@@ -76,6 +77,36 @@ def reference_lp(model) -> str:
         lines.append(f" {name}")
     lines.append("End")
     return "\n".join(lines) + "\n"
+
+
+def _multiset_permutations(
+    values: Sequence[int], counts: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """Distinct permutations of a multiset, in lexicographic order."""
+    total = sum(counts)
+    counts = list(counts)
+    prefix: list[int] = []
+
+    def rec() -> Iterator[tuple[int, ...]]:
+        if len(prefix) == total:
+            yield tuple(prefix)
+            return
+        for i, value in enumerate(values):
+            if counts[i] > 0:
+                counts[i] -= 1
+                prefix.append(value)
+                yield from rec()
+                prefix.pop()
+                counts[i] += 1
+
+    return rec()
+
+
+def dispatch_sequences(instance: Instance) -> Iterator[tuple[int, ...]]:
+    """Every distinct dispatch sequence, in lexicographic order: the
+    reference enumeration the exact search is checked against."""
+    rows = sorted(instance.timings)  # site-id order
+    return _multiset_permutations([r[0] for r in rows], [r[1] for r in rows])
 
 
 def eight_oclock_depot(lt_min: int) -> DepotSpec:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -216,6 +219,33 @@ class TestSolve:
         assert code == 3
         assert captured.out == ""
         assert "horizon" in captured.err
+
+    def test_horizon_over_two_days_rejected(self, capsys, tmp_path):
+        # 10-minute loadings: 288 slots are 48 h; 50 million would be built
+        # as 200 million LP binaries.
+        code = main(["export-mip", EXAMPLE1, "--horizon", "50000000",
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "horizon" in captured.err and "48 h" in captured.err
+
+    def test_closed_stdout_exits_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before anything is written
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "rmcdp.cli", "solve", EXAMPLE1],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        # No traceback, and no "Exception ignored" note from the exit flush.
+        assert done.stderr == b""
 
     @pytest.mark.parametrize("algorithm", ["priority", "greedy", "exact", "grid-exact"])
     def test_bad_beta_or_trucks_rejected(self, capsys, algorithm):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -7,7 +8,6 @@ from rmcdp.graphs import (
     SizeCapError,
     build_graph,
     circuit_cost,
-    dispatch_sequences,
     enumerate_exact,
     greedy_solve,
     grid_exact,
@@ -31,7 +31,7 @@ from rmcdp.schedule import (
     trucks_required,
 )
 
-from conftest import random_instance, tight_gamma_instance
+from conftest import dispatch_sequences, random_instance, tight_gamma_instance
 
 MIN = 60
 
@@ -330,22 +330,42 @@ class TestGridExact:
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_leaf_rescoring_reference(self, seed):
-        instance = random_instance(random.Random(seed))
+        rng = random.Random(seed)
+        listed = random_instance(rng)
+        # Sites listed out of id order: ties go by site position.
+        shuffled = list(listed.sites)
+        rng.shuffle(shuffled)
+        shuffled = Instance(depot=listed.depot, sites=tuple(shuffled))
+        trips = total_trips(listed)
+        for instance, horizon, truck_limit in itertools.product(
+            (listed, shuffled), (trips, trips + 2, min(24, trips + 4)), (None, 1, 2, 3)
+        ):
+            gridded = grid_exact(instance, horizon, truck_limit)
+            objective, starts = reference_grid(instance, horizon, truck_limit)
+            assert gridded.objective == objective
+            if objective is None:
+                assert gridded.schedule is None
+                continue
+            assert {
+                site_id: [e.depot_start for e in entries]
+                for site_id, entries in gridded.schedule.by_site().items()
+            } == starts
+            assert check(instance, gridded.schedule, truck_limit=truck_limit).feasible
+            assert evaluate(instance, gridded.schedule).total_site_wait == objective
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_consecutive_without_truck_limit(self, seed):
+        # Repacking loads onto the first slots lengthens no gap, so without
+        # a fleet limit the grid optimum never leaves a slot idle.
+        instance = random_instance(random.Random(seed), max_total_trips=9)
         trips = total_trips(instance)
-        for horizon in (trips, trips + 2, min(24, trips + 4)):
-            for truck_limit in (None, 1, 2, 3):
-                gridded = grid_exact(instance, horizon, truck_limit)
-                objective, starts = reference_grid(instance, horizon, truck_limit)
-                assert gridded.objective == objective
-                if objective is None:
-                    assert gridded.schedule is None
-                    continue
-                assert {
-                    site_id: [e.depot_start for e in entries]
-                    for site_id, entries in gridded.schedule.by_site().items()
-                } == starts
-                assert check(instance, gridded.schedule, truck_limit=truck_limit).feasible
-                assert evaluate(instance, gridded.schedule).total_site_wait == objective
+        consecutive = enumerate_exact(instance)
+        for horizon in range(trips, min(24, 2 * trips) + 1):
+            gridded = grid_exact(instance, horizon)
+            assert gridded.objective == consecutive.objective
+            slots = {e.depot_start for e in gridded.schedule.entries}
+            start, lt = instance.depot.start_time, instance.depot.loading_time
+            assert slots == {start + slot * lt for slot in range(trips)}
 
     def test_truck_window_includes_its_end(self):
         # 10-minute loadings and a 90-minute window: a truck loaded in slot 1
