@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / feasible, 1 stdout closed early (no traceback), 2
 infeasible or no solution, 3 malformed input, 4 instance too large for
-exhaustive enumeration.
+exhaustive search (its sequence space or search depth is over its cap).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from functools import cache
 from pathlib import Path
 
@@ -59,6 +60,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise InputError(f"--threads: must be at least 1, got {args.threads}")
     if args.trucks is not None and args.trucks < 1:
         raise InputError(f"--trucks: must be at least 1, got {args.trucks}")
+    if args.horizon is not None and args.algorithm != "grid-exact":
+        raise InputError(f"--horizon: only grid-exact reads it, not {args.algorithm}")
     beta = parse_beta(args.beta)
     instance = rio.load_instance(args.instance)
     truck_limit = args.trucks if args.trucks is not None else instance.depot.truck_count
@@ -142,7 +145,8 @@ def cmd_space(args: argparse.Namespace) -> int:
         "sites": len(instance.sites),
         "total_trips": total_trips(instance),
         "loading_time_min": lt / 60,
-        "solution_space_size": str(solution_space_size(instance)),
+        # Decimal prints every digit; str() of an int stops at 4,300.
+        "solution_space_size": str(Decimal(solution_space_size(instance))),
         "truck_upper_bound": truck_upper_bound(gamma, lt),
         "trucks_per_window": gamma // lt,
     }

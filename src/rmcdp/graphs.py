@@ -14,11 +14,13 @@ the depot, its cost the total site waiting.  This module provides:
 
 Every search reads the integer site table ``Instance.timings``.  Both
 exact searches run one dynamic programme over slot prefixes,
-``_slot_search``, which prunes every schedule below a trip that breaks
-its site's pour window and breaks ties towards the assignment smallest in
-``(slot, site position)`` order.  It leaves a slot idle only under a
-fleet limit: otherwise repacking the loads onto the first slots shortens
-no gap, so an idle slot never lowers the waiting.
+``_slot_search``, whose one recursive walk prunes every schedule below a
+trip that breaks its site's pour window and breaks ties towards the
+assignment smallest in ``(slot, site position)`` order.  Its node keys
+also carry the idle slots used and the recent loads, which a fleet limit
+needs; without one both stay empty and no slot is left idle, since
+repacking the loads onto the first slots shortens no gap, so an idle slot
+never lowers the waiting.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from typing import Sequence
 from .model import (
     Instance,
     InputError,
+    SizeCapError,
     ValidationError,
+    check_search_depth,
     check_truck_limit,
     slot_horizon,
     solution_space_size,
@@ -47,10 +51,6 @@ from .schedule import (
 )
 
 ENUMERATION_CAP = 10_000_000
-
-
-class SizeCapError(InputError):
-    """The sequence space is too large for exhaustive enumeration."""
 
 
 @dataclass(frozen=True)
@@ -200,19 +200,18 @@ def _slot_search(
     in ``(slot, row position)`` order.  A child whose open gap passes its
     reach is pruned, so the count stays exact.
 
-    Without ``truck_limit`` no slot is left idle: repacking any
-    assignment's loads onto slots 1..T in the same order keeps it
-    feasible, lengthens no gap and delays no first trip, so it waits no
-    more and is smaller in the tie-break order.  The optimum and its
-    tie-break winner are consecutive, and ``horizon`` does not matter.
-
-    With ``truck_limit`` an idle slot can free a truck, so each node also
-    tries an idle child, after the sites to keep the tie-break.  The key
-    gains a digit for the idle slots used (radix ``horizon - trips + 1``)
-    and above it one bit per slot of the last ``gamma // L_t`` slots, set
-    where a truck was loaded; a site loads only while fewer than
-    ``truck_limit`` bits are set, the inclusive window
-    :func:`trucks_required` counts.
+    Below the site digits the key holds the fleet state: a digit for the
+    idle slots used (radix ``horizon - trips + 1``) and under it one bit
+    per slot of the last ``gamma // L_t`` slots, set where a truck was
+    loaded.  A site loads only while fewer than ``truck_limit`` bits are
+    set, the inclusive window :func:`trucks_required` counts, and each node
+    tries an idle child after the sites, since an idle slot can free a
+    truck.  Without ``truck_limit`` both are empty and no slot is left
+    idle: repacking any assignment's loads onto slots 1..T in the same
+    order keeps it feasible, lengthens no gap and delays no first trip, so
+    it waits no more and is smaller in the tie-break order.  The optimum
+    and its tie-break winner are then consecutive, and ``horizon`` does not
+    matter.
 
     Returns the feasible count, the least waiting and the winning schedule
     (both ``None`` when there is none), and the nodes solved.
@@ -224,15 +223,19 @@ def _slot_search(
     # Accessibility (L_t + h_i + U_i <= gamma_i) makes every reach at least
     # one slot, so a site's own next slot never breaks its window.
     reaches = [gamma // lt for gamma in gammas]
-    # Per site, a trips-left digit then a gap digit (0: unstarted or done).
-    left_weights, gap_weights, radix = [], [], 1
+    mask = spare = 0  # load bits and idle slots: none without a fleet limit
+    if truck_limit is not None:
+        mask, spare = (1 << instance.depot.gamma // lt) - 1, horizon - total
+    idle_weight = mask + 1
+    idle_cap = spare * idle_weight  # fleet digits of a node that may idle
+    low = idle_weight * (spare + 1)  # radix of the fleet digits
+    # Per site, above them, a trips-left digit then a gap digit (0:
+    # unstarted or done).
+    left_weights, gap_weights, radix = [], [], low
     for trips, reach in zip(left, reaches):
         left_weights.append(radix)
         gap_weights.append(radix * (trips + 1))
         radix *= (trips + 1) * (reach + 1)
-    spare = horizon - total  # idle slots the horizon leaves
-    idle_weight, busy_weight = radix, radix * (spare + 1)
-    busy_mask = (1 << instance.depot.gamma // lt) - 1 if truck_limit else 0
     idle = len(ids)
     sites = range(len(ids))
     last: list[int | None] = [None] * len(ids)  # slot of each site's last load
@@ -254,7 +257,7 @@ def _slot_search(
         return max(0, cost), key, opened + delta
 
     def walk(depth: int, key: int, opened: int) -> _Entry:
-        if depth == total:
+        if key < low:  # no trips left and no open gap
             return 1, 0, -1
         entry = memo.get(key)
         if entry is not None:
@@ -266,11 +269,17 @@ def _slot_search(
         ]
         # Two of them cannot both load now, so the node is dead.
         candidates = () if len(due) > 1 else due or sites
+        loaded = key  # the key with the load bits a load at ``depth`` leaves
+        if mask:
+            busy = key & mask
+            if busy.bit_count() >= truck_limit:  # every truck still out
+                candidates = ()
+            loaded += ((busy << 1 | 1) & mask) - busy
         count, best, choice = 0, None, -1
         for k in candidates:
             if not left[k]:
                 continue
-            cost, child_key, child_opened = child(depth, k, key, opened)
+            cost, child_key, child_opened = child(depth, k, loaded, opened)
             previous = last[k]
             left[k] -= 1
             last[k] = depth
@@ -281,59 +290,27 @@ def _slot_search(
                 count += below
                 if best is None or wait + cost < best:
                     best, choice = wait + cost, k
-        entry = memo[key] = (count, best, choice)
-        return entry
-
-    def walk_limited(depth: int, key: int, opened: int, busy: int) -> _Entry:
-        # walk with the fleet limit on the load bits and an idle child.
-        if key % idle_weight == 0:  # no trips left and no open gap
-            return 1, 0, -1
-        node = key + busy * busy_weight
-        entry = memo.get(node)
-        if entry is not None:
-            return entry
-        due = [
-            i for i in sites
-            if left[i] and last[i] is not None and last[i] + reaches[i] == depth
-        ]
-        full = busy.bit_count() >= truck_limit  # every truck still out
-        candidates = () if len(due) > 1 or full else due or sites
-        loaded = (busy << 1 | 1) & busy_mask
-        count, best, choice = 0, None, -1
-        for k in candidates:
-            if not left[k]:
-                continue
-            cost, child_key, child_opened = child(depth, k, key, opened)
-            previous = last[k]
-            left[k] -= 1
-            last[k] = depth
-            below, wait, _ = walk_limited(depth + 1, child_key, child_opened, loaded)
-            last[k] = previous
-            left[k] += 1
-            if below:
-                count += below
-                if best is None or wait + cost < best:
-                    best, choice = wait + cost, k
-        if not due and key // idle_weight < spare:
-            below, wait, _ = walk_limited(
-                depth + 1, key + opened + idle_weight, opened, busy << 1 & busy_mask
+        # Idle after the sites, while the horizon spares a slot: never
+        # without a fleet limit, where ``idle_cap`` is 0.
+        if key % low < idle_cap and not due:
+            busy = key & mask
+            below, wait, _ = walk(
+                depth + 1, key + opened + idle_weight + (busy << 1 & mask) - busy, opened
             )
             if below:
                 count += below
                 if best is None or wait < best:
                     best, choice = wait, idle
-        entry = memo[node] = (count, best, choice)
+        entry = memo[key] = (count, best, choice)
         return entry
 
     key = sum(trips * weight for trips, weight in zip(left, left_weights))
-    if truck_limit is None:
-        feasible, objective, _ = walk(0, key, 0)
-    else:
-        feasible, objective, _ = walk_limited(0, key, 0, 0)
+    feasible, objective, _ = walk(0, key, 0)
     slots: dict[TripId, int] = {}
-    depth = opened = busy = 0
+    depth = opened = 0
     while feasible and len(slots) < total:
-        k = memo[key + busy * busy_weight][2]
+        k = memo[key][2]
+        busy = key & mask
         if k == idle:
             key += opened + idle_weight
         else:
@@ -341,7 +318,7 @@ def _slot_search(
             slots[TripId(ids[k], rows[k][1] - left[k] + 1)] = depth + 1
             left[k] -= 1
             last[k] = depth
-        busy = (busy << 1 | (k != idle)) & busy_mask
+        key += ((busy << 1 | (k != idle)) & mask) - busy
         depth += 1
     schedule = schedule_from_slots(instance, slots) if feasible else None
     return feasible, objective, schedule, len(memo)
@@ -355,15 +332,16 @@ def enumerate_exact(
     The sites are searched in id order by :func:`_slot_search`, so ties go
     to the smallest sequence.  ``feasible_count`` counts the feasible
     sequences exactly, ``visited`` reports the whole space and ``states``
-    is the number of nodes solved.
+    is the number of nodes solved.  A space above ``ENUMERATION_CAP`` or
+    more trips than ``SEARCH_MAX_DEPTH`` raises :class:`SizeCapError`.
     """
     check_truck_limit(truck_limit)
     size = solution_space_size(instance)
     if size > ENUMERATION_CAP:
-        raise SizeCapError(
-            f"sequence space has {size} members, above the cap of {ENUMERATION_CAP}"
-        )
+        # The size itself can pass the digits str() of an int may print.
+        raise SizeCapError(f"sequence space is above the cap of {ENUMERATION_CAP}")
     total = total_trips(instance)
+    check_search_depth("exact search", total, "trips")
     # Consecutive slots: peak fleet need is the number of loadings inside
     # one inclusive gamma window, the same for every sequence.
     lt = instance.depot.loading_time

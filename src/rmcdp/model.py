@@ -36,6 +36,16 @@ class ValidationError(InputError):
     """Instance data or a solver argument violates a structural invariant."""
 
 
+class SizeCapError(InputError):
+    """The instance is too large for exhaustive search."""
+
+
+#: Levels a recursive search may descend, one stack frame each: trips for
+#: the exact search, sites for the priority search.  Python's default
+#: recursion limit of 1,000 frames leaves room for the caller above it.
+SEARCH_MAX_DEPTH = 500
+
+
 def _fraction(value: float | int | str, what: str) -> Fraction:
     """Exact rational view of a JSON-ish number."""
     try:
@@ -258,6 +268,14 @@ def check_truck_limit(truck_limit: int | None) -> None:
     """Reject a fleet limit below one truck; ``None`` means no limit."""
     if truck_limit is not None and truck_limit <= 0:
         raise ValidationError("truck_limit: must be positive when given")
+
+
+def check_search_depth(search: str, depth: int, levels: str) -> None:
+    """Reject a search of more than :data:`SEARCH_MAX_DEPTH` levels."""
+    if depth > SEARCH_MAX_DEPTH:
+        raise SizeCapError(
+            f"{search} supports at most {SEARCH_MAX_DEPTH} {levels}, got {depth}"
+        )
 
 
 def truck_upper_bound(gamma: int, load_time: int) -> int:

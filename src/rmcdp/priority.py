@@ -39,7 +39,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import DepotSpec, Instance, ValidationError, _fraction, check_truck_limit
+from .model import (
+    DepotSpec,
+    Instance,
+    ValidationError,
+    _fraction,
+    check_search_depth,
+    check_truck_limit,
+)
 from .schedule import Schedule, TripId, schedule_from_slots
 
 
@@ -213,9 +220,11 @@ def priority_solve(
     dynamic programming over ``(sites left, slot frontier)``; the stats
     report the ``n!`` permutations, how many are feasible, and the nodes
     solved (``states``) and answered again from the memo (``memo_hits``).
+    More sites than ``SEARCH_MAX_DEPTH`` raise ``SizeCapError``.
     """
     beta = parse_beta(beta)
     check_truck_limit(truck_limit)
+    check_search_depth("priority search", len(instance.sites), "sites")
 
     started = time.perf_counter()
     depot = instance.depot

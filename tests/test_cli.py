@@ -19,6 +19,23 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def uniform_sites(tmp_path, trips, sites=1, productivity=600):
+    """An instance file of ``sites`` sites of ``trips`` trips each, loaded in
+    ``36_000 // productivity`` s (one minute at the default)."""
+    doc = {
+        "depot": {"start": "0:00", "plant_capacity": 10, "productivity": productivity,
+                  "truck_capacity": 10, "gamma": 90},
+        "sites": [
+            {"id": i, "demand": 10 * trips, "distance": 1, "speed": 60, "unload": 20,
+             "proposed_start": "0:00"}
+            for i in range(1, sites + 1)
+        ],
+    }
+    path = tmp_path / f"{sites}x{trips}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestSolve:
     def test_priority_on_reference_instance(self, capsys):
         code, out = run(capsys, "solve", INSTANCE1)
@@ -220,6 +237,35 @@ class TestSolve:
         assert captured.out == ""
         assert "horizon" in captured.err
 
+    @pytest.mark.parametrize("algorithm", ["priority", "greedy", "exact"])
+    def test_horizon_only_for_grid_exact(self, capsys, algorithm):
+        code = main(["solve", EXAMPLE1, "--algorithm", algorithm, "--horizon", "8"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --horizon: only grid-exact reads it, not {algorithm}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "algorithm, at_cap, over_cap, levels",
+        [("exact", (500, 1), (501, 1), "trips"), ("priority", (1, 500), (1, 501), "sites")],
+    )
+    def test_search_depth_cap(self, capsys, tmp_path, algorithm, at_cap, over_cap, levels):
+        # One recursion level per trip (exact) or per site (priority): the
+        # cap solves, one more is refused before the search recurses.
+        code, out = run(capsys, "solve", uniform_sites(tmp_path, *at_cap),
+                        "--algorithm", algorithm)
+        assert code == 0
+        assert json.loads(out)["feasible"] is True
+        code = main(["solve", uniform_sites(tmp_path, *over_cap), "--algorithm", algorithm])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {algorithm} search supports at most 500 {levels}, got 501\n"
+        )
+
     def test_horizon_over_two_days_rejected(self, capsys, tmp_path):
         # 10-minute loadings: 288 slots are 48 h; 50 million would be built
         # as 200 million LP binaries.
@@ -331,6 +377,19 @@ class TestCheck:
 
 
 class TestSpace:
+    def test_size_over_int_print_limit(self, capsys, tmp_path):
+        # 2,000 one-trip sites at 1-second loading: 2000! has 5,736 digits,
+        # more than str() prints of an int.
+        path = uniform_sites(tmp_path, 1, sites=2000, productivity=36_000)
+        code, out = run(capsys, "space", path)
+        assert code == 0
+        size = json.loads(out)["solution_space_size"]
+        assert (len(size), size[:6], size[-4:]) == (5736, "331627", "0000")
+        code = main(["solve", path, "--algorithm", "exact"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.err == "error: sequence space is above the cap of 10000000\n"
+
     def test_reference_instance(self, capsys):
         code, out = run(capsys, "space", INSTANCE1)
         payload = json.loads(out)

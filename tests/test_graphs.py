@@ -148,6 +148,30 @@ def reference_grid(instance, horizon, truck_limit=None):
     return best[0], starts
 
 
+def assert_grid_matches_reference(listed, rng, horizons):
+    """``grid_exact`` equals :func:`reference_grid` on ``listed`` and on its
+    sites shuffled by ``rng``, at each horizon and truck limit."""
+    # Sites listed out of id order: ties go by site position.
+    shuffled = list(listed.sites)
+    rng.shuffle(shuffled)
+    shuffled = Instance(depot=listed.depot, sites=tuple(shuffled))
+    for instance, horizon, truck_limit in itertools.product(
+        (listed, shuffled), horizons, (None, 1, 2, 3)
+    ):
+        gridded = grid_exact(instance, horizon, truck_limit)
+        objective, starts = reference_grid(instance, horizon, truck_limit)
+        assert gridded.objective == objective
+        if objective is None:
+            assert gridded.schedule is None
+            continue
+        assert {
+            site_id: [e.depot_start for e in entries]
+            for site_id, entries in gridded.schedule.by_site().items()
+        } == starts
+        assert check(instance, gridded.schedule, truck_limit=truck_limit).feasible
+        assert evaluate(instance, gridded.schedule).total_site_wait == objective
+
+
 class TestBuildGraph:
     def test_one_label_per_trip(self, example1):
         graph = build_graph(example1)
@@ -332,26 +356,18 @@ class TestGridExact:
     def test_matches_leaf_rescoring_reference(self, seed):
         rng = random.Random(seed)
         listed = random_instance(rng)
-        # Sites listed out of id order: ties go by site position.
-        shuffled = list(listed.sites)
-        rng.shuffle(shuffled)
-        shuffled = Instance(depot=listed.depot, sites=tuple(shuffled))
         trips = total_trips(listed)
-        for instance, horizon, truck_limit in itertools.product(
-            (listed, shuffled), (trips, trips + 2, min(24, trips + 4)), (None, 1, 2, 3)
-        ):
-            gridded = grid_exact(instance, horizon, truck_limit)
-            objective, starts = reference_grid(instance, horizon, truck_limit)
-            assert gridded.objective == objective
-            if objective is None:
-                assert gridded.schedule is None
-                continue
-            assert {
-                site_id: [e.depot_start for e in entries]
-                for site_id, entries in gridded.schedule.by_site().items()
-            } == starts
-            assert check(instance, gridded.schedule, truck_limit=truck_limit).feasible
-            assert evaluate(instance, gridded.schedule).total_site_wait == objective
+        assert_grid_matches_reference(
+            listed, rng, (trips, trips + 2, min(24, trips + 4))
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_leaf_rescoring_reference_under_tight_pour_windows(self, seed):
+        # Dead nodes (two sites due at once) beside idle children and load bits.
+        rng = random.Random(seed)
+        listed = tight_gamma_instance(rng, max_total_trips=6)
+        trips = total_trips(listed)
+        assert_grid_matches_reference(listed, rng, (trips, trips + 2))
 
     @pytest.mark.parametrize("seed", range(15))
     def test_consecutive_without_truck_limit(self, seed):
