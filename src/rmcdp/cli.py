@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / feasible, 1 stdout closed early (no traceback), 2
-infeasible or no solution, 3 malformed input, 4 instance too large for
-exhaustive search (its sequence space or search depth is over its cap).
+infeasible or no solution, 3 malformed input or usage, 4 instance too large
+for exhaustive search (its sequence space or a search size is over its cap).
 """
 
 from __future__ import annotations
@@ -324,8 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:  # --help exits 0
+            raise
+        return EXIT_INPUT  # argparse's usage error; 2 means infeasible here
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

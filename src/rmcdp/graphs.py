@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .model import (
+    SEARCH_MAX_DEPTH,
     Instance,
     InputError,
     SizeCapError,
-    ValidationError,
-    check_search_depth,
+    check_search_size,
     check_truck_limit,
     slot_horizon,
     solution_space_size,
@@ -334,6 +334,9 @@ def enumerate_exact(
     sequences exactly, ``visited`` reports the whole space and ``states``
     is the number of nodes solved.  A space above ``ENUMERATION_CAP`` or
     more trips than ``SEARCH_MAX_DEPTH`` raises :class:`SizeCapError`.
+    Without a fleet limit some sequence is always feasible: loading each
+    site's trips back to back keeps every gap at one slot, within the reach
+    accessibility (``L_t + h_i + U_i <= gamma_i``) gives every site.
     """
     check_truck_limit(truck_limit)
     size = solution_space_size(instance)
@@ -341,7 +344,7 @@ def enumerate_exact(
         # The size itself can pass the digits str() of an int may print.
         raise SizeCapError(f"sequence space is above the cap of {ENUMERATION_CAP}")
     total = total_trips(instance)
-    check_search_depth("exact search", total, "trips")
+    check_search_size("exact search", total, SEARCH_MAX_DEPTH, "trips")
     # Consecutive slots: peak fleet need is the number of loadings inside
     # one inclusive gamma window, the same for every sequence.
     lt = instance.depot.loading_time
@@ -351,8 +354,6 @@ def enumerate_exact(
     feasible, objective, schedule, states = _slot_search(
         instance, sorted(instance.timings), total, None
     )
-    if schedule is None:
-        return EnumerationResult(None, None, None, size, 0, states)
     return EnumerationResult(
         schedule, schedule.dispatch_sequence(), objective, size, feasible, states
     )
@@ -372,24 +373,14 @@ def grid_exact(
     ``(slot, site position)``.  With ``truck_limit`` a slot is used only
     while fewer than that many loadings fall in the inclusive gamma window
     ending at it.  ``horizon`` is the number of loading slots, twice the
-    trip count unless given; the instance size is capped hard.
+    trip count unless given.  More sites, trips or slots than the
+    ``GRID_MAX_*`` caps raise :class:`SizeCapError`; a horizon outside
+    :func:`slot_horizon`'s range stays a :class:`ValidationError`.
     """
-    trips = total_trips(instance)
-    if len(instance.sites) > GRID_MAX_SITES:
-        raise ValidationError(
-            f"grid search supports at most {GRID_MAX_SITES} sites"
-        )
-    if trips > GRID_MAX_TRIPS:
-        raise ValidationError(
-            f"grid search supports at most {GRID_MAX_TRIPS} trips"
-        )
-    # Any horizon above the cap holds the capped trip count, so the order of
-    # the two horizon checks does not matter.
+    check_search_size("grid search", len(instance.sites), GRID_MAX_SITES, "sites")
+    check_search_size("grid search", total_trips(instance), GRID_MAX_TRIPS, "trips")
     horizon = slot_horizon(instance, horizon)
-    if horizon > GRID_MAX_HORIZON:
-        raise ValidationError(
-            f"grid search supports a horizon of at most {GRID_MAX_HORIZON} slots"
-        )
+    check_search_size("grid search", horizon, GRID_MAX_HORIZON, "slots")
     check_truck_limit(truck_limit)
 
     _, objective, schedule, _ = _slot_search(

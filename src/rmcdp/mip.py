@@ -295,24 +295,18 @@ def validate_solution(
     ``X_t{slot}_s{site}_j{trip}`` within the horizon and the instance's
     trips, are read; other names are ignored.
     """
-    horizon = slot_horizon(instance, horizon)
-    expected = set(instance.trips)
+    binaries = {
+        f"X_t{slot}_s{trip.site_id}_j{trip.trip_index}": (slot, trip)
+        for slot in range(1, slot_horizon(instance, horizon) + 1)
+        for trip in instance.trips
+    }
 
     chosen: dict[TripId, int] = {}
     slot_users: dict[int, list[TripId]] = {}
     for name, value in assignment.items():
-        try:
-            _, t_part, s_part, j_part = name.split("_")
-            slot, trip = int(t_part[1:]), TripId(int(s_part[1:]), int(j_part[1:]))
-        except ValueError:
+        if name not in binaries or not value > 0.5:
             continue
-        if (
-            name != f"X_t{slot}_s{trip.site_id}_j{trip.trip_index}"
-            or not 1 <= slot <= horizon
-            or trip not in expected
-            or not value > 0.5
-        ):
-            continue
+        slot, trip = binaries[name]
         chosen[trip] = slot
         slot_users.setdefault(slot, []).append(trip)
 

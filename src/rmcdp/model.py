@@ -270,12 +270,10 @@ def check_truck_limit(truck_limit: int | None) -> None:
         raise ValidationError("truck_limit: must be positive when given")
 
 
-def check_search_depth(search: str, depth: int, levels: str) -> None:
-    """Reject a search of more than :data:`SEARCH_MAX_DEPTH` levels."""
-    if depth > SEARCH_MAX_DEPTH:
-        raise SizeCapError(
-            f"{search} supports at most {SEARCH_MAX_DEPTH} {levels}, got {depth}"
-        )
+def check_search_size(search: str, size: int, cap: int, unit: str) -> None:
+    """Reject an exhaustive search over more than ``cap`` ``unit``."""
+    if size > cap:
+        raise SizeCapError(f"{search} supports at most {cap} {unit}, got {size}")
 
 
 def truck_upper_bound(gamma: int, load_time: int) -> int:

@@ -40,11 +40,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import (
+    SEARCH_MAX_DEPTH,
     DepotSpec,
     Instance,
     ValidationError,
     _fraction,
-    check_search_depth,
+    check_search_size,
     check_truck_limit,
 )
 from .schedule import Schedule, TripId, schedule_from_slots
@@ -138,6 +139,8 @@ def _search(
         """Book one site of ``group`` at ``level``: the grid after it, its
         slots and its waiting, or ``None`` when it breaks its pour window."""
         trips, offset, step, reach, planned, _ = group
+        if trips > 1 and step > reach:  # no later trip can land within reach
+            return None
         first = slot = free(booked, level + 1)
         booked |= 1 << slot
         slots = [slot]
@@ -224,7 +227,7 @@ def priority_solve(
     """
     beta = parse_beta(beta)
     check_truck_limit(truck_limit)
-    check_search_depth("priority search", len(instance.sites), "sites")
+    check_search_size("priority search", len(instance.sites), SEARCH_MAX_DEPTH, "sites")
 
     started = time.perf_counter()
     depot = instance.depot

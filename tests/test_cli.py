@@ -11,6 +11,7 @@ from rmcdp.io import bundled_instance_path, bundled_schedule_path
 
 EXAMPLE1 = str(bundled_instance_path("example-1"))
 INSTANCE1 = str(bundled_instance_path("instance-1"))
+INSTANCE2 = str(bundled_instance_path("instance-2"))
 GOLDEN = str(bundled_schedule_path("instance-1-schedule"))
 
 
@@ -266,6 +267,34 @@ class TestSolve:
             f"error: {algorithm} search supports at most 500 {levels}, got 501\n"
         )
 
+    def test_grid_caps_exit_code(self, capsys, tmp_path):
+        # Over a grid cap is too large for exhaustive search (4), like the
+        # exact and priority caps; a horizon outside 4..288 slots is
+        # malformed input (3).
+        doc = json.loads(Path(EXAMPLE1).read_text())
+        doc["sites"].append({**doc["sites"][0], "id": 3})
+        for site, demand in zip(doc["sites"], (40, 30, 30)):
+            site["demand"] = demand
+        ten_trips = tmp_path / "ten-trips.json"
+        ten_trips.write_text(json.dumps(doc))
+        for argv, code, message in [
+            ([INSTANCE2], 4, "grid search supports at most 3 sites, got 9"),
+            ([str(ten_trips)], 4, "grid search supports at most 9 trips, got 10"),
+            ([EXAMPLE1, "--horizon", "25"], 4, "grid search supports at most 24 slots, got 25"),
+            ([EXAMPLE1, "--horizon", "3"], 3, "horizon: 3 slots, need 4 trips to 288"),
+            ([EXAMPLE1, "--horizon", "289"], 3, "horizon: 289 slots, need 4 trips to 288"),
+        ]:
+            assert main(["solve", *argv, "--algorithm", "grid-exact"]) == code, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {message}"), argv
+
+    @pytest.mark.parametrize("beta", ["1e20", "1e308"])
+    def test_huge_beta_under_fleet_limit_is_infeasible(self, capsys, beta):
+        code, out = run(capsys, "solve", INSTANCE1, "--beta", beta, "--trucks", "3")
+        assert code == 2
+        assert json.loads(out)["feasible"] is False
+
     def test_horizon_over_two_days_rejected(self, capsys, tmp_path):
         # 10-minute loadings: 288 slots are 48 h; 50 million would be built
         # as 200 million LP binaries.
@@ -320,6 +349,33 @@ class TestParser:
         assert (info.misses, info.hits) == (1, 2)
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", EXAMPLE1, "--trucks", "abc"],
+         ["solve", EXAMPLE1, "--algorithm", "nope"],
+         []],
+        ids=["trucks-abc", "algorithm-nope", "no-command"],
+    )
+    def test_usage_error_exit_code(self, capsys, argv):
+        # argparse's own message, but exit 3: its 2 means infeasible here.
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(argv)
+        assert raised.value.code == 2
+        usage = capsys.readouterr().err
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == usage
+        assert "error:" in usage
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rmcdp")
+
+
 class TestCheck:
     def test_golden_schedule_is_feasible(self, capsys):
         code, out = run(capsys, "check", INSTANCE1, GOLDEN)
@@ -355,6 +411,27 @@ class TestCheck:
         assert code == 3
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "old, new, detail",
+        [
+            ("\n1,5,9:40,", "\n1,9,9:40,", "unknown trip"),
+            ("\n1,5,9:40,", "\n1,4,9:40,", "duplicated trip"),
+            ("\n1,1,8:00,8:35,9:00,10\n1,2,8:25,",
+             "\n1,2,8:00,8:35,9:00,10\n1,1,8:25,",
+             "site 1 trip order disagrees with depot times"),
+        ],
+        ids=["unknown", "duplicated", "order"],
+    )
+    def test_edited_golden_coverage_violation(self, capsys, tmp_path, old, new, detail):
+        text = Path(GOLDEN).read_text()
+        assert old in text
+        path = tmp_path / "edited.csv"
+        path.write_text(text.replace(old, new))
+        code, out = run(capsys, "check", INSTANCE1, str(path))
+        assert code == 2
+        violations = json.loads(out)["violations"]
+        assert any(v["kind"] == "coverage" and v["detail"] == detail for v in violations)
 
     def test_schedule_not_utf8_exit_code(self, capsys, tmp_path):
         path = tmp_path / "latin-1.csv"

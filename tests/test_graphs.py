@@ -31,7 +31,12 @@ from rmcdp.schedule import (
     trucks_required,
 )
 
-from conftest import dispatch_sequences, random_instance, tight_gamma_instance
+from conftest import (
+    dispatch_sequences,
+    eight_oclock_depot,
+    random_instance,
+    tight_gamma_instance,
+)
 
 MIN = 60
 
@@ -235,6 +240,21 @@ class TestGreedy:
         # pick takes label 2, the cheapest non-negative option.
         assert result.steps[1].chosen_label == 2
 
+    def test_all_negative_costs_pick_the_largest(self):
+        # With every remaining label negative the truck idles whatever is
+        # picked; the least idle (largest cost) wins, ties to the lowest id.
+        reached = 0
+        for seed in range(200):
+            steps = greedy_solve(random_instance(random.Random(seed))).steps
+            for before, step in zip(steps, steps[1:]):
+                if all(cost < 0 for cost in before.costs.values()):
+                    reached += 1
+                    largest = max(before.costs.values())
+                    assert step.chosen_label == min(
+                        l for l, cost in before.costs.items() if cost == largest
+                    )
+        assert reached >= 5
+
     @pytest.mark.parametrize("seed", range(25))
     def test_never_beats_exact_optimum(self, seed):
         rng = random.Random(seed)
@@ -297,6 +317,15 @@ class TestEnumerateExact:
     def test_cap_raises(self, instance1):
         with pytest.raises(SizeCapError):
             enumerate_exact(instance1)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_always_feasible_without_fleet_limit(self, seed):
+        # Loading each site's trips back to back keeps every gap at one
+        # slot, which accessibility puts within every site's reach.
+        for make in (random_instance, tight_gamma_instance):
+            result = enumerate_exact(make(random.Random(seed)))
+            assert result.schedule is not None
+            assert result.feasible_count >= 1
 
     @pytest.mark.parametrize("truck_limit", TRUCK_LIMITS)
     @pytest.mark.parametrize("seed", range(40))
@@ -401,9 +430,27 @@ class TestGridExact:
         ]
         assert check(instance, gridded.schedule, truck_limit=1).feasible
 
-    def test_caps_enforced(self, instance2):
-        with pytest.raises(ValidationError):
+    def test_caps_enforced(self, instance2, example1):
+        # Over a cap is too large for the search, not malformed input.
+        with pytest.raises(SizeCapError, match="at most 3 sites, got 9"):
             grid_exact(instance2, horizon=50)
+        ten_trips = Instance(
+            depot=eight_oclock_depot(10),
+            sites=tuple(
+                SiteSpec(id=sid, demand=demand, distance=10, speed=60,
+                         unload_time=20 * MIN, proposed_start=8 * 3600)
+                for sid, demand in ((1, 40), (2, 30), (3, 30))
+            ),
+        )
+        with pytest.raises(SizeCapError, match="at most 9 trips, got 10"):
+            grid_exact(ten_trips)
+        with pytest.raises(SizeCapError, match="at most 24 slots, got 25"):
+            grid_exact(example1, horizon=25)
+        assert grid_exact(example1, horizon=24).schedule is not None
+        # A horizon outside the slot range stays malformed input.
+        for horizon in (3, 289):
+            with pytest.raises(ValidationError, match="horizon"):
+                grid_exact(example1, horizon=horizon)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_never_worse_than_consecutive_enumeration(self, seed):

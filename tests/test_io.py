@@ -18,6 +18,7 @@ from rmcdp.model import InputError
 from rmcdp.schedule import expand_consecutive
 
 MIN = 60
+HEADER = "site,trip,depot_start,site_start,site_end,delivery"
 
 
 class TestParseTime:
@@ -229,6 +230,25 @@ class TestScheduleCsv:
         )
         with pytest.raises(InputError):
             read_schedule_csv(path, example1)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", f":1: expected header {HEADER}"),
+            ("site,trip,depot_start,site_start,site_end\n", f":1: expected header {HEADER}"),
+            (f"{HEADER}\n1,1,8:00,8:20,8:40\n", ":2: expected 6 fields"),
+            (f"{HEADER}\n\n1,1,8:00,8:20,8:40,10,x\n", ":3: expected 6 fields"),
+            (f"{HEADER}\none,1,8:00,8:20,8:40,10\n", ":2: site and trip must be integers"),
+            (f"{HEADER}\n1,1.5,8:00,8:20,8:40,10\n", ":2: site and trip must be integers"),
+        ],
+        ids=["empty", "short-header", "short-row", "long-row", "site-text", "trip-fraction"],
+    )
+    def test_malformed_rows_rejected(self, example1, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InputError) as raised:
+            read_schedule_csv(path, example1)
+        assert str(raised.value) == f"{path}{message}"
 
     @pytest.mark.parametrize("delivery", ["nan", "inf", "-inf", "NaN", "Infinity", "ten"])
     def test_non_finite_delivery_rejected(self, example1, tmp_path, delivery):

@@ -287,6 +287,21 @@ class TestValidateSolution:
         assert "c_eq30" in report.violations[0].detail
         assert "c_eq29" in report.violations[1].detail
 
+    def test_gap_below_unloading_time_reported(self, example1):
+        # Back-to-back loads 10 min apart at a site that unloads for 20:
+        # check accepts the truck idling, the model's c_eq24 row does not.
+        schedule = expand_consecutive(example1, (1, 1, 2, 2))
+        assignment = encode_schedule(example1, 6, schedule)
+        report, objective = validate_solution(example1, 6, assignment)
+        assert objective is None
+        found = [(v.kind, v.trips, v.measured, v.bound, v.detail) for v in report.violations]
+        assert found == [
+            ("model_row", (TripId(1, 1), TripId(1, 2)), 10 * MIN, 20 * MIN,
+             "c_eq24_s1_j1: gap below unloading time"),
+            ("model_row", (TripId(2, 1), TripId(2, 2)), 10 * MIN, 20 * MIN,
+             "c_eq24_s2_j1: gap below unloading time"),
+        ]
+
     @pytest.mark.parametrize("seed", range(10))
     def test_idle_free_schedules_always_validate(self, seed):
         rng = random.Random(seed)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -176,6 +177,26 @@ class TestPrioritySolve:
     def test_non_numeric_beta_rejected(self, example1, beta):
         with pytest.raises(ValidationError, match="beta: not a number"):
             priority_solve(example1, beta=beta)
+
+    @pytest.mark.parametrize("beta", ["1e20", "1e308"])
+    @pytest.mark.parametrize("truck_limit", [None, 3, 17])
+    def test_huge_beta_breaks_every_pour_window(self, instance1, beta, truck_limit):
+        # A later trip aims about 10^20 slots past its previous one, far
+        # beyond its reach: refused before the slot grid is searched there.
+        result = priority_solve(instance1, beta=beta, truck_limit=truck_limit)
+        assert result.schedule is None
+        assert (result.stats.feasible_count, result.stats.states) == (0, 1)
+
+    def test_huge_beta_leaves_one_trip_sites_alone(self, example1):
+        one_trip = Instance(
+            depot=example1.depot,
+            sites=tuple(dataclasses.replace(site, demand=10) for site in example1.sites),
+        )
+        paced = priority_solve(one_trip, beta="1e308", truck_limit=1)
+        assert paced.schedule is not None
+        assert paced.stats == dataclasses.replace(
+            priority_solve(one_trip, truck_limit=1).stats, runtime=paced.stats.runtime
+        )
 
     @pytest.mark.parametrize("seed", range(15))
     def test_never_beats_exhaustive_grid(self, seed):
