@@ -16,11 +16,12 @@ Every search reads the integer site table ``Instance.timings``.  Both
 exact searches run one dynamic programme over slot prefixes,
 ``_slot_search``, whose one recursive walk prunes every schedule below a
 trip that breaks its site's pour window and breaks ties towards the
-assignment smallest in ``(slot, site position)`` order.  Its node keys
-also carry the idle slots used and the recent loads, which a fleet limit
-needs; without one both stay empty and no slot is left idle, since
-repacking the loads onto the first slots shortens no gap, so an idle slot
-never lowers the waiting.
+assignment smallest in ``(slot, site position)`` order.  Each memo entry
+links to the entry of its best child, so the winner is read off by
+following links from the root.  Its node keys also carry the idle slots
+used and the recent loads, which a fleet limit needs; without one both
+stay empty and no slot is left idle, since repacking the loads onto the
+first slots shortens no gap, so an idle slot never lowers the waiting.
 """
 
 from __future__ import annotations
@@ -175,9 +176,11 @@ class EnumerationResult:
 
 
 #: What the search found below one node: feasible completions, their least
-#: total waiting (``None`` when there is none), and the site index the best
-#: completion loads next (the number of sites for an idle slot).
-_Entry = tuple[int, int | None, int]
+#: total waiting (``None`` when there is none), the site index the best
+#: completion loads next (the number of sites for an idle slot) and the
+#: entry of the child it leads to (``None`` when there is none).
+_Entry = tuple[int, int | None, int, "_Entry | None"]
+_LEAF: _Entry = (1, 0, -1, None)  # every node with nothing left to load
 
 
 def _slot_search(
@@ -191,14 +194,19 @@ def _slot_search(
 
     Slot ``d`` (from 0) loads at ``start + d * L_t``, so below a prefix
     only each site's trips left and, for a site started but unfinished,
-    its gap ``g`` (slots since its last load) matter: a next trip waits
-    ``max(0, g * L_t - U_i)`` and breaks the pour window when
-    ``g > gamma_i // L_t``, the site's reach.  A node is keyed by those two
-    digits per site in one mixed-radix int and keeps its count of feasible
-    completions, their least waiting and its best next choice: the first
-    with strictly the least waiting, so ties go to the assignment smallest
-    in ``(slot, row position)`` order.  A child whose open gap passes its
-    reach is pruned, so the count stays exact.
+    the slot of its last load matter: a next trip at ``d`` waits
+    ``max(0, g * L_t - U_i)`` for the gap ``g`` since that load, and breaks
+    the pour window when ``g > gamma_i // L_t``, the site's reach.  A node
+    is keyed by two digits per site in one mixed-radix int: the trips left
+    and the last-load slot plus one (radix ``horizon + 1``; 0 while
+    unstarted or done).  The trips done and the idle slots used, both in
+    the key, fix the node's depth, so the last-load slot and the gap carry
+    the same information.  A node keeps its count of feasible completions,
+    their least waiting, its best next choice (the first with strictly the
+    least waiting, so ties go to the assignment smallest in ``(slot, row
+    position)`` order) and the entry of that child; the winner is read off
+    by following those links from the root.  A child whose gap would pass
+    its reach is pruned, so the count stays exact.
 
     Below the site digits the key holds the fleet state: a digit for the
     idle slots used (radix ``horizon - trips + 1``) and under it one bit
@@ -219,53 +227,35 @@ def _slot_search(
     lt = instance.depot.loading_time
     start = instance.depot.start_time
     ids, left, offsets, unloads, gammas = map(list, zip(*rows))
-    total = sum(left)
     # Accessibility (L_t + h_i + U_i <= gamma_i) makes every reach at least
     # one slot, so a site's own next slot never breaks its window.
     reaches = [gamma // lt for gamma in gammas]
     mask = spare = 0  # load bits and idle slots: none without a fleet limit
     if truck_limit is not None:
-        mask, spare = (1 << instance.depot.gamma // lt) - 1, horizon - total
+        mask, spare = (1 << instance.depot.gamma // lt) - 1, horizon - sum(left)
     idle_weight = mask + 1
     idle_cap = spare * idle_weight  # fleet digits of a node that may idle
     low = idle_weight * (spare + 1)  # radix of the fleet digits
-    # Per site, above them, a trips-left digit then a gap digit (0:
-    # unstarted or done).
-    left_weights, gap_weights, radix = [], [], low
-    for trips, reach in zip(left, reaches):
+    # Per site, above them, a trips-left digit then a last-load digit.
+    left_weights, last_weights, radix = [], [], low
+    for trips in left:
         left_weights.append(radix)
-        gap_weights.append(radix * (trips + 1))
-        radix *= (trips + 1) * (reach + 1)
+        last_weights.append(radix * (trips + 1))
+        radix *= (trips + 1) * (horizon + 1)
     idle = len(ids)
     sites = range(len(ids))
-    last: list[int | None] = [None] * len(ids)  # slot of each site's last load
+    last = [0] * len(ids)  # each site's last-load slot plus one, 0 if none
     memo: dict[int, _Entry] = {}
 
-    def child(depth: int, k: int, key: int, opened: int) -> tuple[int, int, int]:
-        """Load site ``k`` at ``depth``: its waiting, the child's key and the
-        child's ``opened``, the sum of the open sites' gap weights."""
-        previous = last[k]
-        if previous is None:
-            gap, cost = 0, start + depth * lt + offsets[k]
-        else:
-            gap = depth - previous
-            cost = gap * lt - unloads[k]
-        # Every open gap grows by one; k's own gap digit becomes 1 while it
-        # has trips left after this one, else 0.
-        delta = ((left[k] > 1) - (previous is not None)) * gap_weights[k]
-        key += opened - left_weights[k] + delta - gap * gap_weights[k]
-        return max(0, cost), key, opened + delta
-
-    def walk(depth: int, key: int, opened: int) -> _Entry:
-        if key < low:  # no trips left and no open gap
-            return 1, 0, -1
+    def walk(depth: int, key: int) -> _Entry:
+        if key < low:  # no trips left and no open site
+            return _LEAF
         entry = memo.get(key)
         if entry is not None:
             return entry
         # An open site at the end of its reach loads now or never finishes.
         due = [
-            i for i in sites
-            if left[i] and last[i] is not None and last[i] + reaches[i] == depth
+            i for i in sites if left[i] and last[i] and last[i] + reaches[i] == depth + 1
         ]
         # Two of them cannot both load now, so the node is dead.
         candidates = () if len(due) > 1 else due or sites
@@ -275,51 +265,49 @@ def _slot_search(
             if busy.bit_count() >= truck_limit:  # every truck still out
                 candidates = ()
             loaded += ((busy << 1 | 1) & mask) - busy
-        count, best, choice = 0, None, -1
+        count, best, choice, link = 0, None, -1, None
         for k in candidates:
-            if not left[k]:
+            trips, previous = left[k], last[k]
+            if not trips:
                 continue
-            cost, child_key, child_opened = child(depth, k, loaded, opened)
-            previous = last[k]
-            left[k] -= 1
-            last[k] = depth
-            below, wait, _ = walk(depth + 1, child_key, child_opened)
-            last[k] = previous
-            left[k] += 1
-            if below:
-                count += below
-                if best is None or wait + cost < best:
-                    best, choice = wait + cost, k
+            if previous:
+                cost = max(0, (depth + 1 - previous) * lt - unloads[k])
+            else:
+                cost = max(0, start + depth * lt + offsets[k])
+            # k's last-load digit becomes this slot plus one, or 0 when done.
+            mark = depth + 1 if trips > 1 else 0
+            left[k], last[k] = trips - 1, depth + 1
+            below = walk(
+                depth + 1, loaded - left_weights[k] + (mark - previous) * last_weights[k]
+            )
+            left[k], last[k] = trips, previous
+            if below[0]:
+                count += below[0]
+                if best is None or below[1] + cost < best:
+                    best, choice, link = below[1] + cost, k, below
         # Idle after the sites, while the horizon spares a slot: never
         # without a fleet limit, where ``idle_cap`` is 0.
         if key % low < idle_cap and not due:
             busy = key & mask
-            below, wait, _ = walk(
-                depth + 1, key + opened + idle_weight + (busy << 1 & mask) - busy, opened
-            )
-            if below:
-                count += below
-                if best is None or wait < best:
-                    best, choice = wait, idle
-        entry = memo[key] = (count, best, choice)
+            below = walk(depth + 1, key + idle_weight + (busy << 1 & mask) - busy)
+            if below[0]:
+                count += below[0]
+                if best is None or below[1] < best:
+                    best, choice, link = below[1], idle, below
+        entry = memo[key] = (count, best, choice, link)
         return entry
 
-    key = sum(trips * weight for trips, weight in zip(left, left_weights))
-    feasible, objective, _ = walk(0, key, 0)
+    entry = walk(0, sum(trips * weight for trips, weight in zip(left, left_weights)))
+    feasible, objective = entry[:2]
     slots: dict[TripId, int] = {}
-    depth = opened = 0
-    while feasible and len(slots) < total:
-        k = memo[key][2]
-        busy = key & mask
-        if k == idle:
-            key += opened + idle_weight
-        else:
-            _, key, opened = child(depth, k, key, opened)
-            slots[TripId(ids[k], rows[k][1] - left[k] + 1)] = depth + 1
+    depth = 0
+    while entry[3] is not None:
+        k = entry[2]
+        if k != idle:
             left[k] -= 1
-            last[k] = depth
-        key += ((busy << 1 | (k != idle)) & mask) - busy
+            slots[TripId(ids[k], rows[k][1] - left[k])] = depth + 1
         depth += 1
+        entry = entry[3]
     schedule = schedule_from_slots(instance, slots) if feasible else None
     return feasible, objective, schedule, len(memo)
 

@@ -8,8 +8,9 @@ Instances are JSON documents::
                 "unload": 25, "proposed_start": "8:00"}, ...]}
 
 Clock fields accept ``"H:MM"`` strings or plain minutes; ``gamma``,
-``unload`` and ``gamma_override`` are durations in minutes.  Schedules
-travel as CSV with one row per trip, sorted by site then trip.
+``unload`` and ``gamma_override`` are durations in minutes.  Minutes must
+come to whole seconds, read exactly, and at most 48 h.  Schedules travel
+as CSV with one row per trip, sorted by site then trip.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .model import DepotSpec, Instance, InputError, SiteSpec, ValidationError
+from .model import DepotSpec, Instance, InputError, SiteSpec, ValidationError, _fraction
 from .schedule import Schedule, ScheduleEntry, TripId
 
 SCHEDULE_HEADER = ("site", "trip", "depot_start", "site_start", "site_end", "delivery")
@@ -55,9 +56,12 @@ def parse_duration(value: Any, what: str) -> int:
 
 
 def _seconds(value: Any, what: str, expected: str) -> int:
-    """A finite number of minutes that is a whole number of seconds."""
-    seconds = _number(value, what, expected) * 60
-    if seconds % 1:  # also true when the product overflows to infinity
+    """A finite number of minutes that is a whole number of seconds.  A
+    float is read as its shortest decimal, exactly, like every other
+    instance number; an int stays on integer arithmetic."""
+    minutes = _number(value, what, expected)
+    seconds = (minutes if isinstance(minutes, int) else _fraction(minutes, what)) * 60
+    if seconds % 1:
         raise InputError(f"{what}: {value!r} minutes is not a whole second count")
     return int(seconds)
 

@@ -85,6 +85,13 @@ def trips_for_site(demand: float, truck_capacity: float) -> int:
     return int(math.ceil(ratio))
 
 
+def _check_span(seconds: int, what: str) -> None:
+    """Reject a clock or duration above 48 h, the span :func:`slot_horizon`
+    allows for loading; the value itself may have too many digits to print."""
+    if seconds > 2 * DAY:
+        raise ValidationError(f"{what}: must be at most 48 h (2880 min)")
+
+
 @dataclass(frozen=True, order=True)
 class TripId:
     site_id: int
@@ -113,6 +120,8 @@ class DepotSpec:
             raise ValidationError("depot.trucks: must be positive when given")
         if self.gamma <= 0:
             raise ValidationError("depot.gamma: must be positive")
+        _check_span(self.start_time, "depot.start")
+        _check_span(self.gamma, "depot.gamma")
 
     @cached_property
     def loading_time(self) -> int:
@@ -145,6 +154,10 @@ class SiteSpec:
             raise ValidationError("proposed_start: must be non-negative")
         if self.gamma_override is not None and self.gamma_override <= 0:
             raise ValidationError("gamma_override: must be positive when given")
+        _check_span(self.unload_time, "unload")
+        _check_span(self.proposed_start, "proposed_start")
+        if self.gamma_override is not None:
+            _check_span(self.gamma_override, "gamma_override")
 
     @cached_property
     def haul_time(self) -> int:

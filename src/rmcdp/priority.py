@@ -10,25 +10,25 @@ permutation wins; ties go to the lexicographically smallest permutation of
 the instance's site list.
 
 The search reads the integer site table ``Instance.timings``.  Sites whose
-rows agree on everything but the id produce identical timings, so the search
-runs over the distinct orderings of those rows (classes) and fans each class
-out combinatorially.  Placing sites in priority order is a walk down a tree
-whose level ``r`` places the site in position ``r`` on the grid its parent
-left behind; a failed placement prunes the whole subtree.  What happens
-below a node depends only on the sites left and on the part of the grid any
-later placement can still read, so the walk is memoised on that pair, the
-``(sites left, slot frontier)`` dynamic programme the method is named for:
-Held-Karp over subsets of sites, with the frontier as extra state.  Each
-node keeps its count of feasible completions, their least waiting and the
-site placed next on the way to it; the winner's slots are read off by
-following those choices from the root.  The grid is an integer bitmask of
-booked slots (bit ``s`` set: slot ``s``, loaded at
-``start + (s - 1) * L_t``, is taken), and a slot is truck-starved when
-``truck_limit`` loadings already fall in the inclusive gamma window ending
-at it.  Each site's step to its next target slot and its pour-window reach
-in slots are derived once per solve.  For ``beta = p/q`` all waiting is
-summed in integer units of ``1/q`` seconds; ``Fraction`` only appears at the
-API boundary.  The search runs in the calling process.
+rows agree on everything but the id produce identical timings, so the
+search runs over the distinct orderings of those rows (classes) and fans
+each class out combinatorially.  Placing sites in priority order is a walk
+down a tree whose level ``r`` places the site in position ``r`` on the grid
+its parent left behind; a failed placement prunes the whole subtree.  What
+happens below a node depends only on the sites left and on the part of the
+grid any later placement can still read, so the walk is memoised on that
+pair, the ``(sites left, slot frontier)`` dynamic programme the method is
+named for: Held-Karp over subsets of sites, with the frontier as extra
+state.  Each node keeps its count of feasible completions, their least
+waiting, the site placed next on the way to it and the entry of that child;
+the winner's sites are placed again along those links from the root.  The
+grid is an integer bitmask of booked slots (bit ``s`` set: slot ``s``,
+loaded at ``start + (s - 1) * L_t``, is taken), and a slot is truck-starved
+when ``truck_limit`` loadings already fall in the inclusive gamma window
+ending at it.  Each site's step to its next target slot and its pour-window
+reach in slots are derived once per solve.  For ``beta = p/q`` all waiting
+is summed in integer units of ``1/q`` seconds; ``Fraction`` only appears at
+the API boundary.  The search runs in the calling process.
 """
 
 from __future__ import annotations
@@ -82,9 +82,11 @@ class PriorityResult:
 #: the instance's site list.
 _KeyGroup = tuple[int, int, int, int, int, list[int]]
 #: What the search found below one node: feasible completions, their least
-#: total waiting (units of ``1 / per`` s, ``None`` when there is none), and
-#: the key group whose next site the best completion places first.
-_Entry = tuple[int, int | None, int]
+#: total waiting (units of ``1 / per`` s, ``None`` when there is none), the
+#: key group whose next site the best completion places first, and the entry
+#: of the child it leads to (``None`` when there is none).
+_Entry = tuple[int, int | None, int, "_Entry | None"]
+_LEAF: _Entry = (1, 0, -1, None)  # every node with no site left to place
 
 
 def _search(
@@ -103,7 +105,8 @@ def _search(
     feasible counts add up over its children, and its best completion is
     the least ``(wait, position)`` over them.  Different key groups always
     offer different next positions, so that pair settles the tie-break on
-    the smallest site-position list exactly.
+    the smallest site-position list exactly.  Each entry links to its best
+    child's entry; the read-off replays ``place`` along those links.
 
     Returns the number of feasible classes, the least waiting, each level's
     site position with the slots it booked, the nodes solved and the memo
@@ -156,20 +159,17 @@ def _search(
         wait = max(0, base + first * lt + offset) * per + (slot - first) * unit - planned
         return booked, slots, wait
 
-    def key(booked: int, level: int, code: int) -> int:
-        lo = level + 1 if truck_limit is None else max(0, level + 2 - busy)
-        return (booked >> lo) * radix + code
-
     def walk(booked: int, level: int, code: int) -> _Entry:
         nonlocal hits
         if level == level_count:
-            return 1, 0, -1
-        node = key(booked, level, code)
+            return _LEAF
+        lo = level + 1 if truck_limit is None else max(0, level + 2 - busy)
+        node = (booked >> lo) * radix + code
         entry = memo.get(node)
         if entry is not None:
             hits += 1
             return entry
-        count, best, lead, choice = 0, None, 0, -1
+        count, best, lead, choice, link = 0, None, 0, -1, None
         for k, group in enumerate(groups):
             if not left[k]:
                 continue
@@ -178,29 +178,28 @@ def _search(
                 continue
             child, _, site_wait = placed
             left[k] -= 1
-            below, wait, _ = walk(child, level + 1, code - weights[k])
+            below = walk(child, level + 1, code - weights[k])
             left[k] += 1
-            if not below:
+            if not below[0]:
                 continue
-            count += below
-            wait += site_wait
+            count += below[0]
+            wait = below[1] + site_wait
             position = group[-1][sizes[k] - left[k]]
             if best is None or (wait, position) < (best, lead):
-                best, lead, choice = wait, position, k
-        entry = memo[node] = (count, best, choice)
+                best, lead, choice, link = wait, position, k, below
+        entry = memo[node] = (count, best, choice, link)
         return entry
 
-    code = radix - 1
-    feasible, wait, _ = walk(0, 0, code)
+    entry = walk(0, 0, radix - 1)
+    feasible, wait = entry[:2]
     order: list[tuple[int, list[int]]] = []
-    if feasible:
-        booked = 0
-        for level in range(level_count):
-            k = memo[key(booked, level, code)][2]
-            booked, slots, _ = place(booked, level, groups[k])
-            order.append((groups[k][-1][sizes[k] - left[k]], slots))
-            left[k] -= 1
-            code -= weights[k]
+    booked = 0
+    while entry[3] is not None:
+        k = entry[2]
+        booked, slots, _ = place(booked, len(order), groups[k])
+        order.append((groups[k][-1][sizes[k] - left[k]], slots))
+        left[k] -= 1
+        entry = entry[3]
     return feasible, wait, order, len(memo), hits
 
 

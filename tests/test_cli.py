@@ -334,6 +334,126 @@ class TestSolve:
             assert option.split("=")[0].lstrip("-") in captured.err
 
 
+def edited_example1(tmp_path, edit):
+    """The path of a copy of ``example-1`` after ``edit(doc)``, or of what
+    ``edit`` returns in its place."""
+    doc = json.loads(Path(EXAMPLE1).read_text())
+    replaced = edit(doc)
+    doc = doc if replaced is None else replaced
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def set_field(section, field, value):
+    def edit(doc):
+        (doc["sites"][0] if section == "sites" else doc["depot"])[field] = value
+    return edit
+
+
+class TestInstanceRejected:
+    """Malformed instance data exits 3 and names the field."""
+
+    @pytest.mark.parametrize(
+        "section, field, value, message",
+        [
+            ("depot", "start", -5, "depot.start: must be non-negative"),
+            ("depot", "plant_capacity", 0, "depot.plant_capacity: must be positive"),
+            ("depot", "productivity", -1, "depot.productivity: must be positive"),
+            ("depot", "truck_capacity", 0, "depot.truck_capacity: must be positive"),
+            ("depot", "trucks", 0, "depot.trucks: must be positive when given"),
+            ("sites", "id", 0, "sites[0].id: must be positive"),
+            ("sites", "distance", -1, "sites[0].distance: must be non-negative"),
+            ("sites", "speed", 0, "sites[0].speed: must be positive"),
+            ("sites", "proposed_start", -1, "sites[0].proposed_start: must be non-negative"),
+        ],
+    )
+    def test_field_out_of_range(self, capsys, tmp_path, section, field, value, message):
+        path = edited_example1(tmp_path, set_field(section, field, value))
+        code = main(["solve", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [], "instance: expected a JSON object"),
+            (lambda doc: doc.update(depot=[1]), "depot: missing or not an object"),
+            (lambda doc: doc.update(sites=[]), "sites: missing or empty"),
+            (lambda doc: doc.update(sites=[5]), "sites[0]: expected an object"),
+        ],
+        ids=["top-level list", "depot not an object", "no sites", "site not an object"],
+    )
+    def test_document_shape(self, capsys, tmp_path, edit, message):
+        path = edited_example1(tmp_path, edit)
+        code = main(["solve", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "section, field, value, first_load",
+        [
+            ("depot", "start", 16.1, "0:16:06"),
+            ("sites", "unload", 8.2, "8:00"),
+            ("sites", "proposed_start", 4.1, "8:00"),
+            ("sites", "gamma_override", 64.1, "8:00"),
+        ],
+    )
+    def test_decimal_minutes_read_exactly(self, capsys, tmp_path, section, field, value, first_load):
+        path = edited_example1(tmp_path, set_field(section, field, value))
+        code, out = run(capsys, "solve", path)
+        assert code == 0
+        assert json.loads(out)["schedule"][1].split(",")[2] == first_load
+
+    def test_minutes_off_the_second_rejected(self, capsys, tmp_path):
+        path = edited_example1(tmp_path, set_field("sites", "unload", 0.016666666666666666))
+        code = main(["solve", path])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == (
+            f"error: {path}: sites[0].unload: 0.016666666666666666 minutes "
+            "is not a whole second count\n"
+        )
+
+    @pytest.mark.parametrize(
+        "section, field, at_bound, past_bound",
+        [
+            ("depot", "start", "48:00", "48:00:01"),
+            ("sites", "proposed_start", "48:00", "48:00:01"),
+            ("depot", "gamma", 2880, 2881),
+            ("sites", "gamma_override", 2880, 2881),
+        ],
+    )
+    def test_clocks_and_durations_bounded_at_48_hours(
+        self, capsys, tmp_path, section, field, at_bound, past_bound
+    ):
+        code, _ = run(capsys, "solve", edited_example1(tmp_path, set_field(section, field, at_bound)))
+        assert code == 0
+        path = edited_example1(tmp_path, set_field(section, field, past_bound))
+        code = main(["solve", path])
+        captured = capsys.readouterr()
+        where = "sites[0]" if section == "sites" else "depot"
+        assert code == 3
+        assert captured.err == f"error: {path}: {where}.{field}: must be at most 48 h (2880 min)\n"
+
+    @pytest.mark.parametrize("command", ["solve", "export-mip"])
+    @pytest.mark.parametrize(
+        "section, field",
+        [("depot", "start"), ("depot", "gamma"), ("sites", "proposed_start"),
+         ("sites", "gamma_override"), ("sites", "unload")],
+    )
+    def test_huge_minutes_rejected(self, capsys, tmp_path, command, section, field):
+        # An integer of 311 digits reads, but no float holds it.
+        path = edited_example1(tmp_path, set_field(section, field, 10**310))
+        code = main([command, path, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        where = "sites[0]" if section == "sites" else "depot"
+        assert code == 3
+        assert captured.err == f"error: {path}: {where}.{field}: must be at most 48 h (2880 min)\n"
+
+
 class TestParser:
     def test_built_once_and_options_do_not_leak(self, capsys):
         build_parser.cache_clear()
@@ -530,3 +650,17 @@ class TestBench:
         assert not rows["instance-2 feasibility (%)"]["ok"]
         assert payload["deviations"] == ["instance-2 feasibility (%)"]
         assert code == 0
+
+    def test_text_report(self, capsys):
+        _, out = run(capsys, "bench", "--json")
+        rows = json.loads(out)["rows"]
+        code, text = run(capsys, "bench")
+        lines = text.splitlines()
+        assert code == 0
+        assert len(lines) == len(rows) + 1
+        for row, line in zip(rows, lines):
+            assert line.startswith("ok " if row["ok"] else "DEV")
+            assert row["name"] in line
+            assert f"measured={row['measured']} expected={row['expected']}" in line
+        assert [line[:3] for line in lines[:-1]].count("DEV") == 1
+        assert lines[-1] == "1 deviation(s) from reference results"

@@ -15,6 +15,7 @@ from rmcdp.graphs import (
 from rmcdp.model import (
     DepotSpec,
     Instance,
+    InputError,
     SiteSpec,
     ValidationError,
     default_horizon,
@@ -191,6 +192,10 @@ class TestBuildGraph:
 
 
 class TestCircuitCost:
+    def test_unknown_site_rejected(self, example1):
+        with pytest.raises(InputError, match="^unknown site id 3$"):
+            circuit_cost(example1, (1, 3))
+
     def test_matches_evaluate_on_reference_sequences(self, example1):
         for sequence, expected in (
             ((1, 2, 1, 2), 60 * MIN),

@@ -46,8 +46,36 @@ class TestParseTime:
             parse_time(value, "start")
 
     def test_overflowing_minutes_rejected(self):
+        # 1e308 minutes is read exactly, a whole number of seconds; the 48 h
+        # bound on every clock rejects it when the instance is built.
+        assert parse_time(1e308, "start") == 60 * 10**308
+        doc = example1_doc()
+        doc["depot"]["start"] = 1e308
+        with pytest.raises(InputError, match=r"^depot\.start: must be at most 48 h"):
+            instance_from_dict(doc)
+
+
+class TestExactMinutes:
+    """A float of minutes is read as its shortest decimal, exactly."""
+
+    @pytest.mark.parametrize(
+        "minutes, seconds", [(8.2, 492), (64.1, 3846), (4.1, 246), (16.1, 966), (0.05, 3)]
+    )
+    def test_decimal_minutes_that_are_whole_seconds(self, minutes, seconds):
+        assert parse_time(minutes) == seconds
+        assert parse_duration(minutes, "unload") == seconds
+
+    @pytest.mark.parametrize("minutes", [0.016666666666666666, 0.1 + 0.2, 8.21])
+    def test_decimal_minutes_off_the_second_rejected(self, minutes):
         with pytest.raises(InputError, match="not a whole second count"):
-            parse_time(1e308, "start")
+            parse_duration(minutes, "unload")
+        with pytest.raises(InputError, match="not a whole second count"):
+            parse_time(minutes)
+
+    def test_integers_stay_integers(self):
+        for value in (480, 10**400):
+            seconds = parse_time(value)
+            assert type(seconds) is int and seconds == 60 * value
 
 
 class TestParseDuration:

@@ -134,6 +134,68 @@ class TestSolutionSpaceSize:
         assert solution_space_size(a) == solution_space_size(b)
 
 
+TWO_DAYS = 48 * 3600
+
+
+def depot(**fields):
+    return DepotSpec(**{"start_time": 8 * 3600, "plant_capacity": 10,
+                        "productivity": 120, "truck_capacity": 10, **fields})
+
+
+def site(**fields):
+    return SiteSpec(**{"id": 1, "demand": 10, "distance": 5, "speed": 60,
+                       "unload_time": 10 * MIN, "proposed_start": 0, **fields})
+
+
+class TestSpecGuards:
+    @pytest.mark.parametrize(
+        "make, field, message",
+        [
+            (depot, "gamma", "depot.gamma: must be positive"),
+            (site, "unload_time", "unload: must be positive"),
+            (site, "gamma_override", "gamma_override: must be positive when given"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [0, -60])
+    def test_non_positive_durations_rejected(self, make, field, message, value):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make(**{field: value})
+
+    @pytest.mark.parametrize(
+        "make, field, message",
+        [
+            (depot, "start_time", "depot.start"),
+            (depot, "gamma", "depot.gamma"),
+            (site, "unload_time", "unload"),
+            (site, "proposed_start", "proposed_start"),
+            (site, "gamma_override", "gamma_override"),
+        ],
+    )
+    def test_clocks_and_durations_bounded_at_48_hours(self, make, field, message):
+        assert getattr(make(**{field: TWO_DAYS}), field) == TWO_DAYS
+        for value in (TWO_DAYS + 1, 10**5000):
+            with pytest.raises(ValidationError, match=rf"^{message}: must be at most 48 h"):
+                make(**{field: value})
+
+    def test_instance_needs_a_site(self):
+        with pytest.raises(ValidationError, match="^sites: at least one site is required$"):
+            Instance(depot=depot(), sites=())
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: loading_time(0, 120), "truck_capacity: must be positive"),
+            (lambda: loading_time(10, -1), "productivity: must be positive"),
+            (lambda: trips_for_site(-5, 10), "demand: must be positive"),
+            (lambda: trips_for_site(10, 0), "truck_capacity: must be positive"),
+            (lambda: truck_upper_bound(90 * MIN, 0), "loading time must be positive"),
+        ],
+    )
+    def test_non_positive_arguments_rejected(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            call()
+
+
 class TestValidation:
     def test_site_ids_must_cover_range(self):
         sites = (
