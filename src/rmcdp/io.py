@@ -10,7 +10,8 @@ Instances are JSON documents::
 Clock fields accept ``"H:MM"`` strings or plain minutes; ``gamma``,
 ``unload`` and ``gamma_override`` are durations in minutes.  Minutes must
 come to whole seconds, read exactly, and at most 48 h.  Schedules travel
-as CSV with one row per trip, sorted by site then trip.
+as CSV with one row per trip, sorted by site then trip; a schedule clock
+may lie at most ``(trips + 2) * 48`` h after the depot start.
 """
 
 from __future__ import annotations
@@ -23,7 +24,17 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .model import DepotSpec, Instance, InputError, SiteSpec, ValidationError, _fraction
+from .model import (
+    DAY,
+    HOUR,
+    DepotSpec,
+    Instance,
+    InputError,
+    SiteSpec,
+    ValidationError,
+    _fraction,
+    total_trips,
+)
 from .schedule import Schedule, ScheduleEntry, TripId
 
 SCHEDULE_HEADER = ("site", "trip", "depot_start", "site_start", "site_end", "delivery")
@@ -239,6 +250,12 @@ def read_schedule_csv(path: str | Path, instance: Instance) -> Schedule:
         raise InputError(
             f"{path}:1: expected header {','.join(SCHEDULE_HEADER)}"
         )
+    # A solver loads each trip at most 48 h plus one loading time after the
+    # latest loading before it (or in the first 24 h, which hold every
+    # loading time), and a trip ends at most 48 h after its loading, so
+    # every clock it writes lies within this span of the depot start.  A
+    # clock past it is refused before any arithmetic meets it.
+    start, span = instance.depot.start_time, (total_trips(instance) + 2) * 2 * DAY
     entries = []
     for line_no, row in enumerate(rows[1:], start=2):
         if not row:
@@ -253,9 +270,13 @@ def read_schedule_csv(path: str | Path, instance: Instance) -> Schedule:
             raise InputError(f"{where}: site and trip must be integers") from exc
         if not any(site.id == site_id for site in instance.sites):
             raise InputError(f"{where}: unknown site {site_id}")
-        depot_start = parse_time(row[2], f"{where}: depot_start")
-        site_start = parse_time(row[3], f"{where}: site_start")
-        site_end = parse_time(row[4], f"{where}: site_end")
+        clocks = []
+        for column in (2, 3, 4):
+            what = f"{where}: {SCHEDULE_HEADER[column]}"
+            clocks.append(parse_time(row[column], what))
+            if clocks[-1] - start > span:
+                raise InputError(f"{what}: more than {span // HOUR} h after the depot start")
+        depot_start, site_start, site_end = clocks
         try:
             cumulative = float(row[5])
         except ValueError:

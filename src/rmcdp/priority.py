@@ -20,8 +20,8 @@ grid any later placement can still read, so the walk is memoised on that
 pair, the ``(sites left, slot frontier)`` dynamic programme the method is
 named for: Held-Karp over subsets of sites, with the frontier as extra
 state.  Each node keeps its count of feasible completions, their least
-waiting, the site placed next on the way to it and the entry of that child;
-the winner's sites are placed again along those links from the root.  The
+waiting, the site placed next on the way to it, the entry of that child and
+the slots that site booked; the winner is read off those links.  The
 grid is an integer bitmask of booked slots (bit ``s`` set: slot ``s``,
 loaded at ``start + (s - 1) * L_t``, is taken), and a slot is truck-starved
 when ``truck_limit`` loadings already fall in the inclusive gamma window
@@ -83,10 +83,11 @@ class PriorityResult:
 _KeyGroup = tuple[int, int, int, int, int, list[int]]
 #: What the search found below one node: feasible completions, their least
 #: total waiting (units of ``1 / per`` s, ``None`` when there is none), the
-#: key group whose next site the best completion places first, and the entry
-#: of the child it leads to (``None`` when there is none).
-_Entry = tuple[int, int | None, int, "_Entry | None"]
-_LEAF: _Entry = (1, 0, -1, None)  # every node with no site left to place
+#: key group whose next site the best completion places first, the entry of
+#: the child it leads to (``None`` when there is none) and that site's slots
+#: as a bitmask.
+_Entry = tuple[int, int | None, int, "_Entry | None", int]
+_LEAF: _Entry = (1, 0, -1, None, 0)  # every node with no site left to place
 
 
 def _search(
@@ -105,8 +106,12 @@ def _search(
     feasible counts add up over its children, and its best completion is
     the least ``(wait, position)`` over them.  Different key groups always
     offer different next positions, so that pair settles the tie-break on
-    the smallest site-position list exactly.  Each entry links to its best
-    child's entry; the read-off replays ``place`` along those links.
+    the smallest site-position list exactly.  The walk places each child in
+    one inline slot loop and looks its node up before any call, so a memo
+    hit or a leaf costs no recursion; a site's waiting is worked out only
+    once its subtree turns out feasible.  Each entry keeps its best child's
+    entry and the slots that child's site booked (the child's grid XOR its
+    own), so the read-off takes each site's slots off the links.
 
     Returns the number of feasible classes, the least waiting, each level's
     site position with the slots it booked, the nodes solved and the memo
@@ -114,90 +119,85 @@ def _search(
     """
     sizes = [len(group[-1]) for group in groups]
     left = sizes[:]
-    level_count = sum(sizes)
     # ``left`` as one mixed-radix number: group k counts in units of weights[k].
     weights, radix = [], 1
     for size in sizes:
         weights.append(radix)
         radix *= size + 1
+    # A site of several trips whose step passes its reach can never be placed.
+    placeable = [
+        (k, weights[k], *group)
+        for k, group in enumerate(groups)
+        if group[0] == 1 or group[2] <= group[3]
+    ]
     lt = depot.loading_time
     # Slot s is loaded at depot time base + s * lt; a loading keeps its truck
     # busy for ``busy`` slots, its own included.
     base, unit, busy = depot.start_time - lt, lt * per, depot.gamma // lt + 1
     memo: dict[int, _Entry] = {}
-    hits = 0
+    memo_get, never, hits = memo.get, math.inf, 0
 
-    def free(booked: int, slot: int) -> int:
-        """First admissible slot at or after ``slot``."""
-        while True:
-            gaps = ~booked >> slot
-            slot += (gaps & -gaps).bit_length() - 1
-            if truck_limit is None or (
-                (booked & ((2 << slot) - 1)) >> max(0, slot - busy + 1)
-            ).bit_count() < truck_limit:
-                return slot
-            slot += 1
-
-    def place(booked: int, level: int, group: _KeyGroup) -> tuple[int, list[int], int] | None:
-        """Book one site of ``group`` at ``level``: the grid after it, its
-        slots and its waiting, or ``None`` when it breaks its pour window."""
-        trips, offset, step, reach, planned, _ = group
-        if trips > 1 and step > reach:  # no later trip can land within reach
-            return None
-        first = slot = free(booked, level + 1)
-        booked |= 1 << slot
-        slots = [slot]
-        for _ in range(trips - 1):
-            previous = slot
-            slot = free(booked, previous + step)
-            if slot - previous > reach:
-                return None
-            booked |= 1 << slot
-            slots.append(slot)
-        # Each slide past a target is waiting, and the slides telescope to
-        # the span between first and last loading.
-        wait = max(0, base + first * lt + offset) * per + (slot - first) * unit - planned
-        return booked, slots, wait
-
-    def walk(booked: int, level: int, code: int) -> _Entry:
+    def walk(booked: int, level: int, code: int, node: int) -> _Entry:
         nonlocal hits
-        if level == level_count:
-            return _LEAF
-        lo = level + 1 if truck_limit is None else max(0, level + 2 - busy)
-        node = (booked >> lo) * radix + code
-        entry = memo.get(node)
-        if entry is not None:
-            hits += 1
-            return entry
-        count, best, lead, choice, link = 0, None, 0, -1, None
-        for k, group in enumerate(groups):
+        # The frontier of the children, one level down.
+        lo = level + 2 if truck_limit is None else max(0, level + 3 - busy)
+        count, best, lead, choice, link, taken = 0, None, 0, -1, None, 0
+        for group in placeable:
+            k = group[0]
             if not left[k]:
                 continue
-            placed = place(booked, level, group)
-            if placed is None:
+            _, weight, trips, offset, step, reach, planned, positions = group
+            child, slot, todo = booked, level + 1, trips
+            limit = never  # no previous pour to keep the first trip within reach of
+            while todo:
+                ahead = child >> slot  # hop over the booked slots from ``slot`` up
+                slot += (ahead ^ (ahead + 1)).bit_length() - 1
+                if slot > limit:
+                    break
+                if truck_limit is None or (
+                    (child & ((2 << slot) - 1)) >> max(0, slot - busy + 1)
+                ).bit_count() < truck_limit:
+                    child |= 1 << slot
+                    limit, slot, todo = slot + reach, slot + step, todo - 1
+                else:
+                    slot += 1
+            if todo:  # a slide broke the pour window
                 continue
-            child, _, site_wait = placed
-            left[k] -= 1
-            below = walk(child, level + 1, code - weights[k])
-            left[k] += 1
-            if not below[0]:
-                continue
+            rest = code - weight
+            if not rest:
+                below = _LEAF
+            else:
+                key = (child >> lo) * radix + rest
+                below = memo_get(key)
+                if below is None:
+                    left[k] -= 1
+                    below = walk(child, level + 1, rest, key)
+                    left[k] += 1
+                else:
+                    hits += 1
+                if not below[0]:
+                    continue
             count += below[0]
-            wait = below[1] + site_wait
-            position = group[-1][sizes[k] - left[k]]
-            if best is None or (wait, position) < (best, lead):
-                best, lead, choice, link = wait, position, k, below
-        entry = memo[node] = (count, best, choice, link)
+            # Each slide past a target is waiting, and the slides telescope
+            # to the span between first and last loading.
+            bits = child ^ booked
+            first = (bits & -bits).bit_length() - 1
+            early = base + first * lt + offset
+            last = bits.bit_length() - 1
+            wait = (early if early > 0 else 0) * per + (last - first) * unit - planned + below[1]
+            position = positions[-left[k]]
+            if best is None or wait < best or wait == best and position < lead:
+                best, lead, choice, link, taken = wait, position, k, below, bits
+        entry = memo[node] = (count, best, choice, link, taken)
         return entry
 
-    entry = walk(0, 0, radix - 1)
+    entry = walk(0, 0, radix - 1, radix - 1)
     feasible, wait = entry[:2]
     order: list[tuple[int, list[int]]] = []
-    booked = 0
     while entry[3] is not None:
-        k = entry[2]
-        booked, slots, _ = place(booked, len(order), groups[k])
-        order.append((groups[k][-1][sizes[k] - left[k]], slots))
+        k, bits = entry[2], entry[4]
+        slots = [slot for slot in range(bits.bit_length()) if bits >> slot & 1]
+        order.append((groups[k][-1][-left[k]], slots))
         left[k] -= 1
         entry = entry[3]
     return feasible, wait, order, len(memo), hits

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -571,6 +572,39 @@ class TestCheck:
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}:27: field larger than field limit")
+
+    def test_clock_shifted_golden_exit_code(self, capsys, tmp_path):
+        # 10^309 h puts every clock past what a float holds; the reader
+        # refuses the first one instead of letting the objective overflow.
+        shifted = re.sub(
+            r"\b(\d+):(\d\d)\b",
+            lambda m: f"{int(m[1]) + 10**309}:{m[2]}",
+            Path(GOLDEN).read_text(),
+        )
+        path = tmp_path / "shifted.csv"
+        path.write_text(shifted)
+        code = main(["check", INSTANCE1, str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}:2: depot_start: more than 1296 h after the depot start\n"
+        )
+
+    def test_schedule_past_48_hours_reads_back(self, capsys, tmp_path):
+        # 100 trips paced 40 min apart: priority's schedule ends 66 h 46 min
+        # after the depot start, and check must accept what solve wrote.
+        path = uniform_sites(tmp_path, 100, productivity=120)
+        doc = json.loads(Path(path).read_text())
+        doc["depot"]["gamma"] = 60
+        doc["sites"][0]["unload"] = 40
+        Path(path).write_text(json.dumps(doc))
+        out = tmp_path / "long.csv"
+        assert run(capsys, "solve", path, "--out", str(out))[0] == 0
+        assert out.read_text().splitlines()[-1] == "1,100,66:00,66:06,66:46,1000"
+        code, text = run(capsys, "check", path, str(out))
+        assert code == 0
+        assert json.loads(text)["feasible"] is True
 
 
 class TestSpace:

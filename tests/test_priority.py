@@ -222,6 +222,17 @@ class TestPrioritySolve:
         assert (stats.states, stats.memo_hits) == (states, memo_hits)
         assert stats.states < 1680
 
+    @pytest.mark.parametrize(
+        "beta, truck_limit, states, memo_hits, feasible",
+        [("1", None, 4131, 2054, 5040), ("1", 10, 2423, 60, 822),
+         ("3/2", None, 6829, 877, 5040)],
+    )
+    def test_memo_counts_distinct_sites(self, beta, truck_limit, states, memo_hits, feasible):
+        # No two sites share a class, so all 5,040 orders are searched.
+        stats = priority_solve(distinct_sites_instance(), beta=beta, truck_limit=truck_limit).stats
+        assert (stats.states, stats.memo_hits) == (states, memo_hits)
+        assert (stats.feasible_count, stats.permutations_created) == (feasible, 5040)
+
     def test_feasibility_rate(self, instance1):
         result = priority_solve(instance1)
         assert result.stats.feasibility_rate == 1.0
@@ -359,7 +370,9 @@ class TestMatchesReplayFromEmptyGrid:
         assert_matches_reference(instance2)
 
     def test_all_distinct_sites(self):
-        assert_matches_reference(distinct_sites_instance())
+        # 10 trucks leave 822 of the 5,040 orders feasible.
+        for trucks in (None, 10):
+            assert_matches_reference(distinct_sites_instance(), truck_limit=trucks)
 
 
 @pytest.mark.xfail(
