@@ -10,7 +10,6 @@ from .model import (
     loading_time,
     solution_space_size,
     total_trips,
-    trip_duration,
     trips_for_site,
     truck_upper_bound,
 )
@@ -30,7 +29,6 @@ from .graphs import (
     RmcdpGraph,
     SizeCapError,
     build_graph,
-    circuit_cost,
     enumerate_exact,
     greedy_solve,
     grid_exact,
@@ -46,7 +44,6 @@ from .mip import (
     emit_lp,
     encode_schedule,
     optimality_gap,
-    parse_lp,
     validate_solution,
 )
 

@@ -4,7 +4,6 @@ Trips are vertices of a complete graph (plus a depot vertex); every vertex
 carries its site as a label.  A dispatch order is a Hamiltonian path from
 the depot, its cost the total site waiting.  This module provides:
 
-* ``circuit_cost`` -- vertex-cost evaluation of one path,
 * ``greedy_solve`` -- cheapest-next-vertex heuristic with label-level
   dynamic edge costs,
 * ``enumerate_exact`` -- exact search over all distinct dispatch
@@ -32,7 +31,6 @@ from typing import Sequence
 from .model import (
     SEARCH_MAX_DEPTH,
     Instance,
-    InputError,
     SizeCapError,
     check_search_size,
     check_truck_limit,
@@ -42,11 +40,9 @@ from .model import (
 )
 from .schedule import (
     FeasibilityReport,
-    ObjectiveReport,
     Schedule,
     TripId,
     check,
-    evaluate,
     expand_consecutive,
     schedule_from_slots,
 )
@@ -67,29 +63,6 @@ def build_graph(instance: Instance) -> RmcdpGraph:
     return RmcdpGraph(instance=instance, labels=labels)
 
 
-def circuit_cost(instance: Instance, sequence: Sequence[int]) -> int:
-    """Total vertex cost of a dispatch order, evaluated from first
-    principles: loading starts follow each other by one loading time, a
-    vertex costs the (clamped) delay it inflicts on its site."""
-    rows = {row[0]: row for row in instance.timings}
-    lt = instance.depot.loading_time
-    start = instance.depot.start_time
-    last_load: dict[int, int] = {}
-    cost = 0
-    for position, site_id in enumerate(sequence):
-        if site_id not in rows:
-            raise InputError(f"unknown site id {site_id}")
-        _, _, offset, unload, _ = rows[site_id]
-        load = start + position * lt
-        if site_id in last_load:
-            vertex_cost = load - last_load[site_id] - unload
-        else:
-            vertex_cost = load + offset
-        cost += max(0, vertex_cost)
-        last_load[site_id] = load
-    return cost
-
-
 @dataclass(frozen=True)
 class GreedyStep:
     chosen_label: int
@@ -102,7 +75,6 @@ class GreedyResult:
     sequence: tuple[int, ...]
     schedule: Schedule
     report: FeasibilityReport
-    objective: ObjectiveReport
     steps: tuple[GreedyStep, ...]
 
 
@@ -157,7 +129,6 @@ def greedy_solve(
         sequence=tuple(sequence),
         schedule=schedule,
         report=check(instance, schedule, truck_limit=truck_limit),
-        objective=evaluate(instance, schedule),
         steps=tuple(steps),
     )
 

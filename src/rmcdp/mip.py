@@ -15,7 +15,6 @@ rounded float of the exact value.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
@@ -152,94 +151,6 @@ def emit_lp(model: MipModel) -> str:
     lines.append("\n ".join(("Binary", *model.binaries)))
     lines.append("End\n")
     return "\n".join(lines)
-
-
-def _float(token: str) -> float | None:
-    """``token`` as a finite number, or ``None`` when it is a name."""
-    try:
-        value = float(token)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _parse_terms(text: str) -> tuple[list[str], tuple[float, ...] | None]:
-    """An LP expression's names and coefficients (``None`` when all are 1)."""
-    names: list[str] = []
-    coefs: list[float] = []
-    sign = 1
-    coefficient: float | None = None
-    for token in text.split():
-        if token == "+":
-            sign = 1
-        elif token == "-":
-            sign = -1
-        elif (value := _float(token)) is not None:
-            coefficient = value
-        else:
-            names.append(token)
-            coefs.append(sign * (1 if coefficient is None else coefficient))
-            sign = 1
-            coefficient = None
-    if coefficient is not None:
-        raise InputError("dangling coefficient in LP expression")
-    return names, None if all(c == 1 for c in coefs) else tuple(coefs)
-
-
-def parse_lp(text: str) -> MipModel:
-    """Parse an LP file produced by :func:`emit_lp` back into a model.
-
-    Variables must be declared and objective coefficients 1.  The horizon
-    is the highest slot among the ``X_t{slot}_...`` binaries.
-    """
-    section = None
-    objective: list[str] = []
-    rows: list[tuple[str, list[str], tuple[float, ...] | None, str, float]] = []
-    continuous: list[str] = []
-    binaries: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("\\"):
-            continue
-        lowered = line.lower()
-        if lowered in {"minimize", "subject to", "bounds", "binary", "end"}:
-            section = lowered
-            continue
-        if section == "minimize":
-            objective, coefs = _parse_terms(line.partition(":")[2])
-            if coefs is not None:
-                raise InputError(f"objective coefficient other than 1: {line}")
-        elif section == "subject to":
-            name, _, body = line.partition(":")
-            for sense in ("<=", ">=", "="):
-                if f" {sense} " in body:
-                    expr, _, rhs = body.partition(f" {sense} ")
-                    value = _float(rhs)
-                    if value is None:
-                        raise InputError(f"right-hand side is not a number: {line}")
-                    rows.append((name.strip(), *_parse_terms(expr), sense, value))
-                    break
-            else:
-                raise InputError(f"constraint without relation: {line}")
-        elif section == "bounds":
-            continuous.append(line.split()[-1])
-        elif section == "binary":
-            binaries.append(line)
-    try:
-        horizon = max(
-            (int(name.split("_")[1][1:]) for name in binaries if name.startswith("X_t")),
-            default=0,
-        )
-    except ValueError:
-        raise InputError("binary name without a slot number") from None
-    names = (*continuous, *binaries)
-    column = {name: col for col, name in enumerate(names)}.__getitem__
-    try:
-        objective_cols = tuple(map(column, objective))
-        resolved = tuple(Row(r[0], tuple(map(column, r[1])), *r[2:]) for r in rows)
-    except KeyError as exc:
-        raise InputError(f"undeclared variable {exc.args[0]}") from None
-    return MipModel(horizon, names, len(continuous), objective_cols, resolved)
 
 
 def encode_schedule(

@@ -249,11 +249,6 @@ class Instance:
         )
 
 
-def trip_duration(instance: Instance, site: SiteSpec) -> int:
-    """Round-trip time of one delivery: loading + both hauls + unloading."""
-    return instance.depot.loading_time + 2 * site.haul_time + site.unload_time
-
-
 def total_trips(instance: Instance) -> int:
     return len(instance.trips)
 

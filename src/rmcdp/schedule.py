@@ -153,7 +153,10 @@ def trucks_required(instance: Instance, schedule: Schedule) -> int:
     return peak
 
 
-def _coverage_violations(instance: Instance, schedule: Schedule) -> list[Violation]:
+def _coverage_violations(
+    instance: Instance, schedule: Schedule, grouped: dict[int, list[ScheduleEntry]]
+) -> list[Violation]:
+    """Coverage violations; ``grouped`` is ``schedule.by_site()``."""
     violations = []
     expected = set(instance.trips)
     actual = Counter(e.trip for e in schedule.entries)
@@ -170,7 +173,7 @@ def _coverage_violations(instance: Instance, schedule: Schedule) -> list[Violati
         violations.append(Violation("coverage", (trip,), 0, 1, "missing trip"))
 
     # Trip indices must follow depot time within each site.
-    for site_id, entries in schedule.by_site().items():
+    for site_id, entries in grouped.items():
         starts = [e.depot_start for e in entries]
         if starts != sorted(starts):
             violations.append(
@@ -195,7 +198,8 @@ def check(
     check_truck_limit(truck_limit)
     if gamma_override is not None and gamma_override <= 0:
         raise ValidationError("gamma_override: must be positive when given")
-    violations = list(_coverage_violations(instance, schedule))
+    grouped = schedule.by_site()
+    violations = _coverage_violations(instance, schedule, grouped)
 
     by_start: dict[int, list[TripId]] = {}
     for entry in schedule.entries:
@@ -227,7 +231,6 @@ def check(
                 )
             )
 
-    grouped = schedule.by_site()
     for site in instance.sites:
         entries = grouped.get(site.id, [])
         gamma = gamma_override if gamma_override is not None else instance.gamma_for(site)
@@ -262,12 +265,12 @@ def check(
 
 def evaluate(instance: Instance, schedule: Schedule) -> ObjectiveReport:
     """Waiting and idle totals of a schedule that covers every trip."""
-    coverage = _coverage_violations(instance, schedule)
+    grouped = schedule.by_site()
+    coverage = _coverage_violations(instance, schedule, grouped)
     if coverage:
         raise InputError("; ".join(v.detail for v in coverage))
 
     per_site: dict[int, SiteObjective] = {}
-    grouped = schedule.by_site()
     for site in instance.sites:
         entries = grouped[site.id]
         first_wait = max(0, entries[0].site_arrival - site.proposed_start)

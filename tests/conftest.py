@@ -35,6 +35,28 @@ def golden_schedule(instance1):
     )
 
 
+def circuit_cost(instance: Instance, sequence: Sequence[int]) -> int:
+    """Total vertex cost of a dispatch order, evaluated from first
+    principles: loading starts follow each other by one loading time, a
+    vertex costs the (clamped) delay it inflicts on its site.  The
+    reference ``evaluate`` is checked against."""
+    rows = {row[0]: row for row in instance.timings}
+    lt = instance.depot.loading_time
+    start = instance.depot.start_time
+    last_load: dict[int, int] = {}
+    cost = 0
+    for position, site_id in enumerate(sequence):
+        _, _, offset, unload, _ = rows[site_id]
+        load = start + position * lt
+        if site_id in last_load:
+            vertex_cost = load - last_load[site_id] - unload
+        else:
+            vertex_cost = load + offset
+        cost += max(0, vertex_cost)
+        last_load[site_id] = load
+    return cost
+
+
 def _lp_number(value: float) -> str:
     whole = int(value)
     return str(whole) if whole == value else repr(value)

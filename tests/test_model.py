@@ -13,7 +13,6 @@ from rmcdp.model import (
     loading_time,
     solution_space_size,
     total_trips,
-    trip_duration,
     trips_for_site,
     truck_upper_bound,
 )
@@ -93,14 +92,6 @@ class TestDerivedQuantities:
             TripId(2, 1), TripId(2, 2), TripId(2, 3),
         )
         assert total_trips(instance) == len(instance.trips) == 6
-
-    def test_trip_duration_round_trip(self):
-        instance = make_instance([50], [25 * MIN], [30])
-        assert trip_duration(instance, instance.sites[0]) == 90 * MIN
-
-    def test_trip_duration_zero_distance(self):
-        instance = make_instance([10], [20 * MIN], [0])
-        assert trip_duration(instance, instance.sites[0]) == 25 * MIN
 
     def test_site_lookup_by_id(self):
         instance = make_instance([10, 20], [10 * MIN] * 2, [5, 6])

@@ -5,12 +5,17 @@ import random
 
 import pytest
 
-from rmcdp.graphs import build_graph, circuit_cost, greedy_solve
+from rmcdp.graphs import build_graph, greedy_solve
 from rmcdp.model import DepotSpec, Instance
 from rmcdp.priority import priority_solve
 from rmcdp.schedule import check, evaluate, expand_consecutive
 
-from conftest import random_instance, repeated_row_instance, tight_gamma_instance
+from conftest import (
+    circuit_cost,
+    random_instance,
+    repeated_row_instance,
+    tight_gamma_instance,
+)
 from test_graphs import assert_exact_matches_reference
 from test_priority import assert_matches_reference
 
@@ -26,6 +31,20 @@ def shift_instance(instance: Instance, delta: int) -> Instance:
         for site in instance.sites
     )
     return Instance(depot=depot, sites=sites)
+
+
+def relabel_instance(instance: Instance, rename: dict[int, int]) -> Instance:
+    """``instance`` with each site's id renamed, the site list order kept."""
+    sites = tuple(
+        dataclasses.replace(site, id=rename[site.id]) for site in instance.sites
+    )
+    return Instance(depot=instance.depot, sites=sites)
+
+
+def rotated_ids(instance: Instance) -> dict[int, int]:
+    """Each site's id mapped to the next site's; the last takes the first's."""
+    ids = [site.id for site in instance.sites]
+    return dict(zip(ids, ids[1:] + ids[:1]))
 
 
 def random_sequence(rng: random.Random, instance: Instance) -> tuple[int, ...]:
@@ -44,7 +63,9 @@ class TestTranslationInvariance:
         instance = random_instance(rng)
         shifted = shift_instance(instance, 2 * 3600)
         sequence = random_sequence(rng, instance)
-        assert circuit_cost(instance, sequence) == circuit_cost(shifted, sequence)
+        assert evaluate(instance, expand_consecutive(instance, sequence)) == evaluate(
+            shifted, expand_consecutive(shifted, sequence)
+        )
 
     @pytest.mark.parametrize("seed", range(10))
     def test_priority_result_shifts_with_clock(self, seed):
@@ -59,6 +80,43 @@ class TestTranslationInvariance:
             base_starts = [e.depot_start for e in base.schedule.entries]
             moved_starts = [e.depot_start for e in moved.schedule.entries]
             assert moved_starts == [t + delta for t in base_starts]
+
+
+class TestRelabellingInvariance:
+    """Site ids only name sites: ties go by list position, so renaming the
+    sites in place changes no waiting and no priority choice.  Greedy is left
+    out, since its ties go to the lowest id."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_objective_unchanged_by_relabelling(self, seed):
+        rng = random.Random(seed)
+        instance = random_instance(rng)
+        rename = rotated_ids(instance)
+        relabelled = relabel_instance(instance, rename)
+        for _ in range(15):
+            sequence = random_sequence(rng, instance)
+            renamed = tuple(rename[site_id] for site_id in sequence)
+            assert evaluate(
+                instance, expand_consecutive(instance, sequence)
+            ).total_site_wait == evaluate(
+                relabelled, expand_consecutive(relabelled, renamed)
+            ).total_site_wait
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_priority_result_unchanged_by_relabelling(self, seed):
+        rng = random.Random(seed)
+        for instance in (random_instance(rng), repeated_row_instance(rng)):
+            rename = rotated_ids(instance)
+            relabelled = relabel_instance(instance, rename)
+            for truck_limit in (None, 2, 3):
+                base = priority_solve(instance, truck_limit=truck_limit)
+                moved = priority_solve(relabelled, truck_limit=truck_limit)
+                assert moved.stats.best_objective == base.stats.best_objective
+                assert moved.stats.feasible_count == base.stats.feasible_count
+                if base.permutation is None:
+                    assert moved.permutation is None
+                else:
+                    assert moved.permutation == tuple(map(rename.get, base.permutation))
 
 
 class TestWaitIdleExclusivity:
