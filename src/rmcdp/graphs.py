@@ -15,8 +15,10 @@ Every search reads the integer site table ``Instance.timings``.  Both
 exact searches run one dynamic programme over slot prefixes,
 ``_slot_search``, whose one recursive walk prunes every schedule below a
 trip that breaks its site's pour window and breaks ties towards the
-assignment smallest in ``(slot, site position)`` order.  Each memo entry
-links to the entry of its best child, so the winner is read off by
+assignment smallest in ``(slot, site position)`` order.  The walk looks
+each child up before calling itself, so a leaf or a memo hit costs no call,
+and keeps the slot by which each open site must load next.  Each memo
+entry links to the entry of its best child, so the winner is read off by
 following links from the root.  Its node keys also carry the idle slots
 used and the recent loads, which a fleet limit needs; without one both
 stay empty and no slot is left idle, since repacking the loads onto the
@@ -152,6 +154,7 @@ class EnumerationResult:
 #: entry of the child it leads to (``None`` when there is none).
 _Entry = tuple[int, int | None, int, "_Entry | None"]
 _LEAF: _Entry = (1, 0, -1, None)  # every node with nothing left to load
+_DEAD: _Entry = (0, None, -1, None)  # a node with two sites due at once
 
 
 def _slot_search(
@@ -177,7 +180,13 @@ def _slot_search(
     least waiting, so ties go to the assignment smallest in ``(slot, row
     position)`` order) and the entry of that child; the winner is read off
     by following those links from the root.  A child whose gap would pass
-    its reach is pruned, so the count stays exact.
+    its reach is pruned, so the count stays exact: each open site keeps a
+    deadline, its last-load digit plus its reach, and a site whose
+    deadline is the node's depth plus one is the only one that may load.
+    A node with two sites due at once stores the shared dead entry and
+    returns.  The walk works out each child's key in its candidate loop
+    and looks it up (a leaf, then the memo) before any call, so only a
+    miss recurses.
 
     Below the site digits the key holds the fleet state: a digit for the
     idle slots used (radix ``horizon - trips + 1``) and under it one bit
@@ -216,20 +225,20 @@ def _slot_search(
     idle = len(ids)
     sites = range(len(ids))
     last = [0] * len(ids)  # each site's last-load slot plus one, 0 if none
+    # Each open site's last-load digit plus its reach: the digit a load
+    # must leave by; 0 while a site is unstarted or done.
+    deadline = [0] * len(ids)
     memo: dict[int, _Entry] = {}
+    memo_get = memo.get
 
     def walk(depth: int, key: int) -> _Entry:
-        if key < low:  # no trips left and no open site
-            return _LEAF
-        entry = memo.get(key)
-        if entry is not None:
-            return entry
-        # An open site at the end of its reach loads now or never finishes.
-        due = [
-            i for i in sites if left[i] and last[i] and last[i] + reaches[i] == depth + 1
-        ]
-        # Two of them cannot both load now, so the node is dead.
-        candidates = () if len(due) > 1 else due or sites
+        slot = depth + 1  # the last-load digit a load at ``depth`` leaves
+        due = deadline.count(slot)
+        if due > 1:  # two sites at the end of their reach cannot both load
+            memo[key] = _DEAD
+            return _DEAD
+        # A site at the end of its reach loads now or never finishes.
+        candidates = (deadline.index(slot),) if due else sites
         loaded = key  # the key with the load bits a load at ``depth`` leaves
         if mask:
             busy = key & mask
@@ -238,29 +247,46 @@ def _slot_search(
             loaded += ((busy << 1 | 1) & mask) - busy
         count, best, choice, link = 0, None, -1, None
         for k in candidates:
-            trips, previous = left[k], last[k]
+            trips = left[k]
             if not trips:
                 continue
-            if previous:
-                cost = max(0, (depth + 1 - previous) * lt - unloads[k])
-            else:
-                cost = max(0, start + depth * lt + offsets[k])
-            # k's last-load digit becomes this slot plus one, or 0 when done.
-            mark = depth + 1 if trips > 1 else 0
-            left[k], last[k] = trips - 1, depth + 1
-            below = walk(
-                depth + 1, loaded - left_weights[k] + (mark - previous) * last_weights[k]
+            previous = last[k]
+            # k's last-load digit becomes this slot, or 0 when it is done.
+            child = (
+                loaded
+                - left_weights[k]
+                + ((slot if trips > 1 else 0) - previous) * last_weights[k]
             )
-            left[k], last[k] = trips, previous
-            if below[0]:
-                count += below[0]
-                if best is None or below[1] + cost < best:
-                    best, choice, link = below[1] + cost, k, below
+            if child < low:  # no trips left and no open site
+                below = _LEAF
+            else:
+                below = memo_get(child)
+                if below is None:
+                    was = deadline[k]
+                    left[k], last[k] = trips - 1, slot
+                    deadline[k] = slot + reaches[k] if trips > 1 else 0
+                    below = walk(slot, child)
+                    left[k], last[k], deadline[k] = trips, previous, was
+                if not below[0]:
+                    continue
+            count += below[0]
+            if previous:
+                cost = (slot - previous) * lt - unloads[k]
+            else:
+                cost = start + depth * lt + offsets[k]
+            if cost < 0:
+                cost = 0
+            if best is None or below[1] + cost < best:
+                best, choice, link = below[1] + cost, k, below
         # Idle after the sites, while the horizon spares a slot: never
-        # without a fleet limit, where ``idle_cap`` is 0.
-        if key % low < idle_cap and not due:
+        # without a fleet limit, where ``idle_cap`` is 0.  The site digits
+        # stay as they are, so the idle child is never a leaf.
+        if not due and key % low < idle_cap:
             busy = key & mask
-            below = walk(depth + 1, key + idle_weight + (busy << 1 & mask) - busy)
+            child = key + idle_weight + (busy << 1 & mask) - busy
+            below = memo_get(child)
+            if below is None:
+                below = walk(slot, child)
             if below[0]:
                 count += below[0]
                 if best is None or below[1] < best:

@@ -32,7 +32,7 @@ from .model import (
     InputError,
     SiteSpec,
     ValidationError,
-    _fraction,
+    _ratio,
     total_trips,
 )
 from .schedule import Schedule, ScheduleEntry, TripId
@@ -71,10 +71,13 @@ def _seconds(value: Any, what: str, expected: str) -> int:
     float is read as its shortest decimal, exactly, like every other
     instance number; an int stays on integer arithmetic."""
     minutes = _number(value, what, expected)
-    seconds = (minutes if isinstance(minutes, int) else _fraction(minutes, what)) * 60
-    if seconds % 1:
+    if isinstance(minutes, int):
+        return minutes * 60
+    num, den = _ratio(minutes, what)
+    seconds, rest = divmod(num * 60, den)
+    if rest:
         raise InputError(f"{what}: {value!r} minutes is not a whole second count")
-    return int(seconds)
+    return seconds
 
 
 def format_time(seconds: int) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from decimal import Decimal
 from functools import cached_property
 
 MINUTE = 60
@@ -46,21 +46,37 @@ class SizeCapError(InputError):
 SEARCH_MAX_DEPTH = 500
 
 
-def _fraction(value: float | int | str, what: str) -> Fraction:
-    """Exact rational view of a JSON-ish number."""
+def _ratio(value: float | int, what: str) -> tuple[int, int]:
+    """A number as an exact integer ratio, denominator positive.  A float
+    is read as its shortest decimal, as JSON wrote it; an int, ``Fraction``
+    or ``Decimal`` gives its own ratio."""
     try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"{what}: not a number: {value!r}") from exc
+        if isinstance(value, float):
+            return Decimal(str(value)).as_integer_ratio()
+        if not isinstance(value, bool):
+            return value.as_integer_ratio()
+    except (ValueError, OverflowError):  # NaN and the infinities
+        pass
+    raise ValidationError(f"{what}: not a number: {value!r}")
 
 
-def _exact_seconds(hours: Fraction, what: str) -> int:
-    seconds = hours * HOUR
-    if seconds.denominator != 1:
+def _quotient(
+    top: float, top_what: str, bottom: float, bottom_what: str
+) -> tuple[int, int]:
+    """``top / bottom`` as an integer ratio; ``bottom`` must be positive."""
+    a, b = _ratio(top, top_what)
+    c, d = _ratio(bottom, bottom_what)
+    return a * d, b * c
+
+
+def _exact_seconds(hours: tuple[int, int], what: str) -> int:
+    num, den = hours
+    seconds, rest = divmod(num * HOUR, den)
+    if rest:
         raise ValidationError(
-            f"{what}: {float(seconds):.6f} is not a whole number of seconds"
+            f"{what}: {num * HOUR / den:.6f} is not a whole number of seconds"
         )
-    return int(seconds)
+    return seconds
 
 
 def loading_time(truck_capacity: float, productivity: float) -> int:
@@ -69,9 +85,7 @@ def loading_time(truck_capacity: float, productivity: float) -> int:
         raise ValidationError("truck_capacity: must be positive")
     if productivity <= 0:
         raise ValidationError("productivity: must be positive")
-    ratio = _fraction(truck_capacity, "truck_capacity") / _fraction(
-        productivity, "productivity"
-    )
+    ratio = _quotient(truck_capacity, "truck_capacity", productivity, "productivity")
     return _exact_seconds(ratio, "loading time")
 
 
@@ -81,8 +95,8 @@ def trips_for_site(demand: float, truck_capacity: float) -> int:
         raise ValidationError("demand: must be positive")
     if truck_capacity <= 0:
         raise ValidationError("truck_capacity: must be positive")
-    ratio = _fraction(demand, "demand") / _fraction(truck_capacity, "truck_capacity")
-    return int(math.ceil(ratio))
+    num, den = _quotient(demand, "demand", truck_capacity, "truck_capacity")
+    return -(-num // den)
 
 
 def _check_span(seconds: int, what: str) -> None:
@@ -162,7 +176,7 @@ class SiteSpec:
     @cached_property
     def haul_time(self) -> int:
         """One-way travel time d_i / v_i in seconds."""
-        ratio = _fraction(self.distance, "distance") / _fraction(self.speed, "speed")
+        ratio = _quotient(self.distance, "distance", self.speed, "speed")
         return _exact_seconds(ratio, "haul time")
 
 

@@ -44,7 +44,6 @@ from .model import (
     DepotSpec,
     Instance,
     ValidationError,
-    _fraction,
     check_search_size,
     check_truck_limit,
 )
@@ -205,7 +204,10 @@ def _search(
 
 def parse_beta(beta: Fraction | int | float | str) -> Fraction:
     """The pacing factor as an exact fraction; it must be a number of at least 1."""
-    value = _fraction(beta, "beta")
+    try:
+        value = Fraction(str(beta))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"beta: not a number: {beta!r}") from exc
     if value < 1:
         raise ValidationError(f"beta: must be at least 1, got {value}")
     return value

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import pytest
 
 from rmcdp import io as rio
-from rmcdp.model import DepotSpec, Instance, SiteSpec
+from rmcdp.model import DepotSpec, Instance, InputError, SiteSpec, ValidationError
 
 MIN = 60
 
@@ -55,6 +57,44 @@ def circuit_cost(instance: Instance, sequence: Sequence[int]) -> int:
         cost += max(0, vertex_cost)
         last_load[site_id] = load
     return cost
+
+
+def _reference_fraction(value, what: str) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{what}: not a number: {value!r}") from exc
+
+
+def reference_hours_in_seconds(top, top_what, bottom, bottom_what, what) -> int:
+    """Whole seconds in ``top / bottom`` hours, each number read as a
+    ``Fraction`` of its ``str``: the first-principles reference for the
+    integer reader behind ``loading_time`` and ``haul_time``."""
+    seconds = (
+        _reference_fraction(top, top_what) / _reference_fraction(bottom, bottom_what) * 3600
+    )
+    if seconds.denominator != 1:
+        raise ValidationError(
+            f"{what}: {float(seconds):.6f} is not a whole number of seconds"
+        )
+    return int(seconds)
+
+
+def reference_trips(demand, truck_capacity) -> int:
+    """``ceil(demand / capacity)`` over ``Fraction``s, as for
+    :func:`reference_hours_in_seconds`."""
+    ratio = _reference_fraction(demand, "demand") / _reference_fraction(
+        truck_capacity, "truck_capacity"
+    )
+    return math.ceil(ratio)
+
+
+def reference_minutes_in_seconds(minutes, what: str) -> int:
+    """Whole seconds in a finite number of minutes, read as a ``Fraction``."""
+    seconds = (minutes if isinstance(minutes, int) else _reference_fraction(minutes, what)) * 60
+    if seconds % 1:
+        raise InputError(f"{what}: {minutes!r} minutes is not a whole second count")
+    return int(seconds)
 
 
 def _lp_number(value: float) -> str:

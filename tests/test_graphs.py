@@ -6,6 +6,7 @@ import pytest
 
 from rmcdp.graphs import (
     SizeCapError,
+    _slot_search,
     build_graph,
     enumerate_exact,
     greedy_solve,
@@ -43,18 +44,23 @@ MIN = 60
 TRUCK_LIMITS = (None, 1, 2, 3, 5)
 
 
-def e11_shaped_instance():
-    """Sites of 4, 4 and 3 trips on 10-minute loadings with a 70-minute
-    window: 11,550 dispatch sequences."""
-    rows = ((4, 25, 12, 20), (4, 15, 18, 35), (3, 20, 22, 10))
+def shaped_instance(rows, gamma_min):
+    """Sites of ``(trips, unload, haul, requested)`` minutes from 8:00 on
+    10-minute loadings with a ``gamma_min``-minute window."""
     sites = tuple(
         SiteSpec(id=sid, demand=10 * trips, distance=haul, speed=60,
                  unload_time=unload * MIN, proposed_start=8 * 3600 + requested * MIN)
         for sid, (trips, unload, haul, requested) in enumerate(rows, start=1)
     )
     depot = DepotSpec(start_time=8 * 3600, plant_capacity=10, productivity=60,
-                      truck_capacity=10, gamma=70 * MIN)
+                      truck_capacity=10, gamma=gamma_min * MIN)
     return Instance(depot=depot, sites=sites)
+
+
+def e11_shaped_instance():
+    """Sites of 4, 4 and 3 trips with a 70-minute window: 11,550 dispatch
+    sequences."""
+    return shaped_instance(((4, 25, 12, 20), (4, 15, 18, 35), (3, 20, 22, 10)), 70)
 
 
 def reference_enumeration(instance, truck_limit):
@@ -412,6 +418,31 @@ class TestGridExact:
             slots = {e.depot_start for e in gridded.schedule.entries}
             start, lt = instance.depot.start_time, instance.depot.loading_time
             assert slots == {start + slot * lt for slot in range(trips)}
+
+    def test_node_counts_under_fleet_limits(self):
+        # grid_exact reports no node count, so the slot DP's node partition
+        # under a fleet limit, dead nodes included, is pinned here: feasible
+        # count, least waiting and nodes at horizon 10.
+        instance = shaped_instance(((2, 20, 10, 15), (2, 25, 15, 30), (2, 15, 20, 45)), 60)
+        found = {}
+        for limit in (None, 2, 3):
+            feasible, objective, _, nodes = _slot_search(
+                instance, instance.timings, 10, limit
+            )
+            found[limit] = feasible, objective, nodes
+        assert found == {None: (90, 2100, 91), 2: (0, None, 365), 3: (18, 6600, 2102)}
+
+    def test_node_counts_with_two_sites_due(self):
+        # Pour windows of different reach let two open sites fall due in
+        # one slot; each such dead node is one memo entry, counted once.
+        instance = tight_gamma_instance(random.Random(27))
+        found = {}
+        for limit in (None, 2, 3):
+            feasible, objective, _, nodes = _slot_search(
+                instance, instance.timings, total_trips(instance) + 2, limit
+            )
+            found[limit] = feasible, objective, nodes
+        assert found == {None: (242, 4320, 223), 2: (0, None, 105), 3: (0, None, 402)}
 
     def test_truck_window_includes_its_end(self):
         # 10-minute loadings and a 90-minute window: a truck loaded in slot 1

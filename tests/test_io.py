@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -16,6 +17,8 @@ from rmcdp.io import (
 )
 from rmcdp.model import InputError
 from rmcdp.schedule import expand_consecutive
+
+from conftest import reference_minutes_in_seconds
 
 MIN = 60
 HEADER = "site,trip,depot_start,site_start,site_end,delivery"
@@ -71,6 +74,27 @@ class TestExactMinutes:
             parse_duration(minutes, "unload")
         with pytest.raises(InputError, match="not a whole second count"):
             parse_time(minutes)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        whole = 0
+        for _ in range(500):
+            if rng.randrange(4):
+                minutes = float(f"{rng.randint(1, 10**5)}e-{rng.randint(0, 4)}")
+            else:
+                minutes = rng.randint(1, 10**5)
+            try:
+                expected = reference_minutes_in_seconds(minutes, "unload")
+            except InputError as exc:
+                with pytest.raises(InputError) as raised:
+                    parse_duration(minutes, "unload")
+                assert str(raised.value) == str(exc)
+            else:
+                seconds = parse_duration(minutes, "unload")
+                assert type(seconds) is int and seconds == expected
+                whole += 1
+        assert 100 <= whole <= 400  # both branches are drawn
 
     def test_integers_stay_integers(self):
         for value in (480, 10**400):

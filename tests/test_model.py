@@ -1,5 +1,7 @@
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +17,11 @@ from rmcdp.model import (
     total_trips,
     trips_for_site,
     truck_upper_bound,
+)
+
+from conftest import (
+    reference_hours_in_seconds,
+    reference_trips,
 )
 
 MIN = 60
@@ -73,6 +80,89 @@ class TestLoadingTime:
     def test_rejects_fractional_seconds(self):
         with pytest.raises(ValidationError):
             loading_time(1, 7)  # 3600/7 seconds
+
+
+def outcome(read, *args):
+    """What a reader gives: its value with the value's type, or its error's
+    type and message."""
+    try:
+        value = read(*args)
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+    return type(value).__name__, value
+
+
+#: Divisors that often, but not always, leave whole seconds.
+DIVISORS = (1, 2, 3, 7, 8, 60, 120, 0.5, 1.5, 7.2, 12.5, 0.3)
+
+
+def as_kind(value, kind: int):
+    """``value`` (an int, a float or a decimal string) as a float, an int
+    when it is whole, a ``Fraction`` or a ``Decimal``."""
+    exact = Decimal(str(value))
+    if kind == 1 and exact == exact.to_integral_value():
+        return int(exact)
+    return (float(exact), float(exact), Fraction(exact), exact)[kind]
+
+
+def drawn_pair(rng: random.Random):
+    """A positive decimal and a divisor, each of a drawn kind."""
+    top = f"{rng.randint(1, 10**5)}e-{rng.randint(0, 4)}"
+    return as_kind(top, rng.randrange(4)), as_kind(rng.choice(DIVISORS), rng.randrange(4))
+
+
+class TestExactReader:
+    """Instance numbers are read once as integer ratios; the values and
+    the messages are those of reading each number as a ``Fraction``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        whole = 0
+        for _ in range(500):
+            top, bottom = drawn_pair(rng)
+            loaded = outcome(loading_time, top, bottom)
+            assert loaded == outcome(
+                reference_hours_in_seconds,
+                top, "truck_capacity", bottom, "productivity", "loading time",
+            )
+            whole += loaded[0] == "int"
+            assert outcome(trips_for_site, top, bottom) == outcome(
+                reference_trips, top, bottom
+            )
+            hauled = SiteSpec(id=1, demand=10, distance=top, speed=bottom,
+                              unload_time=10 * MIN, proposed_start=0)
+            assert outcome(lambda: hauled.haul_time) == outcome(
+                reference_hours_in_seconds, top, "distance", bottom, "speed", "haul time"
+            )
+        assert 100 <= whole <= 400  # both branches are drawn
+
+    def test_non_whole_seconds_message(self):
+        assert outcome(loading_time, 1, 7) == (
+            "ValidationError", "loading time: 514.285714 is not a whole number of seconds"
+        )
+        assert outcome(loading_time, 1, 7) == outcome(
+            reference_hours_in_seconds, 1, "truck_capacity", 7, "productivity", "loading time"
+        )
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, Decimal("Infinity")], ids=["nan", "inf", "Decimal-inf"]
+    )
+    def test_not_a_number(self, bad):
+        cases = [
+            (loading_time, (bad, 120), "truck_capacity"),
+            (loading_time, (10, bad), "productivity"),
+            (trips_for_site, (bad, 10), "demand"),
+            (trips_for_site, (10, bad), "truck_capacity"),
+        ]
+        for read, args, what in cases:
+            assert outcome(read, *args) == ("ValidationError", f"{what}: not a number: {bad!r}")
+        for distance, speed, what in ((bad, 60, "distance"), (10, bad, "speed")):
+            hauled = SiteSpec(id=1, demand=10, distance=distance, speed=speed,
+                              unload_time=10 * MIN, proposed_start=0)
+            assert outcome(lambda: hauled.haul_time) == outcome(
+                reference_hours_in_seconds, distance, "distance", speed, "speed", "haul time"
+            ) == ("ValidationError", f"{what}: not a number: {bad!r}")
 
 
 class TestDerivedQuantities:
