@@ -123,7 +123,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "violations": [
             {
                 "kind": v.kind,
-                "trips": [[t.site_id, t.trip_index] for t in v.trips],
+                "trips": [list(trip) for trip in v.trips],
                 "measured": v.measured,
                 "bound": v.bound,
                 "detail": v.detail,

@@ -20,13 +20,16 @@ import csv
 import io as _io
 import json
 import math
+from collections.abc import Mapping
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .model import (
     DAY,
     HOUR,
+    MINUTE,
     DepotSpec,
     Instance,
     InputError,
@@ -94,9 +97,13 @@ _REQUIRED = object()
 
 def _field(doc: Mapping[str, Any], field: str, what: str, parse, default=_REQUIRED):
     """``parse`` applied to ``doc[field]``.  An absent field takes ``default``,
-    and without one it reads ``missing``."""
+    and without one it reads ``missing``.  A parse error names ``what.field``,
+    which is formatted only then."""
     if field in doc:
-        return parse(doc[field], f"{what}.{field}")
+        try:
+            return parse(doc[field], field)
+        except InputError as exc:
+            raise InputError(f"{what}.{exc}") from None
     if default is _REQUIRED:
         raise InputError(f"{what}.{field}: missing")
     return default
@@ -211,7 +218,7 @@ def schedule_to_csv(schedule: Schedule) -> str:
     buffer = _io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SCHEDULE_HEADER)
-    for entry in sorted(schedule.entries, key=lambda e: e.trip):
+    for entry in sorted(schedule.entries, key=attrgetter("trip")):
         writer.writerow(
             (
                 entry.site_id,
@@ -258,42 +265,49 @@ def read_schedule_csv(path: str | Path, instance: Instance) -> Schedule:
     # loading time), and a trip ends at most 48 h after its loading, so
     # every clock it writes lies within this span of the depot start.  A
     # clock past it is refused before any arithmetic meets it.
-    start, span = instance.depot.start_time, (total_trips(instance) + 2) * 2 * DAY
+    span = (total_trips(instance) + 2) * 2 * DAY
+    latest = instance.depot.start_time + span
+    sites = instance._sites_by_id
     entries = []
     for line_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(SCHEDULE_HEADER):
             raise InputError(f"{path}:{line_no}: expected {len(SCHEDULE_HEADER)} fields")
-        where = f"{path}:{line_no}"
         try:
             site_id = int(row[0])
             trip_index = int(row[1])
         except ValueError as exc:
-            raise InputError(f"{where}: site and trip must be integers") from exc
-        if not any(site.id == site_id for site in instance.sites):
-            raise InputError(f"{where}: unknown site {site_id}")
+            raise InputError(f"{path}:{line_no}: site and trip must be integers") from exc
+        if site_id not in sites:
+            raise InputError(f"{path}:{line_no}: unknown site {site_id}")
         clocks = []
         for column in (2, 3, 4):
-            what = f"{where}: {SCHEDULE_HEADER[column]}"
-            clocks.append(parse_time(row[column], what))
-            if clocks[-1] - start > span:
-                raise InputError(f"{what}: more than {span // HOUR} h after the depot start")
-        depot_start, site_start, site_end = clocks
+            text = row[column]
+            hours, _, minutes = text.partition(":")
+            # A plain H:MM of ASCII digits is read here; parse_time reads,
+            # or refuses, everything else.
+            if (
+                len(minutes) == 2 and minutes < "60" and minutes.isdigit()
+                and hours.isdigit() and len(hours) < 7 and text.isascii()
+            ):
+                clock = int(hours) * HOUR + int(minutes) * MINUTE
+            else:
+                clock = parse_time(text, f"{path}:{line_no}: {SCHEDULE_HEADER[column]}")
+            if clock > latest:
+                raise InputError(
+                    f"{path}:{line_no}: {SCHEDULE_HEADER[column]}: "
+                    f"more than {span // HOUR} h after the depot start"
+                )
+            clocks.append(clock)
         try:
             cumulative = float(row[5])
         except ValueError:
             cumulative = math.nan
         if not math.isfinite(cumulative):
-            raise InputError(f"{where}: delivery must be a finite number, got {row[5]!r}")
-        entries.append(
-            ScheduleEntry(
-                trip=TripId(site_id, trip_index),
-                depot_start=depot_start,
-                site_arrival=site_start,
-                site_departure=site_end,
-                cumulative_delivered=cumulative,
+            raise InputError(
+                f"{path}:{line_no}: delivery must be a finite number, got {row[5]!r}"
             )
-        )
-    entries.sort(key=lambda e: e.trip)
+        entries.append(ScheduleEntry(TripId(site_id, trip_index), *clocks, cumulative))
+    entries.sort(key=attrgetter("trip"))
     return Schedule(entries=tuple(entries))

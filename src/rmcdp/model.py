@@ -15,9 +15,10 @@ than rounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from functools import cached_property
+from typing import NamedTuple
 
 MINUTE = 60
 HOUR = 3600
@@ -106,10 +107,22 @@ def _check_span(seconds: int, what: str) -> None:
         raise ValidationError(f"{what}: must be at most 48 h (2880 min)")
 
 
-@dataclass(frozen=True, order=True)
-class TripId:
+class TripId(NamedTuple):
+    """A site's trip.  As a named tuple it hashes, compares and sorts as the
+    plain tuple ``(site_id, trip_index)``, all in C."""
+
     site_id: int
     trip_index: int  # 1-based within the site
+
+
+def _refuse_decimal_nan(spec, prefix: str) -> None:
+    """Raise a ``ValidationError`` naming the first field of ``spec`` that
+    holds a ``Decimal`` NaN, which signals when a guard compares it.  The
+    ``not x > 0`` guards refuse a float NaN themselves."""
+    for item in fields(spec):
+        value = getattr(spec, item.name)
+        if isinstance(value, Decimal) and value.is_nan():
+            raise ValidationError(f"{prefix}{item.name}: not a number: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -122,18 +135,22 @@ class DepotSpec:
     gamma: int = DEFAULT_GAMMA    # cold-joint window, seconds
 
     def __post_init__(self) -> None:
-        if self.start_time < 0:
-            raise ValidationError("depot.start: must be non-negative")
-        if self.plant_capacity <= 0:
-            raise ValidationError("depot.plant_capacity: must be positive")
-        if self.productivity <= 0:
-            raise ValidationError("depot.productivity: must be positive")
-        if self.truck_capacity <= 0:
-            raise ValidationError("depot.truck_capacity: must be positive")
-        if self.truck_count is not None and self.truck_count <= 0:
-            raise ValidationError("depot.trucks: must be positive when given")
-        if self.gamma <= 0:
-            raise ValidationError("depot.gamma: must be positive")
+        try:
+            if not self.start_time >= 0:
+                raise ValidationError("depot.start: must be non-negative")
+            if not self.plant_capacity > 0:
+                raise ValidationError("depot.plant_capacity: must be positive")
+            if not self.productivity > 0:
+                raise ValidationError("depot.productivity: must be positive")
+            if not self.truck_capacity > 0:
+                raise ValidationError("depot.truck_capacity: must be positive")
+            if self.truck_count is not None and not self.truck_count > 0:
+                raise ValidationError("depot.trucks: must be positive when given")
+            if not self.gamma > 0:
+                raise ValidationError("depot.gamma: must be positive")
+        except ArithmeticError:
+            _refuse_decimal_nan(self, "depot.")
+            raise
         _check_span(self.start_time, "depot.start")
         _check_span(self.gamma, "depot.gamma")
 
@@ -154,20 +171,26 @@ class SiteSpec:
 
     def __post_init__(self) -> None:
         # Messages name the field; the reader of the site list names the site.
-        if self.id <= 0:
-            raise ValidationError("id: must be positive")
-        if self.demand <= 0:
-            raise ValidationError("demand: must be positive")
-        if self.distance < 0:
-            raise ValidationError("distance: must be non-negative")
-        if self.speed <= 0:
-            raise ValidationError("speed: must be positive")
-        if self.unload_time <= 0:
-            raise ValidationError("unload: must be positive")
-        if self.proposed_start < 0:
-            raise ValidationError("proposed_start: must be non-negative")
-        if self.gamma_override is not None and self.gamma_override <= 0:
-            raise ValidationError("gamma_override: must be positive when given")
+        # A float NaN distance or speed passes here: haul_time's exact
+        # reader, which every Instance calls, refuses it by name.
+        try:
+            if not self.id > 0:
+                raise ValidationError("id: must be positive")
+            if not self.demand > 0:
+                raise ValidationError("demand: must be positive")
+            if self.distance < 0:
+                raise ValidationError("distance: must be non-negative")
+            if self.speed <= 0:
+                raise ValidationError("speed: must be positive")
+            if not self.unload_time > 0:
+                raise ValidationError("unload: must be positive")
+            if not self.proposed_start >= 0:
+                raise ValidationError("proposed_start: must be non-negative")
+            if self.gamma_override is not None and not self.gamma_override > 0:
+                raise ValidationError("gamma_override: must be positive when given")
+        except ArithmeticError:
+            _refuse_decimal_nan(self, "")
+            raise
         _check_span(self.unload_time, "unload")
         _check_span(self.proposed_start, "proposed_start")
         if self.gamma_override is not None:

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from operator import attrgetter
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import Instance, InputError, TripId, ValidationError, check_truck_limit
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class ScheduleEntry(NamedTuple):
+    """One timed trip.  As a named tuple it equals, hashes and unpacks as
+    the plain tuple of its fields."""
+
     trip: TripId
     depot_start: int       # loading starts at the depot
     site_arrival: int      # pouring starts at the site
@@ -38,7 +41,7 @@ class Schedule:
         for entry in self.entries:
             grouped.setdefault(entry.site_id, []).append(entry)
         for entries in grouped.values():
-            entries.sort(key=lambda e: e.trip.trip_index)
+            entries.sort(key=attrgetter("trip"))  # one site: by trip index
         return grouped
 
     def dispatch_sequence(self) -> tuple[int, ...]:
@@ -160,17 +163,19 @@ def _coverage_violations(
     violations = []
     expected = set(instance.trips)
     actual = Counter(e.trip for e in schedule.entries)
-    for trip, count in sorted(actual.items()):
-        if trip not in expected:
-            violations.append(
-                Violation("coverage", (trip,), count, 0, "unknown trip")
-            )
-        elif count > 1:
-            violations.append(
-                Violation("coverage", (trip,), count, 1, "duplicated trip")
-            )
-    for trip in sorted(expected - set(actual)):
-        violations.append(Violation("coverage", (trip,), 0, 1, "missing trip"))
+    # One test settles the common case, each expected trip exactly once.
+    if len(actual) != len(schedule.entries) or actual.keys() != expected:
+        for trip, count in sorted(actual.items()):
+            if trip not in expected:
+                violations.append(
+                    Violation("coverage", (trip,), count, 0, "unknown trip")
+                )
+            elif count > 1:
+                violations.append(
+                    Violation("coverage", (trip,), count, 1, "duplicated trip")
+                )
+        for trip in sorted(expected - set(actual)):
+            violations.append(Violation("coverage", (trip,), 0, 1, "missing trip"))
 
     # Trip indices must follow depot time within each site.
     for site_id, entries in grouped.items():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 from fractions import Fraction
@@ -95,6 +97,52 @@ def reference_minutes_in_seconds(minutes, what: str) -> int:
     if seconds % 1:
         raise InputError(f"{what}: {minutes!r} minutes is not a whole second count")
     return int(seconds)
+
+
+def reference_read_schedule(path, instance: Instance) -> tuple[tuple, ...]:
+    """The schedule CSV at ``path`` as plain tuples ``((site, trip),
+    depot_start, site_arrival, site_departure, delivered)``, read row by row
+    with ``csv`` and ``parse_time`` and a scan of the site list: the
+    reference that ``read_schedule_csv`` must agree with, on its entries or
+    on the text of the ``InputError`` it raises."""
+    text = rio._read_text(path)
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise InputError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not rows or tuple(rows[0]) != rio.SCHEDULE_HEADER:
+        raise InputError(f"{path}:1: expected header {','.join(rio.SCHEDULE_HEADER)}")
+    start = instance.depot.start_time
+    span = (len(instance.trips) + 2) * 48 * 3600
+    entries = []
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        where = f"{path}:{line_no}"
+        if len(row) != 6:
+            raise InputError(f"{where}: expected 6 fields")
+        try:
+            site_id, trip_index = int(row[0]), int(row[1])
+        except ValueError:
+            raise InputError(f"{where}: site and trip must be integers") from None
+        if not any(site.id == site_id for site in instance.sites):
+            raise InputError(f"{where}: unknown site {site_id}")
+        clocks = []
+        for column in (2, 3, 4):
+            what = f"{where}: {rio.SCHEDULE_HEADER[column]}"
+            clocks.append(rio.parse_time(row[column], what))
+            if clocks[-1] - start > span:
+                raise InputError(f"{what}: more than {span // 3600} h after the depot start")
+        try:
+            delivered = float(row[5])
+        except ValueError:
+            delivered = math.nan
+        if not math.isfinite(delivered):
+            raise InputError(f"{where}: delivery must be a finite number, got {row[5]!r}")
+        entries.append(((site_id, trip_index), *clocks, delivered))
+    entries.sort(key=lambda entry: entry[0])
+    return tuple(entries)
 
 
 def _lp_number(value: float) -> str:

@@ -15,10 +15,13 @@ from rmcdp.io import (
     schedule_to_csv,
     write_schedule_csv,
 )
+from rmcdp.graphs import greedy_solve
+from rmcdp.io import bundled_schedule_path
 from rmcdp.model import InputError
+from rmcdp.priority import priority_solve
 from rmcdp.schedule import expand_consecutive
 
-from conftest import reference_minutes_in_seconds
+from conftest import random_instance, reference_minutes_in_seconds, reference_read_schedule
 
 MIN = 60
 HEADER = "site,trip,depot_start,site_start,site_end,delivery"
@@ -311,3 +314,118 @@ class TestScheduleCsv:
         )
         with pytest.raises(InputError, match=f"{path}:2: delivery must be a finite number"):
             read_schedule_csv(path, example1)
+
+
+def read_outcome(read, path, instance):
+    """``read``'s entries as plain tuples, or the text of its ``InputError``."""
+    try:
+        return "entries", tuple(map(tuple, read(path, instance).entries))
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+def reference_outcome(path, instance):
+    try:
+        return "entries", reference_read_schedule(path, instance)
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+#: Clocks the reader must read, or refuse, exactly as ``parse_time`` does.
+ODD_CLOCKS = (
+    "8:00:30", "\u0668:\u0660\u0660", "\u00b2:00", "8:60", ":00", "8:5", "08:05",
+    "0008:00", "8:00:60", "8:0a", " 8:00", "8:00 ", "+8:00", "1_0:00", "8",
+    "8:00:", "8::00", "999999:00", "1000000:00", "9" * 5000 + ":00",
+)
+
+
+def over_span_clocks(instance):
+    """The latest clock a schedule may hold, and two just past it."""
+    latest = instance.depot.start_time + (len(instance.trips) + 2) * 48 * 3600
+    return format_time(latest), format_time(latest + 60), format_time(latest + 1)
+
+
+def edited_csv(text, instance, rng):
+    """``text`` with one to three drawn edits: blank lines, wrong field
+    counts, unknown sites, odd or over-span clocks, odd deliveries, moved
+    or repeated rows."""
+    header, *lines = text.splitlines()
+    clocks = ODD_CLOCKS + over_span_clocks(instance)
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(lines))
+        fields = lines[k].split(",")
+        edit = rng.randrange(8)
+        if edit == 0:
+            lines.insert(k, rng.choice(("", "  ", ",,,,,")))
+        elif edit == 1:
+            lines.insert(rng.randrange(len(lines)), lines[k])
+        elif edit == 2:
+            lines[k] = ",".join(fields[:rng.randrange(len(fields))])
+        elif edit == 3:
+            lines[k] += ",x"
+        elif len(fields) != 6:
+            continue
+        elif edit == 4:
+            fields[0] = str(rng.choice((0, -1, len(instance.sites) + 1, 10**30)))
+        elif edit == 5:
+            fields[rng.choice((2, 3, 4))] = rng.choice(clocks)
+        elif edit == 6:
+            fields[5] = rng.choice(("nan", "inf", "-inf", "1e400", "ten", " 7 ", "1_0", "-2.5"))
+        else:
+            fields[1] = rng.choice(("0", "9", "1.0", " 2"))
+        if edit >= 4:
+            lines[k] = ",".join(fields)
+    return "\n".join([header, *lines]) + "\n"
+
+
+class TestReaderMatchesReference:
+    """``read_schedule_csv`` agrees with the plain row-by-row reference in
+    ``conftest`` on every entry, or on the exact text of its error."""
+
+    @pytest.fixture(scope="class")
+    def schedules(self, example1, instance1, instance2):
+        """``(instance, CSV text)`` of the golden schedule and solver output."""
+        golden = bundled_schedule_path("instance-1-schedule").read_text()
+        texts = [(instance1, golden)]
+        for instance in (example1, instance1, instance2):
+            texts.append((instance, schedule_to_csv(priority_solve(instance).schedule)))
+        rng = random.Random(19)
+        for _ in range(6):
+            instance = random_instance(rng)
+            texts.append((instance, schedule_to_csv(greedy_solve(instance).schedule)))
+        return texts
+
+    def test_golden_and_solver_schedules(self, schedules, tmp_path):
+        path = tmp_path / "schedule.csv"
+        for instance, text in schedules:
+            path.write_text(text)
+            outcome = read_outcome(read_schedule_csv, path, instance)
+            assert outcome[0] == "entries"
+            assert outcome == reference_outcome(path, instance)
+
+    @pytest.mark.parametrize("column", [2, 3, 4])
+    def test_odd_and_over_span_clocks(self, instance1, tmp_path, column):
+        path = tmp_path / "schedule.csv"
+        header, first, *rest = bundled_schedule_path("instance-1-schedule").read_text().splitlines()
+        refused = 0
+        for clock in ODD_CLOCKS + over_span_clocks(instance1):
+            fields = first.split(",")
+            fields[column] = clock
+            path.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+            outcome = read_outcome(read_schedule_csv, path, instance1)
+            assert outcome == reference_outcome(path, instance1), clock
+            refused += outcome[0] == "InputError"
+        assert 10 <= refused < len(ODD_CLOCKS) + 3  # both branches are drawn
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_drawn_edits(self, schedules, tmp_path, seed):
+        rng = random.Random(seed)
+        path = tmp_path / "schedule.csv"
+        kinds = set()
+        for _ in range(150):
+            instance, text = rng.choice(schedules)
+            path.write_text(edited_csv(text, instance, rng))
+            outcome = read_outcome(read_schedule_csv, path, instance)
+            assert outcome == reference_outcome(path, instance)
+            kinds.add(outcome[1].split(": ")[1] if outcome[0] == "InputError" else "read")
+        assert {"read", "expected 6 fields", "unknown site 0"} <= kinds

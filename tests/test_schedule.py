@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 from rmcdp.model import InputError, trips_for_site
 from rmcdp.schedule import (
+    Schedule,
+    ScheduleEntry,
     TripId,
     check,
     evaluate,
@@ -188,3 +191,102 @@ class TestTripId:
 
     def test_hashable(self):
         assert len({TripId(1, 1), TripId(1, 1), TripId(2, 1)}) == 2
+
+
+class TestRecordContract:
+    """``TripId`` and ``ScheduleEntry`` are named tuples: they hash, order
+    and print as records of their fields, are read-only, and equal plain
+    tuples."""
+
+    def test_trip_hash_is_its_tuple_hash(self):
+        for site_id, index in ((1, 1), (3, 7), (12, 2), (10**20, 5)):
+            trip = TripId(site_id, index)
+            assert hash(trip) == hash((site_id, index))
+            assert trip == (site_id, index)
+            assert tuple(trip) == (site_id, index)
+
+    def test_trips_order_by_site_then_index(self):
+        rng = random.Random(0)
+        pairs = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(200)]
+        trips = [TripId(*pair) for pair in pairs]
+        assert sorted(trips) == sorted(trips, key=lambda t: (t.site_id, t.trip_index))
+        assert [tuple(t) for t in sorted(trips)] == sorted(pairs)
+
+    def test_repr_text(self):
+        trip = TripId(2, 3)
+        entry = ScheduleEntry(trip, 28800, 30300, 31800, 10.0)
+        assert repr(trip) == "TripId(site_id=2, trip_index=3)"
+        assert repr(entry) == (
+            "ScheduleEntry(trip=TripId(site_id=2, trip_index=3), depot_start=28800, "
+            "site_arrival=30300, site_departure=31800, cumulative_delivered=10.0)"
+        )
+
+    def test_fields_are_read_only(self):
+        trip = TripId(2, 3)
+        entry = ScheduleEntry(trip, 28800, 30300, 31800, 10.0)
+        for record, name in ((trip, "site_id"), (trip, "trip_index"),
+                             (entry, "trip"), (entry, "depot_start")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+    def test_entry_reads_its_site_and_unpacks(self):
+        entry = ScheduleEntry(
+            trip=TripId(4, 1), depot_start=0, site_arrival=600,
+            site_departure=1200, cumulative_delivered=7.5,
+        )
+        assert entry.site_id == 4
+        trip, start, arrival, departure, delivered = entry
+        assert (trip, start, arrival, departure, delivered) == ((4, 1), 0, 600, 1200, 7.5)
+        assert hash(entry) == hash(((4, 1), 0, 600, 1200, 7.5))
+
+
+def reference_coverage(instance, schedule):
+    """Coverage violations as ``(trips, measured, bound, detail)``, worked
+    out trip by trip with no shortcut for a schedule that covers every
+    trip once."""
+    found = []
+    expected = set(instance.trips)
+    actual = Counter(e.trip for e in schedule.entries)
+    for trip, count in sorted(actual.items()):
+        if trip not in expected:
+            found.append(((trip,), count, 0, "unknown trip"))
+        elif count > 1:
+            found.append(((trip,), count, 1, "duplicated trip"))
+    for trip in sorted(expected - set(actual)):
+        found.append(((trip,), 0, 1, "missing trip"))
+    for site_id, entries in schedule.by_site().items():
+        starts = [e.depot_start for e in entries]
+        if starts != sorted(starts):
+            found.append((tuple(e.trip for e in entries), 0, 0,
+                          f"site {site_id} trip order disagrees with depot times"))
+    return found
+
+
+class TestCoverage:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_trip_by_trip_reference(self, seed):
+        rng = random.Random(seed)
+        for _ in range(60):
+            instance = random_instance(rng)
+            sequence = [trip.site_id for trip in instance.trips]
+            rng.shuffle(sequence)
+            entries = list(expand_consecutive(instance, sequence).entries)
+            for _ in range(rng.randrange(3)):
+                edit, k = rng.randrange(4), rng.randrange(len(entries))
+                if edit == 0 and len(entries) > 1:
+                    del entries[k]
+                elif edit == 1:
+                    entries.append(entries[k])
+                elif edit == 2:
+                    trip = entries[k].trip
+                    entries[k] = entries[k]._replace(
+                        trip=TripId(trip.site_id, trip.trip_index + rng.choice((1, 5)))
+                    )
+                else:
+                    entries[k] = entries[k]._replace(depot_start=rng.randrange(10**5))
+            schedule = Schedule(tuple(entries))
+            coverage = [
+                (v.trips, v.measured, v.bound, v.detail)
+                for v in check(instance, schedule).violations if v.kind == "coverage"
+            ]
+            assert coverage == reference_coverage(instance, schedule)
