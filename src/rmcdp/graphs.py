@@ -27,8 +27,7 @@ first slots shortens no gap, so an idle slot never lowers the waiting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import (
     SEARCH_MAX_DEPTH,
@@ -52,8 +51,7 @@ from .schedule import (
 ENUMERATION_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class RmcdpGraph:
+class RmcdpGraph(NamedTuple):
     """Complete graph over all trips with the depot as extra vertex 0."""
 
     instance: Instance
@@ -65,15 +63,13 @@ def build_graph(instance: Instance) -> RmcdpGraph:
     return RmcdpGraph(instance=instance, labels=labels)
 
 
-@dataclass(frozen=True)
-class GreedyStep:
+class GreedyStep(NamedTuple):
     chosen_label: int
     #: Edge cost per label for the *remaining* vertices after the update.
     costs: dict[int, int]
 
 
-@dataclass(frozen=True)
-class GreedyResult:
+class GreedyResult(NamedTuple):
     sequence: tuple[int, ...]
     schedule: Schedule
     report: FeasibilityReport
@@ -135,8 +131,7 @@ def greedy_solve(
     )
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     schedule: Schedule | None
     sequence: tuple[int, ...] | None
     objective: int | None

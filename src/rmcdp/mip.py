@@ -16,8 +16,7 @@ rounded float of the exact value.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .model import Instance, InputError, slot_horizon
 from .model import default_horizon  # noqa: F401 (re-exported)
@@ -32,8 +31,7 @@ from .schedule import (
 )
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     name: str
     cols: tuple[int, ...]  # indices into the model's names
     coefs: tuple[float, ...] | None  # one per column; None when all are 1
@@ -41,8 +39,7 @@ class Row:
     rhs: float
 
 
-@dataclass(frozen=True)
-class MipModel:
+class MipModel(NamedTuple):
     horizon: int
     # The continuous variables, then from first_binary on the X binaries:
     # slot by slot, and within a slot in trip order.

@@ -56,7 +56,7 @@ def _ratio(value: float | int, what: str) -> tuple[int, int]:
             return Decimal(str(value)).as_integer_ratio()
         if not isinstance(value, bool):
             return value.as_integer_ratio()
-    except (ValueError, OverflowError):  # NaN and the infinities
+    except (ValueError, OverflowError, AttributeError):  # NaN, infinities, non-numbers
         pass
     raise ValidationError(f"{what}: not a number: {value!r}")
 
@@ -80,24 +80,27 @@ def _exact_seconds(hours: tuple[int, int], what: str) -> int:
     return seconds
 
 
+def _positive_ratio(value: float | int, what: str) -> tuple[int, int]:
+    """:func:`_ratio` of a number that must be positive.  The number is read
+    before its sign is tested, so a NaN is refused as not a number."""
+    num, den = _ratio(value, what)
+    if num <= 0:
+        raise ValidationError(f"{what}: must be positive")
+    return num, den
+
+
 def loading_time(truck_capacity: float, productivity: float) -> int:
     """Seconds needed to load one truck: Q / P_r expressed in time."""
-    if truck_capacity <= 0:
-        raise ValidationError("truck_capacity: must be positive")
-    if productivity <= 0:
-        raise ValidationError("productivity: must be positive")
-    ratio = _quotient(truck_capacity, "truck_capacity", productivity, "productivity")
-    return _exact_seconds(ratio, "loading time")
+    a, b = _positive_ratio(truck_capacity, "truck_capacity")
+    c, d = _positive_ratio(productivity, "productivity")
+    return _exact_seconds((a * d, b * c), "loading time")
 
 
 def trips_for_site(demand: float, truck_capacity: float) -> int:
     """Number of full-truck trips for one site: ceil(demand / capacity)."""
-    if demand <= 0:
-        raise ValidationError("demand: must be positive")
-    if truck_capacity <= 0:
-        raise ValidationError("truck_capacity: must be positive")
-    num, den = _quotient(demand, "demand", truck_capacity, "truck_capacity")
-    return -(-num // den)
+    a, b = _positive_ratio(demand, "demand")
+    c, d = _positive_ratio(truck_capacity, "truck_capacity")
+    return -(-(a * d) // (b * c))
 
 
 def _check_span(seconds: int, what: str) -> None:

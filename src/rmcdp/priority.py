@@ -35,9 +35,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .model import (
     SEARCH_MAX_DEPTH,
@@ -50,8 +49,7 @@ from .model import (
 from .schedule import Schedule, TripId, schedule_from_slots
 
 
-@dataclass(frozen=True)
-class PrioritySearchStats:
+class PrioritySearchStats(NamedTuple):
     permutations_created: int
     feasible_count: int
     best_objective: int | None
@@ -66,8 +64,7 @@ class PrioritySearchStats:
         return self.feasible_count / self.permutations_created
 
 
-@dataclass(frozen=True)
-class PriorityResult:
+class PriorityResult(NamedTuple):
     schedule: Schedule | None
     permutation: tuple[int, ...] | None  # site ids in priority order
     sequence: tuple[int, ...] | None     # dispatch order by depot time

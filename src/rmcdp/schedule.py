@@ -10,7 +10,6 @@ previous one has finished unloading).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
@@ -32,8 +31,7 @@ class ScheduleEntry(NamedTuple):
         return self.trip.site_id
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     entries: tuple[ScheduleEntry, ...]
 
     def by_site(self) -> dict[int, list[ScheduleEntry]]:
@@ -51,8 +49,7 @@ class Schedule:
         )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     trips: tuple[TripId, ...]
     measured: float
@@ -60,26 +57,23 @@ class Violation:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     feasible: bool
     violations: tuple[Violation, ...]
 
 
-@dataclass(frozen=True)
-class SiteObjective:
+class SiteObjective(NamedTuple):
     first_wait: int
     inter_trip_wait: int
     truck_idle: int
 
 
-@dataclass(frozen=True)
-class ObjectiveReport:
+class ObjectiveReport(NamedTuple):
     first_wait_total: int
     inter_trip_wait_total: int
     truck_idle_total: int
     trucks_required: int
-    per_site: Mapping[int, SiteObjective] = field(default_factory=dict)
+    per_site: Mapping[int, SiteObjective]
 
     @property
     def total_site_wait(self) -> int:

@@ -165,6 +165,30 @@ class TestExactReader:
                 reference_hours_in_seconds, distance, "distance", speed, "speed", "haul time"
             ) == ("ValidationError", f"{what}: not a number: {bad!r}")
 
+    @pytest.mark.parametrize(
+        "nan", [math.nan, Decimal("NaN"), Decimal("sNaN")], ids=["float", "Decimal", "sNaN"]
+    )
+    def test_nan_in_each_argument_refused_by_name(self, nan):
+        # Each number is read before its sign is tested, so a Decimal NaN
+        # is refused by name instead of signalling in a comparison.
+        cases = [
+            (loading_time, (nan, 120), "truck_capacity: not a number"),
+            (loading_time, (10, nan), "productivity: not a number"),
+            (trips_for_site, (nan, 10), "demand: not a number"),
+            (trips_for_site, (10, nan), "truck_capacity: not a number"),
+            # The arguments are still tested in order.
+            (loading_time, (nan, 0), "truck_capacity: not a number"),
+            (loading_time, (0, nan), "truck_capacity: must be positive"),
+            (trips_for_site, (nan, -1), "demand: not a number"),
+            (trips_for_site, (-5, nan), "demand: must be positive"),
+            # Nor is a value of no number type compared first.
+            (loading_time, ("10", 120), "truck_capacity: not a number: '10'"),
+            (trips_for_site, (10, None), "truck_capacity: not a number: None"),
+        ]
+        for read, args, message in cases:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+                read(*args)
+
 
 class TestDerivedQuantities:
     def test_total_trips(self):

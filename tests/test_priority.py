@@ -194,8 +194,8 @@ class TestPrioritySolve:
         )
         paced = priority_solve(one_trip, beta="1e308", truck_limit=1)
         assert paced.schedule is not None
-        assert paced.stats == dataclasses.replace(
-            priority_solve(one_trip, truck_limit=1).stats, runtime=paced.stats.runtime
+        assert paced.stats == priority_solve(one_trip, truck_limit=1).stats._replace(
+            runtime=paced.stats.runtime
         )
 
     @pytest.mark.parametrize("seed", range(15))
