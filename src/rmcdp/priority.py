@@ -25,10 +25,12 @@ the slots that site booked; the winner is read off those links.  The
 grid is an integer bitmask of booked slots (bit ``s`` set: slot ``s``,
 loaded at ``start + (s - 1) * L_t``, is taken), and a slot is truck-starved
 when ``truck_limit`` loadings already fall in the inclusive gamma window
-ending at it.  Each site's step to its next target slot and its pour-window
-reach in slots are derived once per solve.  For ``beta = p/q`` all waiting
-is summed in integer units of ``1/q`` seconds; ``Fraction`` only appears at
-the API boundary.  The search runs in the calling process.
+ending at it.  Each site's step to its next target slot, its pour-window
+reach in slots and its later trips' targets as a bitmask are derived once
+per solve; with no fleet limit a site whose targets are all free is booked
+with one OR.  For ``beta = p/q`` all waiting is summed in integer units of
+``1/q`` seconds; ``Fraction`` only appears at the API boundary.  The search
+runs in the calling process.
 """
 
 from __future__ import annotations
@@ -102,12 +104,17 @@ def _search(
     feasible counts add up over its children, and its best completion is
     the least ``(wait, position)`` over them.  Different key groups always
     offer different next positions, so that pair settles the tie-break on
-    the smallest site-position list exactly.  The walk places each child in
-    one inline slot loop and looks its node up before any call, so a memo
-    hit or a leaf costs no recursion; a site's waiting is worked out only
-    once its subtree turns out feasible.  Each entry keeps its best child's
-    entry and the slots that child's site booked (the child's grid XOR its
-    own), so the read-off takes each site's slots off the links.
+    the smallest site-position list exactly.  Every child's first trip is
+    tested on the node's own grid, so the node finds that slot once, and
+    a node scans only the key groups with sites left, passed down the walk.
+    Without a truck limit a site whose later targets (``tail`` shifted to
+    the first slot) are all free takes them with one OR; any other site
+    walks its later trips in one inline slot loop.  Each child is looked up
+    before any call, so a memo hit or a leaf costs no recursion; a site's
+    waiting is worked out only once its subtree turns out feasible.  Each
+    entry keeps its best child's entry and the slots that child's site
+    booked (its grid XOR its own), so the read-off takes each site's slots
+    off the links.
 
     Returns the number of feasible classes, the least waiting, each level's
     site position with the slots it booked, the nodes solved and the memo
@@ -120,45 +127,61 @@ def _search(
     for size in sizes:
         weights.append(radix)
         radix *= size + 1
-    # A site of several trips whose step passes its reach can never be placed.
-    placeable = [
-        (k, weights[k], *group)
-        for k, group in enumerate(groups)
-        if group[0] == 1 or group[2] <= group[3]
-    ]
+    # A site of several trips whose step passes its reach can never be
+    # placed.  The last two fields are the later trips' slots as offsets from
+    # the first (``tail``) and the last one's offset, when none slides.
+    placeable = tuple(
+        (k, weights[k], trips, offset, step, reach, planned, positions,
+         sum(1 << j * step for j in range(1, trips)), (trips - 1) * step)
+        for k, (trips, offset, step, reach, planned, positions) in enumerate(groups)
+        if trips == 1 or step <= reach
+    )
     lt = depot.loading_time
     # Slot s is loaded at depot time base + s * lt; a loading keeps its truck
     # busy for ``busy`` slots, its own included.
     base, unit, busy = depot.start_time - lt, lt * per, depot.gamma // lt + 1
     memo: dict[int, _Entry] = {}
-    memo_get, never, hits = memo.get, math.inf, 0
+    memo_get, hits = memo.get, 0
 
-    def walk(booked: int, level: int, code: int, node: int) -> _Entry:
+    def walk(booked: int, level: int, code: int, node: int, pending: tuple) -> _Entry:
         nonlocal hits
         # The frontier of the children, one level down.
         lo = level + 2 if truck_limit is None else max(0, level + 3 - busy)
+        # Every site's first trip is tested on this node's grid, so all of
+        # them take the same first admissible slot from ``level + 1``.
+        first = level + 1
+        while True:
+            ahead = booked >> first  # hop over the booked slots from ``first`` up
+            first += (ahead ^ (ahead + 1)).bit_length() - 1
+            if truck_limit is None or (
+                (booked & ((2 << first) - 1)) >> max(0, first - busy + 1)
+            ).bit_count() < truck_limit:
+                break
+            first += 1
+        opened, start = booked | 1 << first, base + first * lt
         count, best, lead, choice, link, taken = 0, None, 0, -1, None, 0
-        for group in placeable:
-            k = group[0]
-            if not left[k]:
-                continue
-            _, weight, trips, offset, step, reach, planned, positions = group
-            child, slot, todo = booked, level + 1, trips
-            limit = never  # no previous pour to keep the first trip within reach of
-            while todo:
-                ahead = child >> slot  # hop over the booked slots from ``slot`` up
-                slot += (ahead ^ (ahead + 1)).bit_length() - 1
-                if slot > limit:
-                    break
-                if truck_limit is None or (
-                    (child & ((2 << slot) - 1)) >> max(0, slot - busy + 1)
-                ).bit_count() < truck_limit:
-                    child |= 1 << slot
-                    limit, slot, todo = slot + reach, slot + step, todo - 1
-                else:
-                    slot += 1
-            if todo:  # a slide broke the pour window
-                continue
+        for i, group in enumerate(pending):
+            k, weight, trips, offset, step, reach, planned, positions, tail, span = group
+            later = tail << first
+            if truck_limit is None and not later & booked:
+                # Every later trip lands on its own target: no slide, no wait.
+                child, last = opened | later, first + span
+            else:
+                child, last, slot, todo = opened, first, first + step, trips - 1
+                while todo:
+                    ahead = child >> slot
+                    slot += (ahead ^ (ahead + 1)).bit_length() - 1
+                    if slot > last + reach:
+                        break
+                    if truck_limit is None or (
+                        (child & ((2 << slot) - 1)) >> max(0, slot - busy + 1)
+                    ).bit_count() < truck_limit:
+                        child |= 1 << slot
+                        last, slot, todo = slot, slot + step, todo - 1
+                    else:
+                        slot += 1
+                if todo:  # a slide broke the pour window
+                    continue
             rest = code - weight
             if not rest:
                 below = _LEAF
@@ -166,8 +189,9 @@ def _search(
                 key = (child >> lo) * radix + rest
                 below = memo_get(key)
                 if below is None:
-                    left[k] -= 1
-                    below = walk(child, level + 1, rest, key)
+                    left[k] -= 1  # a group leaves ``pending`` with its last site
+                    still = pending if left[k] else pending[:i] + pending[i + 1:]
+                    below = walk(child, level + 1, rest, key, still)
                     left[k] += 1
                 else:
                     hits += 1
@@ -176,18 +200,15 @@ def _search(
             count += below[0]
             # Each slide past a target is waiting, and the slides telescope
             # to the span between first and last loading.
-            bits = child ^ booked
-            first = (bits & -bits).bit_length() - 1
-            early = base + first * lt + offset
-            last = bits.bit_length() - 1
+            early = start + offset
             wait = (early if early > 0 else 0) * per + (last - first) * unit - planned + below[1]
             position = positions[-left[k]]
             if best is None or wait < best or wait == best and position < lead:
-                best, lead, choice, link, taken = wait, position, k, below, bits
+                best, lead, choice, link, taken = wait, position, k, below, child ^ booked
         entry = memo[node] = (count, best, choice, link, taken)
         return entry
 
-    entry = walk(0, 0, radix - 1, radix - 1)
+    entry = walk(0, 0, radix - 1, radix - 1, placeable)
     feasible, wait = entry[:2]
     order: list[tuple[int, list[int]]] = []
     while entry[3] is not None:
@@ -201,13 +222,22 @@ def _search(
 
 def parse_beta(beta: Fraction | int | float | str) -> Fraction:
     """The pacing factor as an exact fraction; it must be a number of at least 1."""
-    try:
-        value = Fraction(str(beta))
+    try:  # a Fraction or int is taken as it is, never written out as digits
+        value = Fraction(beta if isinstance(beta, (Fraction, int)) else str(beta))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"beta: not a number: {beta!r}") from exc
+        raise ValidationError(f"beta: not a number: {_quoted(beta)}") from exc
     if value < 1:
-        raise ValidationError(f"beta: must be at least 1, got {value}")
+        raise ValidationError(f"beta: must be at least 1, got {_quoted(beta)}")
     return value
+
+
+def _quoted(beta: object) -> str:
+    """The caller's ``beta`` for an error message, cut to a short prefix."""
+    try:
+        text = str(beta)
+    except ValueError:  # an int past Python's limit on digits written out
+        return "a number too long to write out"
+    return repr(text if len(text) <= 20 else text[:20] + "...")
 
 
 def priority_solve(

@@ -290,11 +290,19 @@ class TestSolve:
             assert captured.out == ""
             assert captured.err.startswith(f"error: {message}"), argv
 
-    @pytest.mark.parametrize("beta", ["1e20", "1e308"])
+    @pytest.mark.parametrize("beta", ["1e20", "1e308", "1e5000"])
     def test_huge_beta_under_fleet_limit_is_infeasible(self, capsys, beta):
+        # 1e5000 has more digits than Python writes out of an int.
         code, out = run(capsys, "solve", INSTANCE1, "--beta", beta, "--trucks", "3")
         assert code == 2
         assert json.loads(out)["feasible"] is False
+
+    def test_tiny_beta_rejected(self, capsys):
+        code = main(["solve", EXAMPLE1, "--beta", "1e-5000"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: beta: must be at least 1, got '1e-5000'\n"
 
     def test_horizon_over_two_days_rejected(self, capsys, tmp_path):
         # 10-minute loadings: 288 slots are 48 h; 50 million would be built

@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from rmcdp.model import DepotSpec, Instance, InputError, SiteSpec, ValidationError
-from rmcdp.priority import priority_solve
+from rmcdp.priority import parse_beta, priority_solve
 from rmcdp.schedule import check, evaluate
 
-from conftest import random_instance, repeated_row_instance
+from conftest import random_instance, repeated_row_instance, tight_gamma_instance
 
 MIN = 60
 
@@ -187,6 +187,18 @@ class TestPrioritySolve:
         assert result.schedule is None
         assert (result.stats.feasible_count, result.stats.states) == (0, 1)
 
+    def test_beta_of_any_size_is_read_exactly(self, example1):
+        # Past Python's 4,300-digit limit on writing an int out as text.
+        assert parse_beta(10**5000) == 10**5000
+        assert parse_beta(Fraction(10**5000 + 1, 10**5000)) > 1
+        assert priority_solve(example1, beta=Fraction(10**5000)).schedule is None
+        with pytest.raises(ValidationError, match="at least 1, got a number too long"):
+            parse_beta(Fraction(1, 10**5000))
+        with pytest.raises(ValidationError, match=r"at least 1, got '1e-5000'$"):
+            parse_beta("1e-5000")
+        with pytest.raises(ValidationError, match=r"not a number: 'x{20}\.\.\.'$"):
+            parse_beta("x" * 5000)
+
     def test_huge_beta_leaves_one_trip_sites_alone(self, example1):
         one_trip = Instance(
             depot=example1.depot,
@@ -232,6 +244,21 @@ class TestPrioritySolve:
         stats = priority_solve(distinct_sites_instance(), beta=beta, truck_limit=truck_limit).stats
         assert (stats.states, stats.memo_hits) == (states, memo_hits)
         assert (stats.feasible_count, stats.permutations_created) == (feasible, 5040)
+
+    @pytest.mark.parametrize(
+        "beta, truck_limit, permutation, best, sequence",
+        [("1", None, (2, 3, 1, 6, 5, 7, 4), 11760,
+          (2, 3, 1, 6, 5, 2, 1, 3, 6, 5, 2, 1, 7, 3, 6, 2, 1, 5, 7, 4, 1, 5, 4, 7, 4, 4, 7, 4)),
+         ("1", 10, (2, 5, 6, 3, 4, 1, 7), 24960,
+          (2, 5, 6, 3, 4, 2, 5, 6, 4, 3, 2, 5, 6, 2, 5, 3, 4, 1, 7, 4, 1, 4, 7, 1, 1, 7, 1, 7)),
+         ("3/2", None, (1, 2, 5, 6, 3, 4, 7), 6210,
+          (1, 2, 5, 6, 3, 4, 1, 7, 5, 2, 4, 6, 1, 3, 5, 4, 7, 2, 1, 6, 5, 4, 3, 1, 2, 4, 7, 7))],
+    )
+    def test_winner_distinct_sites(self, beta, truck_limit, permutation, best, sequence):
+        result = priority_solve(distinct_sites_instance(), beta=beta, truck_limit=truck_limit)
+        assert result.permutation == permutation
+        assert result.stats.best_objective == best
+        assert result.sequence == sequence
 
     def test_feasibility_rate(self, instance1):
         result = priority_solve(instance1)
@@ -352,6 +379,14 @@ class TestMatchesReplayFromEmptyGrid:
         # Copies of one row differ only in position, so the best order must
         # take the next copy of each row by position, not by row.
         instance = repeated_row_instance(random.Random(seed))
+        for beta in ("1", "3/2", "2"):
+            for truck_limit in (None, 1, 2, 3, 5):
+                assert_matches_reference(instance, beta, truck_limit)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tight_pour_windows(self, seed):
+        # Interleaved trips break these windows, so many slides fail.
+        instance = tight_gamma_instance(random.Random(seed))
         for beta in ("1", "3/2", "2"):
             for truck_limit in (None, 1, 2, 3, 5):
                 assert_matches_reference(instance, beta, truck_limit)

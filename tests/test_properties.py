@@ -119,6 +119,25 @@ class TestRelabellingInvariance:
                     assert moved.permutation == tuple(map(rename.get, base.permutation))
 
 
+class TestSiteOrderInvariance:
+    """The search's nodes are sets of sites left, so the order of the site
+    list changes neither the waiting, nor the counts, nor the nodes."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_priority_search_unchanged_by_shuffled_sites(self, seed):
+        rng = random.Random(seed)
+        for family in (random_instance, repeated_row_instance, tight_gamma_instance):
+            instance = family(rng)
+            sites = list(instance.sites)
+            rng.shuffle(sites)
+            shuffled = Instance(depot=instance.depot, sites=tuple(sites))
+            for beta in ("1", "3/2"):
+                for truck_limit in (None, 2, 3):
+                    base = priority_solve(instance, beta=beta, truck_limit=truck_limit).stats
+                    moved = priority_solve(shuffled, beta=beta, truck_limit=truck_limit).stats
+                    assert moved._replace(runtime=0) == base._replace(runtime=0)
+
+
 class TestWaitIdleExclusivity:
     @pytest.mark.parametrize("seed", range(25))
     def test_each_gap_is_wait_or_idle_never_both(self, seed):
