@@ -54,12 +54,17 @@ def _objective_payload(instance: Instance, schedule: Schedule) -> dict:
     }
 
 
+def _at_least_one(args: argparse.Namespace, *flags: str) -> None:
+    """Refuse a count flag given below 1, before any file is read."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise InputError(f"--{flag}: must be at least 1, got {value}")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     # --threads is accepted for compatibility and has no effect.
-    if args.threads is not None and args.threads < 1:
-        raise InputError(f"--threads: must be at least 1, got {args.threads}")
-    if args.trucks is not None and args.trucks < 1:
-        raise InputError(f"--trucks: must be at least 1, got {args.trucks}")
+    _at_least_one(args, "threads", "trucks")
     if args.horizon is not None and args.algorithm != "grid-exact":
         raise InputError(f"--horizon: only grid-exact reads it, not {args.algorithm}")
     beta = parse_beta(args.beta)
@@ -114,6 +119,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    _at_least_one(args, "trucks", "gamma")
     instance = rio.load_instance(args.instance)
     schedule = rio.read_schedule_csv(args.schedule, instance)
     gamma = args.gamma * 60 if args.gamma is not None else None

@@ -10,27 +10,45 @@ permutation wins; ties go to the lexicographically smallest permutation of
 the instance's site list.
 
 The search reads the integer site table ``Instance.timings``.  Sites whose
-rows agree on everything but the id produce identical timings, so the
-search runs over the distinct orderings of those rows (classes) and fans
-each class out combinatorially.  Placing sites in priority order is a walk
-down a tree whose level ``r`` places the site in position ``r`` on the grid
-its parent left behind; a failed placement prunes the whole subtree.  What
-happens below a node depends only on the sites left and on the part of the
-grid any later placement can still read, so the walk is memoised on that
-pair, the ``(sites left, slot frontier)`` dynamic programme the method is
-named for: Held-Karp over subsets of sites, with the frontier as extra
-state.  Each node keeps its count of feasible completions, their least
-waiting, the site placed next on the way to it, the entry of that child and
-the slots that site booked; the winner is read off those links.  The
-grid is an integer bitmask of booked slots (bit ``s`` set: slot ``s``,
-loaded at ``start + (s - 1) * L_t``, is taken), and a slot is truck-starved
-when ``truck_limit`` loadings already fall in the inclusive gamma window
-ending at it.  Each site's step to its next target slot, its pour-window
-reach in slots and its later trips' targets as a bitmask are derived once
-per solve; with no fleet limit a site whose targets are all free is booked
-with one OR.  For ``beta = p/q`` all waiting is summed in integer units of
-``1/q`` seconds; ``Fraction`` only appears at the API boundary.  The search
-runs in the calling process.
+rows agree on everything but the id produce identical timings, so they form
+one key group, the search runs over the distinct orderings of the groups
+(classes) and fans each class out combinatorially.  Placing sites in
+priority order is a walk down a tree whose level ``r`` places the site in
+position ``r`` on the grid its parent left behind; a failed placement
+prunes the whole subtree.  The grid is an integer bitmask of booked slots
+(bit ``s`` set: slot ``s``, loaded at ``start + (s - 1) * L_t``, is taken),
+and a slot is truck-starved when ``truck_limit`` loadings already fall in
+the inclusive gamma window ending at it, ``busy`` slots long.
+
+From level ``r`` down only slots from ``r + 1`` are tested, and a truck test
+at slot ``s`` reads the grid back to ``s - busy + 1``, so nothing below a
+node reads a bit under its frontier ``lo = r + 1``, or ``max(0, r + 2 -
+busy)`` under a truck limit.  The walk is therefore memoised on the sites
+left and the booked bits from ``lo`` up, the ``(sites left, slot frontier)``
+dynamic programme the method is named for: Held-Karp over subsets of sites,
+with the frontier as extra state.  A node's key is one int, the frontier
+bits times the radix plus the sites left as a mixed-radix code with one
+digit per key group.  Feasible counts add up over a node's children, and
+its best completion is the least ``(wait, position)`` over them; different
+key groups always offer different next positions, so that pair settles the
+tie-break on the smallest site-position list exactly.
+
+Each group's step to its next target slot (``ceil(beta * U_i / L_t)``), its
+pour-window reach in slots (``gamma_i // L_t``) and its later trips' targets
+as a bitmask are derived once per solve.  Every child's first trip is tested
+on the node's own grid, so a node finds that shared first slot once, and it
+scans only the groups with sites left, passed down the walk as the pending
+rows.  Without a truck limit a site whose later targets are all free takes
+them with one OR; any other site walks its later trips in one inline slot
+loop and fails when a slide passes its reach.  Each child is looked up
+before any call, so a memo hit or a leaf costs no recursion, and a site's
+waiting is worked out only once its subtree turns out feasible.  Each node
+keeps its count of feasible completions, their least waiting, the group
+placed next on the way to it, the entry of that child and the slots that
+site booked (the child's grid XOR the node's); the winner is read off those
+links straight into the slot of each trip.  For ``beta = p/q`` all waiting
+is summed in integer units of ``1/q`` seconds; ``Fraction`` only appears at
+the API boundary.  The search runs in the calling process.
 """
 
 from __future__ import annotations
@@ -38,11 +56,10 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .model import (
     SEARCH_MAX_DEPTH,
-    DepotSpec,
     Instance,
     ValidationError,
     check_search_size,
@@ -73,12 +90,6 @@ class PriorityResult(NamedTuple):
     stats: PrioritySearchStats
 
 
-#: One site-equivalence key: trips, first-trip offset, slots from a loading
-#: to the next trip's target (``ceil(beta * U_i / L_t)``), pour-window reach
-#: in slots (``gamma_i // L_t``), the planned ``(trips - 1) * beta * U_i`` in
-#: units of ``1 / per`` s, and the positions of the sites sharing the key in
-#: the instance's site list.
-_KeyGroup = tuple[int, int, int, int, int, list[int]]
 #: What the search found below one node: feasible completions, their least
 #: total waiting (units of ``1 / per`` s, ``None`` when there is none), the
 #: key group whose next site the best completion places first, the entry of
@@ -88,55 +99,72 @@ _Entry = tuple[int, int | None, int, "_Entry | None", int]
 _LEAF: _Entry = (1, 0, -1, None, 0)  # every node with no site left to place
 
 
-def _search(
-    depot: DepotSpec, truck_limit: int | None, per: int, groups: Sequence[_KeyGroup]
-) -> tuple[int, int | None, list[tuple[int, list[int]]], int, int]:
-    """Dynamic programming over the nodes ``(sites left, slot frontier)``.
+def parse_beta(beta: Fraction | int | float | str) -> Fraction:
+    """The pacing factor as an exact fraction; it must be a number of at least 1."""
+    try:  # a Fraction or int is taken as it is, never written out as digits
+        value = Fraction(beta if isinstance(beta, (Fraction, int)) else str(beta))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"beta: not a number: {_quoted(beta)}") from exc
+    if value < 1:
+        raise ValidationError(f"beta: must be at least 1, got {_quoted(beta)}")
+    return value
 
-    Level ``r`` books the first trip of a site in the first admissible slot
-    at or after ``r``; each later trip takes the first admissible slot at or
-    after ``step`` slots past the previous loading, and the site fails when
-    that slide passes ``reach``.  From level ``r`` down only slots from
-    ``r + 1`` are tested, and a truck test at slot ``s`` reads the grid back
-    to ``s - busy + 1``, so nothing below the node reads a bit under
-    ``lo = r + 1``, or ``max(0, r + 2 - busy)`` under a truck limit.  A node
-    is therefore keyed by the sites left and the booked bits from ``lo`` up;
-    feasible counts add up over its children, and its best completion is
-    the least ``(wait, position)`` over them.  Different key groups always
-    offer different next positions, so that pair settles the tie-break on
-    the smallest site-position list exactly.  Every child's first trip is
-    tested on the node's own grid, so the node finds that slot once, and
-    a node scans only the key groups with sites left, passed down the walk.
-    Without a truck limit a site whose later targets (``tail`` shifted to
-    the first slot) are all free takes them with one OR; any other site
-    walks its later trips in one inline slot loop.  Each child is looked up
-    before any call, so a memo hit or a leaf costs no recursion; a site's
-    waiting is worked out only once its subtree turns out feasible.  Each
-    entry keeps its best child's entry and the slots that child's site
-    booked (its grid XOR its own), so the read-off takes each site's slots
-    off the links.
 
-    Returns the number of feasible classes, the least waiting, each level's
-    site position with the slots it booked, the nodes solved and the memo
-    hits.
+def _quoted(beta: object) -> str:
+    """The caller's ``beta`` for an error message, cut to a short prefix."""
+    try:
+        text = str(beta)
+    except ValueError:  # an int past Python's limit on digits written out
+        return "a number too long to write out"
+    return repr(text if len(text) <= 20 else text[:20] + "...")
+
+
+def priority_solve(
+    instance: Instance,
+    beta: Fraction | int | float | str = 1,
+    truck_limit: int | None = None,
+) -> PriorityResult:
+    """The site permutation with the least total waiting, over all ``n!``.
+
+    The permutations are searched as classes of interchangeable sites, by
+    dynamic programming over ``(sites left, slot frontier)``; the stats
+    report the ``n!`` permutations, how many are feasible, and the nodes
+    solved (``states``) and answered again from the memo (``memo_hits``).
+    More sites than ``SEARCH_MAX_DEPTH`` raise ``SizeCapError``.
     """
-    sizes = [len(group[-1]) for group in groups]
-    left = sizes[:]
-    # ``left`` as one mixed-radix number: group k counts in units of weights[k].
-    weights, radix = [], 1
-    for size in sizes:
-        weights.append(radix)
-        radix *= size + 1
-    # A site of several trips whose step passes its reach can never be
-    # placed.  The last two fields are the later trips' slots as offsets from
-    # the first (``tail``) and the last one's offset, when none slides.
-    placeable = tuple(
-        (k, weights[k], trips, offset, step, reach, planned, positions,
-         sum(1 << j * step for j in range(1, trips)), (trips - 1) * step)
-        for k, (trips, offset, step, reach, planned, positions) in enumerate(groups)
-        if trips == 1 or step <= reach
-    )
+    beta = parse_beta(beta)
+    check_truck_limit(truck_limit)
+    check_search_size("priority search", len(instance.sites), SEARCH_MAX_DEPTH, "sites")
+
+    started = time.perf_counter()
+    depot = instance.depot
     lt = depot.loading_time
+    pace, per = beta.numerator, beta.denominator
+    created = math.factorial(len(instance.sites))
+
+    rows = instance.timings
+    members: dict[tuple[int, ...], list[int]] = {}
+    for position, row in enumerate(rows):
+        members.setdefault(row[1:], []).append(position)
+    # One row per key group k that can be placed: k, its weight in the code
+    # of the sites left, trips, first-trip offset, step, reach, the planned
+    # ``(trips - 1) * beta * U_i`` in units of ``1 / per`` s, the positions of
+    # its sites, its later trips' slots as offsets from the first (``tail``)
+    # and the last one's offset, when none slides.  A site of several trips
+    # whose step passes its reach can never be placed: its group gets no row
+    # but keeps its digit, so a code that still counts it never reaches 0.
+    left, placeable, radix = [], [], 1
+    for k, ((trips, offset, unload, gamma), positions) in enumerate(members.items()):
+        step, reach = -(-pace * unload // (lt * per)), gamma // lt
+        if trips == 1 or step <= reach:
+            placeable.append((
+                k, radix, trips, offset, step, reach, (trips - 1) * pace * unload,
+                positions, sum(1 << j * step for j in range(1, trips)), (trips - 1) * step,
+            ))
+        left.append(len(positions))
+        radix *= len(positions) + 1
+    multiplicity = math.prod(math.factorial(size) for size in left)
+
     # Slot s is loaded at depot time base + s * lt; a loading keeps its truck
     # busy for ``busy`` slots, its own included.
     base, unit, busy = depot.start_time - lt, lt * per, depot.gamma // lt + 1
@@ -208,88 +236,23 @@ def _search(
         entry = memo[node] = (count, best, choice, link, taken)
         return entry
 
-    entry = walk(0, 0, radix - 1, radix - 1, placeable)
-    feasible, wait = entry[:2]
-    order: list[tuple[int, list[int]]] = []
-    while entry[3] is not None:
-        k, bits = entry[2], entry[4]
-        slots = [slot for slot in range(bits.bit_length()) if bits >> slot & 1]
-        order.append((groups[k][-1][-left[k]], slots))
-        left[k] -= 1
-        entry = entry[3]
-    return feasible, wait, order, len(memo), hits
-
-
-def parse_beta(beta: Fraction | int | float | str) -> Fraction:
-    """The pacing factor as an exact fraction; it must be a number of at least 1."""
-    try:  # a Fraction or int is taken as it is, never written out as digits
-        value = Fraction(beta if isinstance(beta, (Fraction, int)) else str(beta))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"beta: not a number: {_quoted(beta)}") from exc
-    if value < 1:
-        raise ValidationError(f"beta: must be at least 1, got {_quoted(beta)}")
-    return value
-
-
-def _quoted(beta: object) -> str:
-    """The caller's ``beta`` for an error message, cut to a short prefix."""
-    try:
-        text = str(beta)
-    except ValueError:  # an int past Python's limit on digits written out
-        return "a number too long to write out"
-    return repr(text if len(text) <= 20 else text[:20] + "...")
-
-
-def priority_solve(
-    instance: Instance,
-    beta: Fraction | int | float | str = 1,
-    truck_limit: int | None = None,
-) -> PriorityResult:
-    """The site permutation with the least total waiting, over all ``n!``.
-
-    The permutations are searched as classes of interchangeable sites, by
-    dynamic programming over ``(sites left, slot frontier)``; the stats
-    report the ``n!`` permutations, how many are feasible, and the nodes
-    solved (``states``) and answered again from the memo (``memo_hits``).
-    More sites than ``SEARCH_MAX_DEPTH`` raise ``SizeCapError``.
-    """
-    beta = parse_beta(beta)
-    check_truck_limit(truck_limit)
-    check_search_size("priority search", len(instance.sites), SEARCH_MAX_DEPTH, "sites")
-
-    started = time.perf_counter()
-    depot = instance.depot
-    lt = depot.loading_time
-    pace, per = beta.numerator, beta.denominator
-    created = math.factorial(len(instance.sites))
-
-    rows = instance.timings
-    members: dict[tuple[int, ...], list[int]] = {}
-    for position, row in enumerate(rows):
-        members.setdefault(row[1:], []).append(position)
-    groups = [
-        (
-            trips,
-            offset,
-            -(-pace * unload // (lt * per)),
-            gamma // lt,
-            (trips - 1) * pace * unload,
-            positions,
-        )
-        for (trips, offset, unload, gamma), positions in members.items()
-    ]
-    multiplicity = math.prod(math.factorial(len(p)) for p in members.values())
-
-    feasible_classes, wait, order, states, hits = _search(depot, truck_limit, per, groups)
+    entry = walk(0, 0, radix - 1, radix - 1, tuple(placeable))
+    feasible_classes, wait = entry[:2]
     schedule = permutation = sequence = objective = None
     if wait is not None:
-        slots = {
-            TripId(rows[position][0], index): slot
-            for position, booked in order
-            for index, slot in enumerate(booked, start=1)
-        }
+        positions = list(members.values())
+        slots, order = {}, []
+        while entry[3] is not None:
+            k, bits = entry[2], entry[4]
+            site_id = rows[positions[k][-left[k]]][0]
+            left[k] -= 1
+            order.append(site_id)
+            booked = [slot for slot in range(bits.bit_length()) if bits >> slot & 1]
+            for index, slot in enumerate(booked, start=1):
+                slots[TripId(site_id, index)] = slot
+            entry = entry[3]
         schedule = schedule_from_slots(instance, slots)
-        permutation = tuple(rows[position][0] for position, _ in order)
+        permutation = tuple(order)
         sequence = schedule.dispatch_sequence()
         whole, rest = divmod(wait, per)
         objective = wait / per if rest else whole
@@ -298,7 +261,7 @@ def priority_solve(
         feasible_count=feasible_classes * multiplicity,
         best_objective=objective,
         runtime=time.perf_counter() - started,
-        states=states,
+        states=len(memo),
         memo_hits=hits,
     )
     return PriorityResult(schedule, permutation, sequence, stats)

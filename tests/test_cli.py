@@ -528,8 +528,9 @@ class TestCheck:
 
     @pytest.mark.parametrize(
         "option, message",
-        [(("--trucks", "0"), "truck_limit"), (("--gamma", "0"), "gamma_override"),
-         (("--gamma", "-5"), "gamma_override")],
+        [(("--trucks", "0"), "--trucks: must be at least 1, got 0"),
+         (("--gamma", "0"), "--gamma: must be at least 1, got 0"),
+         (("--gamma", "-5"), "--gamma: must be at least 1, got -5")],
         ids=["trucks-0", "gamma-0", "gamma-minus-5"],
     )
     def test_non_positive_limit_rejected(self, capsys, option, message):
@@ -540,6 +541,12 @@ class TestCheck:
         assert code == 3
         assert captured.out == ""
         assert message in captured.err
+
+    def test_flag_checked_before_files(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing")
+        code = main(["check", missing + ".json", missing + ".csv", "--gamma", "0"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: --gamma: must be at least 1, got 0\n"
 
     @pytest.mark.parametrize(
         "old, new, detail",

@@ -210,6 +210,27 @@ class TestPrioritySolve:
             runtime=paced.stats.runtime
         )
 
+    @pytest.mark.parametrize("truck_limit", [None, 3, 17])
+    @pytest.mark.parametrize(
+        "name, one_trip_sites, states, memo_hits",
+        [("instance1", {2, 4}, 4, 1), ("example1", {1}, 2, 0)],
+        ids=["instance-1", "example-1"],
+    )
+    def test_huge_beta_with_some_one_trip_sites(
+        self, request, name, one_trip_sites, states, memo_hits, truck_limit
+    ):
+        # The one-trip sites can still be placed, the others never: every
+        # order runs out of placeable sites before the last one.
+        instance = request.getfixturevalue(name)
+        mixed = Instance(depot=instance.depot, sites=tuple(
+            dataclasses.replace(site, demand=10) if site.id in one_trip_sites else site
+            for site in instance.sites
+        ))
+        result = priority_solve(mixed, beta="1e308", truck_limit=truck_limit)
+        assert result.schedule is None
+        assert result.stats.feasible_count == 0
+        assert (result.stats.states, result.stats.memo_hits) == (states, memo_hits)
+
     @pytest.mark.parametrize("seed", range(15))
     def test_never_beats_exhaustive_grid(self, seed):
         rng = random.Random(seed)
