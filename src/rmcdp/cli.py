@@ -62,9 +62,16 @@ def _at_least_one(args: argparse.Namespace, *flags: str) -> None:
             raise InputError(f"--{flag}: must be at least 1, got {value}")
 
 
+def _named_out(args: argparse.Namespace) -> None:
+    """Refuse an empty ``--out``, before any file is read."""
+    if args.out == "":
+        raise InputError("--out: must name a file, got ''")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     # --threads is accepted for compatibility and has no effect.
     _at_least_one(args, "threads", "trucks")
+    _named_out(args)
     if args.horizon is not None and args.algorithm != "grid-exact":
         raise InputError(f"--horizon: only grid-exact reads it, not {args.algorithm}")
     beta = parse_beta(args.beta)
@@ -109,7 +116,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     payload["feasible"] = True
     payload["dispatch_sequence"] = list(schedule.dispatch_sequence())
     payload["objective"] = _objective_payload(instance, schedule)
-    if args.out:
+    if args.out is not None:
         rio.write_schedule_csv(args.out, schedule)
         payload["schedule_csv"] = str(args.out)
     else:
@@ -161,11 +168,12 @@ def cmd_space(args: argparse.Namespace) -> int:
 
 
 def cmd_export_mip(args: argparse.Namespace) -> int:
+    _named_out(args)
     instance = rio.load_instance(args.instance)
     model = build_mip(instance, args.horizon)
     text = emit_lp(model)
     stem = Path(args.instance).stem
-    out = Path(args.out) if args.out else Path(f"{stem}_{model.horizon}.lp")
+    out = Path(args.out if args.out is not None else f"{stem}_{model.horizon}.lp")
     rio.write_text(out, text)
     print(
         json.dumps(

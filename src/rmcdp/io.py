@@ -20,6 +20,8 @@ import csv
 import io as _io
 import json
 import math
+import os
+import stat
 from collections.abc import Mapping
 from importlib import resources
 from operator import attrgetter
@@ -125,6 +127,46 @@ def _integer(value: Any, what: str) -> int:
     return int(_number(value, what))
 
 
+# The readers below take ints, finite floats and plain "H:MM" strings
+# straight from the document; any other value goes through ``_field`` and
+# the parser named there, which read it or refuse it with their message.
+
+
+def _read_number(doc: Mapping[str, Any], field: str, what: str):
+    value = doc.get(field)
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return value
+    return _field(doc, field, what, _number)
+
+
+def _read_integer(doc: Mapping[str, Any], field: str, what: str, default=_REQUIRED):
+    value = doc.get(field)
+    if type(value) is int:
+        return value
+    return _field(doc, field, what, _integer, default)
+
+
+def _read_duration(doc: Mapping[str, Any], field: str, what: str, default=_REQUIRED):
+    value = doc.get(field)
+    if type(value) is int and value > 0:
+        return value * MINUTE
+    return _field(doc, field, what, parse_duration, default)
+
+
+def _read_clock(doc: Mapping[str, Any], field: str, what: str) -> int:
+    value = doc.get(field)
+    if type(value) is int:
+        return value * MINUTE
+    if type(value) is str:
+        hours, _, minutes = value.partition(":")
+        if (
+            len(minutes) == 2 and minutes < "60" and minutes.isdigit()
+            and hours.isdigit() and len(hours) < 7 and value.isascii()
+        ):
+            return int(hours) * HOUR + int(minutes) * MINUTE
+    return _field(doc, field, what, parse_time)
+
+
 def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
     if not isinstance(doc, Mapping):
         raise InputError("instance: expected a JSON object")
@@ -136,12 +178,12 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         raise InputError("sites: missing or empty")
 
     depot = DepotSpec(
-        start_time=_field(depot_doc, "start", "depot", parse_time),
-        plant_capacity=_field(depot_doc, "plant_capacity", "depot", _number),
-        productivity=_field(depot_doc, "productivity", "depot", _number),
-        truck_capacity=_field(depot_doc, "truck_capacity", "depot", _number),
-        truck_count=_field(depot_doc, "trucks", "depot", _integer, None),
-        gamma=_field(depot_doc, "gamma", "depot", parse_duration, DepotSpec.gamma),
+        _read_clock(depot_doc, "start", "depot"),
+        _read_number(depot_doc, "plant_capacity", "depot"),
+        _read_number(depot_doc, "productivity", "depot"),
+        _read_number(depot_doc, "truck_capacity", "depot"),
+        _read_integer(depot_doc, "trucks", "depot", None),
+        _read_duration(depot_doc, "gamma", "depot", DepotSpec.gamma),
     )
 
     sites = []
@@ -152,17 +194,13 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         try:
             sites.append(
                 SiteSpec(
-                    id=_field(site_doc, "id", where, _integer),
-                    demand=_field(site_doc, "demand", where, _number),
-                    distance=_field(site_doc, "distance", where, _number),
-                    speed=_field(site_doc, "speed", where, _number),
-                    unload_time=_field(site_doc, "unload", where, parse_duration),
-                    proposed_start=_field(
-                        site_doc, "proposed_start", where, parse_time
-                    ),
-                    gamma_override=_field(
-                        site_doc, "gamma_override", where, parse_duration, None
-                    ),
+                    _read_integer(site_doc, "id", where),
+                    _read_number(site_doc, "demand", where),
+                    _read_number(site_doc, "distance", where),
+                    _read_number(site_doc, "speed", where),
+                    _read_duration(site_doc, "unload", where),
+                    _read_clock(site_doc, "proposed_start", where),
+                    _read_duration(site_doc, "gamma_override", where, None),
                 )
             )
         except ValidationError as exc:
@@ -238,9 +276,25 @@ def _format_quantity(value: float) -> str:
 
 def write_text(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path``; a path that cannot be written is an
-    input error naming it."""
+    input error naming it.
+
+    The file is written in place and then cut to the new length, which
+    keeps its inode, mode and links.  Opening with ``O_TRUNC`` instead
+    makes ext4 flush the file on close, which costs several times the
+    write.  Only a regular file is cut: ``/dev/null``, a pipe or a tty
+    refuses it.  The write is not atomic: a reader may see it half done.
+    """
+    data = text.encode()
     try:
-        Path(path).write_text(text)
+        fd = os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
 

@@ -51,6 +51,8 @@ def _ratio(value: float | int, what: str) -> tuple[int, int]:
     """A number as an exact integer ratio, denominator positive.  A float
     is read as its shortest decimal, as JSON wrote it; an int, ``Fraction``
     or ``Decimal`` gives its own ratio."""
+    if type(value) is int:
+        return value, 1
     try:
         if isinstance(value, float):
             return Decimal(str(value)).as_integer_ratio()
@@ -101,6 +103,11 @@ def trips_for_site(demand: float, truck_capacity: float) -> int:
     a, b = _positive_ratio(demand, "demand")
     c, d = _positive_ratio(truck_capacity, "truck_capacity")
     return -(-(a * d) // (b * c))
+
+
+def _haul_time(distance: float, speed: float) -> int:
+    """Seconds of a one-way haul: distance / speed expressed in time."""
+    return _exact_seconds(_quotient(distance, "distance", speed, "speed"), "haul time")
 
 
 def _check_span(seconds: int, what: str) -> None:
@@ -201,49 +208,84 @@ class SiteSpec:
 
     @cached_property
     def haul_time(self) -> int:
-        """One-way travel time d_i / v_i in seconds."""
-        ratio = _quotient(self.distance, "distance", self.speed, "speed")
-        return _exact_seconds(ratio, "haul time")
+        """One-way travel time d_i / v_i in seconds.  An ``Instance`` works it
+        out as it is built and stores it here."""
+        return _haul_time(self.distance, self.speed)
 
 
 @dataclass(frozen=True)
 class Instance:
+    """A depot and its sites.  Building one validates it and works out, in
+    one pass over the sites, the tables every solver reads:
+
+    - ``timings``: one row per site, in site-list order, of plain integers
+      ``(id, trips, offset, U_i, gamma_i)``.  ``offset = L_t + h_i -
+      proposed_i``: a site's first trip loaded at depot time ``t`` waits
+      ``max(0, t + offset)``.  A later trip loaded ``d`` after the site's
+      previous one waits ``max(0, d - U_i)``, and breaks the pour window
+      when ``d > gamma_i``.
+    - ``trips``: every ``TripId``, in site-list order and then by trip index.
+    - ``_sites_by_id``: each site by its id.
+
+    The depot's loading time and each site's haul time are stored where
+    ``DepotSpec.loading_time`` and ``SiteSpec.haul_time`` cache them.
+    """
+
     depot: DepotSpec
     sites: tuple[SiteSpec, ...]
 
     def __post_init__(self) -> None:
-        if not self.sites:
+        sites = self.sites
+        if not sites:
             raise ValidationError("sites: at least one site is required")
-        ids = sorted(s.id for s in self.sites)
-        if ids != list(range(1, len(self.sites) + 1)):
-            raise ValidationError(
-                f"sites: ids must be exactly 1..{len(self.sites)}, got {ids}"
-            )
-        lt = self.depot.loading_time
-        for index, site in enumerate(self.sites):
+        by_id = {site.id: site for site in sites}
+        if sorted(by_id) != list(range(1, len(sites) + 1)):
+            ids = sorted(s.id for s in sites)
+            raise ValidationError(f"sites: ids must be exactly 1..{len(sites)}, got {ids}")
+        depot = self.depot
+        lt = depot.__dict__["loading_time"] = loading_time(
+            depot.truck_capacity, depot.productivity
+        )
+        capacity, default_gamma = depot.truck_capacity, depot.gamma
+        timings, trips = [], []
+        # A trip count or 24 h error is raised after every site's haul time
+        # and pour window have been checked, as reading all counts first does.
+        refused = full = None
+        total = 0
+        for index, site in enumerate(sites):
             try:
-                span = lt + site.haul_time + site.unload_time
+                haul = site.__dict__["haul_time"] = _haul_time(site.distance, site.speed)
             except ValidationError as exc:
                 raise ValidationError(f"sites[{index}]: {exc}") from None
-            gamma = self.gamma_for(site)
+            unload = site.unload_time
+            gamma = default_gamma if site.gamma_override is None else site.gamma_override
+            span = lt + haul + unload
             if span > gamma:
                 raise ValidationError(
                     f"sites[{index}]: not accessible: loading + haul + unload "
                     f"= {span // MINUTE} min exceeds gamma = {gamma // MINUTE} min"
                 )
-        trips = 0
-        for index, (_, count, *_) in enumerate(self.timings):
-            trips += count
-            if trips * lt > DAY:
-                raise ValidationError(
-                    f"sites[{index}].demand: the trips up to this site need more "
-                    f"than 24 h of depot loading (at most {DAY // lt} trips of "
-                    f"{lt} s fit)"
-                )
-
-    @cached_property
-    def _sites_by_id(self) -> dict[int, SiteSpec]:
-        return {site.id: site for site in self.sites}
+            try:
+                count = trips_for_site(site.demand, capacity)
+            except ValidationError as exc:
+                refused = refused or exc
+                continue
+            total += count
+            if full is None and total * lt > DAY:
+                full = index
+            if refused is None and full is None:
+                site_id = site.id
+                timings.append((site_id, count, lt + haul - site.proposed_start, unload, gamma))
+                trips += [TripId(site_id, j) for j in range(1, count + 1)]
+        if refused is not None:
+            raise refused
+        if full is not None:
+            raise ValidationError(
+                f"sites[{full}].demand: the trips up to this site need more "
+                f"than 24 h of depot loading (at most {DAY // lt} trips of "
+                f"{lt} s fit)"
+            )
+        vars(self).update(timings=tuple(timings), trips=tuple(trips), _sites_by_id=by_id)
 
     def site(self, site_id: int) -> SiteSpec:
         try:
@@ -256,37 +298,6 @@ class Instance:
 
     def trips_for(self, site: SiteSpec) -> int:
         return trips_for_site(site.demand, self.depot.truck_capacity)
-
-    @cached_property
-    def timings(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """The site table every search reads: one row per site, in site-list
-        order, of plain integers ``(id, trips, offset, U_i, gamma_i)``.
-
-        ``offset = L_t + h_i - proposed_i``: a site's first trip loaded at
-        depot time ``t`` waits ``max(0, t + offset)``.  A later trip loaded
-        ``d`` after the site's previous one waits ``max(0, d - U_i)``, and
-        breaks the pour window when ``d > gamma_i``.
-        """
-        lt = self.depot.loading_time
-        return tuple(
-            (
-                site.id,
-                self.trips_for(site),
-                lt + site.haul_time - site.proposed_start,
-                site.unload_time,
-                self.gamma_for(site),
-            )
-            for site in self.sites
-        )
-
-    @cached_property
-    def trips(self) -> tuple[TripId, ...]:
-        """Every trip, in site-list order and then by trip index."""
-        return tuple(
-            TripId(site_id, j)
-            for site_id, count, *_ in self.timings
-            for j in range(1, count + 1)
-        )
 
 
 def total_trips(instance: Instance) -> int:

@@ -687,6 +687,85 @@ class TestExportMip:
         assert captured.err.startswith(f"error: {out_path}: ")
 
 
+def _stale_tail(path: Path) -> None:
+    """Fill ``path`` with 300 KB of filler, longer than any output here."""
+    path.write_text("stale filler line\n" * 17_000)
+
+
+#: The solve and export-mip requests that write an output file, by command.
+WRITERS = {
+    "solve": ["solve", INSTANCE1, "--algorithm", "greedy"],
+    "export-mip": ["export-mip", INSTANCE1, "--horizon", "32"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+class TestOutFile:
+    """``--out`` files are written in place and cut to length; only a
+    regular file is cut."""
+
+    def written(self, capsys, command, path) -> bytes:
+        code, _ = run(capsys, *WRITERS[command], "--out", str(path))
+        assert code == 0
+        return path.read_bytes()
+
+    def test_longer_file_keeps_only_the_new_bytes(self, capsys, tmp_path, command):
+        fresh = self.written(capsys, command, tmp_path / "fresh")
+        stale = tmp_path / "stale"
+        _stale_tail(stale)
+        assert stale.stat().st_size > len(fresh)
+        assert self.written(capsys, command, stale) == fresh
+
+    def test_rewrite_keeps_mode_inode_and_hard_link(self, capsys, tmp_path, command):
+        path, link = tmp_path / "out", tmp_path / "link"
+        _stale_tail(path)
+        path.chmod(0o640)
+        os.link(path, link)
+        before = path.stat()
+        text = self.written(capsys, command, path)
+        after = path.stat()
+        assert (after.st_mode, after.st_ino, after.st_nlink) == (
+            before.st_mode, before.st_ino, 2
+        )
+        assert link.read_bytes() == text
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_null_device(self, capsys, command):
+        # The null device refuses to be cut to length.
+        code, out = run(capsys, *WRITERS[command], "--out", os.devnull)
+        assert code == 0
+        assert os.devnull in out
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [("dir", "Is a directory"), ("dir/missing/out", "No such file or directory")],
+    )
+    def test_unwritable_path_exit_code(self, capsys, tmp_path, command, where, message):
+        (tmp_path / "dir").mkdir()
+        path = tmp_path / where
+        code = main([*WRITERS[command], "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
+    def test_empty_out_refused_before_any_file_is_read(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "/no/such/instance.json", "--out", ""]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: --out: must name a file, got ''\n"
+        # Nor is the instance read, or a schedule or LP written, when the
+        # instance is there.
+        assert main([*WRITERS[command], "--out", ""]) == 3
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBench:
     def test_reports_known_deviation(self, capsys):
         code, out = run(capsys, "bench", "--json")

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -14,7 +16,9 @@ from rmcdp.io import (
     read_schedule_csv,
     schedule_to_csv,
     write_schedule_csv,
+    write_text,
 )
+from rmcdp import io as rio
 from rmcdp.graphs import greedy_solve
 from rmcdp.io import bundled_schedule_path
 from rmcdp.model import InputError
@@ -239,6 +243,78 @@ class TestInstanceErrors:
         with pytest.raises(InputError) as err:
             instance_from_dict(doc)
         assert str(err.value) == expected
+
+
+#: Each reader of an instance field and the parser it falls back to.
+FIELD_READERS = [
+    (rio._read_number, rio._number),
+    (rio._read_integer, rio._integer),
+    (rio._read_duration, rio.parse_duration),
+    (rio._read_clock, rio.parse_time),
+]
+
+#: Values an instance field may hold in JSON, or after a library caller
+#: built the document: the readers' inline paths and every kind they pass on.
+FIELD_VALUES = [
+    0, 1, -1, 7, 90, 2880, 2881, -10**30, 10**30, True, False, None,
+    0.0, -0.0, 0.5, 1.5, 16.0, 16.1, 4.5, 1e300, 1e-9, math.nan, math.inf, -math.inf,
+    "8:00", "08:05", "0:00", "23:59", "8:60", "8:0", "8:000", "8:00:30", "48:00",
+    "1234567:00", "999999:59", ":30", "8:", "", "abc", "8.5", "1e3", "\uff18:00",
+    "8:\u0663\u0660", "\u0663:00", " 8:00", "-1:00", [], {}, Decimal("5"),
+]
+
+
+def field_outcome(read, *args):
+    try:
+        value = read(*args)
+    except InputError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+class TestFieldReaders:
+    """An instance field's reader takes ints, finite floats and plain
+    ``H:MM`` straight from the document and hands everything else to its
+    parser, so the values and messages are the parser's."""
+
+    @pytest.mark.parametrize(
+        "read, parse", FIELD_READERS, ids=[parse.__name__ for _, parse in FIELD_READERS]
+    )
+    def test_reader_matches_its_parser(self, read, parse):
+        for value in FIELD_VALUES:
+            doc = {"f": value}
+            expected = field_outcome(rio._field, doc, "f", "where", parse)
+            assert field_outcome(read, doc, "f", "where") == expected, value
+
+    @pytest.mark.parametrize(
+        "read, parse", FIELD_READERS, ids=[parse.__name__ for _, parse in FIELD_READERS]
+    )
+    def test_absent_field_reads_missing(self, read, parse):
+        assert field_outcome(read, {}, "f", "where") == ("error", "where.f: missing")
+
+    @pytest.mark.parametrize("read", [rio._read_integer, rio._read_duration])
+    def test_absent_optional_field_takes_the_default(self, read):
+        assert read({}, "f", "where", None) is None
+
+
+class TestWriteText:
+    def test_shorter_text_over_a_longer_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("stale\n" * 50_000)
+        write_text(path, "site,trip\n1,1\n")
+        assert path.read_bytes() == b"site,trip\n1,1\n"
+        write_text(path, "")
+        assert path.read_bytes() == b""
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_is_written_and_not_cut(self):
+        read_end, write_end = os.pipe()
+        try:
+            write_text(f"/dev/fd/{write_end}", "End\n")
+            assert os.read(read_end, 100) == b"End\n"
+        finally:
+            os.close(read_end)
+            os.close(write_end)
 
 
 class TestScheduleCsv:

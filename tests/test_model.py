@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -6,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from rmcdp import io as rio
 from rmcdp.model import (
     DepotSpec,
     Instance,
@@ -21,8 +23,11 @@ from rmcdp.model import (
 )
 
 from conftest import (
+    random_instance,
     reference_hours_in_seconds,
     reference_trips,
+    repeated_row_instance,
+    tight_gamma_instance,
 )
 
 MIN = 60
@@ -390,3 +395,115 @@ class TestValidation:
             match=r"sites\[1\]\.demand: .* more than 24 h .*at most 288 trips of 300 s",
         ):
             make_instance([1440, 1441], [10 * MIN] * 2, [5, 5])
+
+
+def derived_from_first_principles(instance: Instance):
+    """The loading time, the haul times, ``timings``, ``trips`` and the id
+    map of ``instance``, each worked out from the spec fields with
+    ``Fraction`` arithmetic."""
+    depot = instance.depot
+    lt = reference_hours_in_seconds(
+        depot.truck_capacity, "truck_capacity", depot.productivity, "productivity",
+        "loading time",
+    )
+    hauls, rows, trips = [], [], []
+    for site in instance.sites:
+        haul = reference_hours_in_seconds(
+            site.distance, "distance", site.speed, "speed", "haul time"
+        )
+        count = reference_trips(site.demand, depot.truck_capacity)
+        gamma = depot.gamma if site.gamma_override is None else site.gamma_override
+        hauls.append(haul)
+        rows.append((site.id, count, lt + haul - site.proposed_start, site.unload_time, gamma))
+        trips += [TripId(site.id, j) for j in range(1, count + 1)]
+    by_id = {site.id: site for site in instance.sites}
+    return lt, hauls, tuple(rows), tuple(trips), by_id
+
+
+def float_instance() -> Instance:
+    """Float, ``Decimal`` and ``Fraction`` inputs that come to whole seconds:
+    4.5 km at 30 km/h is a 540 s haul, 7.5 m3 at 90 m3/h a 300 s loading."""
+    sites = tuple(
+        SiteSpec(id=i, demand=demand, distance=distance, speed=speed,
+                 unload_time=20 * MIN, proposed_start=8 * 3600 + 600 * i)
+        for i, (demand, distance, speed) in enumerate(
+            [(16.5, 4.5, 30), (15, 28.5, 90.0), (Decimal("7.5"), Decimal("0.3"), 36),
+             (Fraction(45, 2), Fraction(9, 2), 45), (7.4, 0, 60)],
+            start=1,
+        )
+    )
+    return Instance(DepotSpec(8 * 3600, 10, 90, 7.5, gamma=75 * MIN), sites)
+
+
+def built_instances():
+    for name in ("example-1", "instance-1", "instance-2"):
+        yield rio.load_instance(rio.bundled_instance_path(name))
+    for make in (random_instance, tight_gamma_instance, repeated_row_instance):
+        for seed in range(100):
+            yield make(random.Random(seed))
+    yield float_instance()
+
+
+class TestOnePassBuild:
+    """Building an ``Instance`` works out each derived table once; every
+    one equals its first-principles value."""
+
+    def test_derived_tables_match_first_principles(self):
+        for instance in built_instances():
+            lt, hauls, rows, trips, by_id = derived_from_first_principles(instance)
+            assert instance.depot.loading_time == lt
+            assert [site.haul_time for site in instance.sites] == hauls
+            assert instance.timings == rows
+            assert all(type(value) is int for row in rows for value in row[1:])
+            assert instance.trips == trips
+            assert instance._sites_by_id == by_id
+            assert all(instance.site(i) is site for i, site in by_id.items())
+
+    def test_float_inputs(self):
+        instance = float_instance()
+        assert instance.depot.loading_time == 300
+        assert [site.haul_time for site in instance.sites] == [540, 1140, 30, 360, 0]
+        assert [row[1] for row in instance.timings] == [3, 2, 1, 3, 1]
+
+    def test_build_stores_loading_and_haul_times(self, instance1):
+        # Reading them later costs one dict lookup, not a computation.
+        assert vars(instance1.depot)["loading_time"] == 5 * MIN
+        assert [vars(site)["haul_time"] for site in instance1.sites] == [
+            30 * MIN, 20 * MIN, 20 * MIN, 10 * MIN, 10 * MIN
+        ]
+
+    def test_rebound_post_init_runs_on_every_build(self, monkeypatch, tmp_path):
+        # A tracer may rebind the build hook; each way of building an
+        # Instance must then pass through it.
+        built = []
+        original = Instance.__post_init__
+
+        def traced(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(Instance, "__post_init__", traced)
+        loaded = rio.load_instance(rio.bundled_instance_path("example-1"))
+        direct = Instance(loaded.depot, loaded.sites[::-1])
+        replaced = dataclasses.replace(loaded, sites=loaded.sites[::-1])
+        assert [id(i) for i in built] == [id(loaded), id(direct), id(replaced)]
+        assert replaced.timings == direct.timings == loaded.timings[::-1]
+
+
+class TestBuildErrorOrder:
+    """Each site's haul time and pour window are checked before any trip
+    count or the 24 h bound refuses an instance."""
+
+    def test_later_inaccessible_site_before_the_24h_bound(self):
+        with pytest.raises(ValidationError, match=r"^sites\[2\]: not accessible: "):
+            make_instance([1440, 1441, 10], [10 * MIN] * 3, [5, 5, 100])
+
+    def test_later_inaccessible_site_before_an_unreadable_demand(self):
+        sites = (site(demand=math.inf), site(id=2, distance=100))
+        with pytest.raises(ValidationError, match=r"^sites\[1\]: not accessible: "):
+            Instance(depot(), sites)
+
+    def test_unreadable_demand_before_the_24h_bound(self):
+        sites = (site(demand=14400), site(id=2, demand=math.inf))
+        with pytest.raises(ValidationError, match="^demand: not a number: inf$"):
+            Instance(depot(), sites)
