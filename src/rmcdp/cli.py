@@ -8,7 +8,6 @@ for exhaustive search (its sequence space or a search size is over its cap).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from decimal import Decimal
@@ -110,7 +109,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     if schedule is None:
         payload["feasible"] = False
-        print(json.dumps(payload, indent=2))
+        print(rio.to_json(payload))
         return EXIT_INFEASIBLE
 
     payload["feasible"] = True
@@ -121,7 +120,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         payload["schedule_csv"] = str(args.out)
     else:
         payload["schedule"] = rio.schedule_to_csv(schedule).splitlines()
-    print(json.dumps(payload, indent=2))
+    print(rio.to_json(payload))
     return EXIT_OK
 
 
@@ -146,7 +145,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     }
     if report.feasible:
         payload["objective"] = _objective_payload(instance, schedule)
-    print(json.dumps(payload, indent=2))
+    print(rio.to_json(payload))
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
@@ -163,7 +162,7 @@ def cmd_space(args: argparse.Namespace) -> int:
         "truck_upper_bound": truck_upper_bound(gamma, lt),
         "trucks_per_window": gamma // lt,
     }
-    print(json.dumps(payload, indent=2))
+    print(rio.to_json(payload))
     return EXIT_OK
 
 
@@ -175,17 +174,13 @@ def cmd_export_mip(args: argparse.Namespace) -> int:
     stem = Path(args.instance).stem
     out = Path(args.out if args.out is not None else f"{stem}_{model.horizon}.lp")
     rio.write_text(out, text)
-    print(
-        json.dumps(
-            {
-                "lp": str(out),
-                "horizon": model.horizon,
-                "binaries": model.binary_count,
-                "constraints": len(model.rows),
-            },
-            indent=2,
-        )
-    )
+    payload = {
+        "lp": str(out),
+        "horizon": model.horizon,
+        "binaries": model.binary_count,
+        "constraints": len(model.rows),
+    }
+    print(rio.to_json(payload))
     return EXIT_OK
 
 
@@ -279,7 +274,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     payload = {"rows": rows, "deviations": [r["name"] for r in rows if not r["ok"]]}
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(rio.to_json(payload))
     else:
         width = max(len(r["name"]) for r in rows)
         for r in rows:

@@ -24,12 +24,13 @@ import os
 import stat
 from collections.abc import Mapping
 from importlib import resources
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any
 
 from .model import (
     DAY,
+    DEFAULT_GAMMA,
     HOUR,
     MINUTE,
     DepotSpec,
@@ -85,13 +86,17 @@ def _seconds(value: Any, what: str, expected: str) -> int:
     return seconds
 
 
+_TWO_DIGITS = [f"{n:02d}" for n in range(60)]
+
+
 def format_time(seconds: int) -> str:
     """Seconds from midnight to 'H:MM' (or 'H:MM:SS' off the minute)."""
+    if not seconds % 60:
+        minutes = seconds // 60
+        return f"{minutes // 60}:{_TWO_DIGITS[minutes % 60]}"
     hours, rest = divmod(seconds, 3600)
     minutes, secs = divmod(rest, 60)
-    if secs:
-        return f"{hours}:{minutes:02d}:{secs:02d}"
-    return f"{hours}:{minutes:02d}"
+    return f"{hours}:{minutes:02d}:{secs:02d}"
 
 
 _REQUIRED = object()
@@ -183,7 +188,7 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         _read_number(depot_doc, "productivity", "depot"),
         _read_number(depot_doc, "truck_capacity", "depot"),
         _read_integer(depot_doc, "trucks", "depot", None),
-        _read_duration(depot_doc, "gamma", "depot", DepotSpec.gamma),
+        _read_duration(depot_doc, "gamma", "depot", DEFAULT_GAMMA),
     )
 
     sites = []
@@ -253,25 +258,84 @@ def bundled_schedule_path(name: str) -> Path:
 
 
 def schedule_to_csv(schedule: Schedule) -> str:
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SCHEDULE_HEADER)
-    for entry in sorted(schedule.entries, key=attrgetter("trip")):
-        writer.writerow(
-            (
-                entry.site_id,
-                entry.trip.trip_index,
-                format_time(entry.depot_start),
-                format_time(entry.site_arrival),
-                format_time(entry.site_departure),
-                _format_quantity(entry.cumulative_delivered),
-            )
+    # No field needs quoting: ids, clocks and numbers hold no comma, quote
+    # or line break.
+    lines = [",".join(SCHEDULE_HEADER)]
+    for (site, trip), depot, arrival, departure, delivered in sorted(
+        schedule.entries, key=itemgetter(0)
+    ):
+        lines.append(
+            f"{site},{trip},{format_time(depot)},{format_time(arrival)},"
+            f"{format_time(departure)},{_format_quantity(delivered)}"
         )
-    return buffer.getvalue()
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _format_quantity(value: float) -> str:
     return str(int(value)) if float(value).is_integer() else repr(float(value))
+
+
+def to_json(value: Any) -> str:
+    """``json.dumps(value, indent=2)`` of the values the CLI prints: dicts
+    with ``str`` keys, lists, strings, ints, floats, bools and ``None``.
+    Any other type, a dict key among them, raises ``TypeError``.
+
+    ``json`` runs its pure-Python encoder whenever ``indent`` is set; this
+    writer escapes strings with the same C function and formats numbers the
+    same way, at a fraction of the cost."""
+    return _json(value, "\n")
+
+
+_JSON_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_FLOAT_WORDS.get(text, text)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+#: Each scalar type and its writer, looked up by exact type.
+_JSON_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json(value: Any, newline: str) -> str:
+    """``value`` as JSON, each nested line starting with ``newline``."""
+    kind = type(value)
+    scalar = _JSON_SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        parts = []
+        for key, item in value.items():
+            scalar = _JSON_SCALARS.get(type(item))
+            text = scalar(item) if scalar is not None else _json(item, inner)
+            # _encode_str raises TypeError on a key that is not a str.
+            parts.append(f"{_encode_str(key)}: {text}")
+        return f"{{{inner}{(',' + inner).join(parts)}{newline}}}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        # A list of one scalar type, as most lists here are, is written in C.
+        kinds = set(map(type, value))
+        scalar = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if scalar is not None:
+            parts = map(scalar, value)
+        else:
+            parts = [_json(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(parts)}{newline}]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -328,10 +392,17 @@ def read_schedule_csv(path: str | Path, instance: Instance) -> Schedule:
             continue
         if len(row) != len(SCHEDULE_HEADER):
             raise InputError(f"{path}:{line_no}: expected {len(SCHEDULE_HEADER)} fields")
+        site_text, trip_text = row[0], row[1]
         try:
-            site_id = int(row[0])
-            trip_index = int(row[1])
-        except ValueError as exc:
+            # Plain ASCII digits only: int() would also read "1_0", " 1",
+            # "+1" and full-width digits.
+            if not (
+                site_text.isdigit() and trip_text.isdigit()
+                and (site_text + trip_text).isascii()
+            ):
+                raise ValueError
+            site_id, trip_index = int(site_text), int(trip_text)
+        except ValueError as exc:  # also a number with too many digits
             raise InputError(f"{path}:{line_no}: site and trip must be integers") from exc
         if site_id not in sites:
             raise InputError(f"{path}:{line_no}: unknown site {site_id}")

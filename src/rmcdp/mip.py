@@ -16,6 +16,8 @@ rounded float of the exact value.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
+from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .model import Instance, InputError, slot_horizon
@@ -66,6 +68,11 @@ class MipModel(NamedTuple):
         return tuple(zip(row.coefs or (1,) * len(row.cols), names))
 
 
+#: A ``Row`` from the tuple of its fields, built in C: a named tuple's own
+#: ``__new__`` is a Python function.
+_row = partial(tuple.__new__, Row)
+
+
 def build_mip(instance: Instance, horizon: int | None = None) -> MipModel:
     horizon = slot_horizon(instance, horizon)
     lt, start = instance.depot.loading_time, instance.depot.start_time
@@ -74,8 +81,8 @@ def build_mip(instance: Instance, horizon: int | None = None) -> MipModel:
     # trip, T and W of each consecutive pair, then Wf.  The binary of trip k
     # in slot t + 1 is column first_binary + t * count + k.
     first_binary = 4 * count - len(instance.sites)
-    end = first_binary + horizon * count
-    trip_slots = [tuple(range(first_binary + k, end, count)) for k in range(count)]
+    binaries = tuple(range(first_binary, first_binary + horizon * count))
+    trip_slots = [binaries[k::count] for k in range(count)]
     slot_coefs = (*((start + t * lt) / 60 for t in range(horizon)), -1)
 
     names: list[str] = []
@@ -89,26 +96,28 @@ def build_mip(instance: Instance, horizon: int | None = None) -> MipModel:
         names += [f"{v}_s{sid}_j{j}" for j in range(1, n + 1) for v in ("ks", "kd")]
         names += [f"{v}_s{sid}_j{j}" for j in range(1, n) for v in ("T", "W")] + [f"Wf_s{sid}"]
         objective += [*range(gap + 1, wf, 2), wf]
+        unload_min, gamma_min = unload / 60, gamma / 60
         for j, t in enumerate(range(gap, wf, 2), start=1):
             rows += [
-                Row(f"c_eq22_s{sid}_j{j}", (ks + 2 * j, ks + 2 * j - 2, t), (1, -1, -1),
-                    "=", 0),
-                Row(f"c_eq23_s{sid}_j{j}", (t, t + 1), (1, -1), "=", unload / 60),
-                Row(f"c_eq24_s{sid}_j{j}", (t,), None, ">=", unload / 60),
-                Row(f"c_eq25_s{sid}_j{j}", (t,), None, "<=", gamma / 60),
+                _row((f"c_eq22_s{sid}_j{j}", (ks + 2 * j, ks + 2 * j - 2, t), (1, -1, -1),
+                      "=", 0)),
+                _row((f"c_eq23_s{sid}_j{j}", (t, t + 1), (1, -1), "=", unload_min)),
+                _row((f"c_eq24_s{sid}_j{j}", (t,), None, ">=", unload_min)),
+                _row((f"c_eq25_s{sid}_j{j}", (t,), None, "<=", gamma_min)),
             ]
+        proposed, travel = site.proposed_start / 60, (lt + site.haul_time) / 60
         for j, kd in enumerate(range(ks + 1, gap, 2), start=1):
             rows += [
-                Row(f"c_eq26_s{sid}_j{j}", (ks, wf), (1, -1), "=",
-                    site.proposed_start / 60),
-                Row(f"c_eq27_s{sid}_j{j}", (kd - 1, kd), (1, -1), "=",
-                    (lt + site.haul_time) / 60),
-                Row(f"c_eq28_s{sid}_j{j}", (*next(slots), kd), slot_coefs, "=", 0),
+                _row((f"c_eq26_s{sid}_j{j}", (ks, wf), (1, -1), "=", proposed)),
+                _row((f"c_eq27_s{sid}_j{j}", (kd - 1, kd), (1, -1), "=", travel)),
+                _row((f"c_eq28_s{sid}_j{j}", (*next(slots), kd), slot_coefs, "=", 0)),
             ]
-    for t, first in enumerate(range(first_binary, end, count), start=1):
-        rows.append(Row(f"c_eq29_t{t}", tuple(range(first, first + count)), None, "<=", 1))
+    rows += [
+        _row((f"c_eq29_t{t}", binaries[t * count - count : t * count], None, "<=", 1))
+        for t in range(1, horizon + 1)
+    ]
     trip_names = [f"_s{trip.site_id}_j{trip.trip_index}" for trip in instance.trips]
-    rows += [Row(f"c_eq30{t}", c, None, "=", 1) for t, c in zip(trip_names, trip_slots)]
+    rows += [_row((f"c_eq30{t}", c, None, "=", 1)) for t, c in zip(trip_names, trip_slots)]
     slot_names = [f"X_t{t}" for t in range(1, horizon + 1)]
     names += [slot + trip for slot in slot_names for trip in trip_names]
     return MipModel(horizon, tuple(names), first_binary, tuple(objective), tuple(rows))
@@ -123,27 +132,36 @@ def _prefix(coefficient: float, first: bool) -> str:
     """The text before a variable's name in an LP expression."""
     if first:
         return {1: "", -1: "- "}.get(coefficient, f"{_number(coefficient)} ")
-    sign, magnitude = "+ " if coefficient > 0 else "- ", abs(coefficient)
+    sign, magnitude = " + " if coefficient > 0 else " - ", abs(coefficient)
     return sign if magnitude == 1 else f"{sign}{_number(magnitude)} "
 
 
 def emit_lp(model: MipModel) -> str:
     names = model.names
     # Rows that share a coefficient tuple (every c_eq28 row shares the slot
-    # times) share one template of formatted coefficients.
-    templates: dict[tuple[float, ...], str] = {}
+    # times) share one list of the texts before each column's name, with a
+    # slot after each for the name.
+    heads: dict[tuple[float, ...], list[str]] = {}
+    # Equal numbers have one text, so each right-hand side is written once.
+    numbers: dict[float, str] = {}
     lines = ["Minimize", " obj: " + " + ".join([names[c] for c in model.objective])]
     lines.append("Subject To")
-    for row in model.rows:
-        if row.coefs is None:
-            body = " + ".join([names[c] for c in row.cols])
+    for name, cols, coefs, sense, rhs in model.rows:
+        # itemgetter of one index returns the bare name, not a tuple.
+        picked = itemgetter(*cols)(names) if len(cols) > 1 else [names[c] for c in cols]
+        if coefs is None:
+            body = " + ".join(picked)
         else:
-            if (template := templates.get(row.coefs)) is None:
-                template = templates[row.coefs] = " ".join(
-                    f"{_prefix(c, i == 0)}{{}}" for i, c in enumerate(row.coefs)
-                )
-            body = template.format(*[names[c] for c in row.cols])
-        lines.append(f" {row.name}: {body} {row.sense} {_number(row.rhs)}")
+            if (parts := heads.get(coefs)) is None:
+                parts = heads[coefs] = [
+                    text for i, c in enumerate(coefs) for text in (_prefix(c, i == 0), "")
+                ]
+            parts = parts.copy()
+            parts[1::2] = picked
+            body = "".join(parts)
+        if (number := numbers.get(rhs)) is None:
+            number = numbers[rhs] = _number(rhs)
+        lines.append(f" {name}: {body} {sense} {number}")
     lines.append("\n 0 <= ".join(("Bounds", *model.continuous)))
     lines.append("\n ".join(("Binary", *model.binaries)))
     lines.append("End\n")

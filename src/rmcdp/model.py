@@ -15,7 +15,6 @@ than rounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from decimal import Decimal
 from functools import cached_property
 from typing import NamedTuple
@@ -129,20 +128,67 @@ def _refuse_decimal_nan(spec, prefix: str) -> None:
     """Raise a ``ValidationError`` naming the first field of ``spec`` that
     holds a ``Decimal`` NaN, which signals when a guard compares it.  The
     ``not x > 0`` guards refuse a float NaN themselves."""
-    for item in fields(spec):
-        value = getattr(spec, item.name)
+    for name in spec._fields:
+        value = getattr(spec, name)
         if isinstance(value, Decimal) and value.is_nan():
-            raise ValidationError(f"{prefix}{item.name}: not a number: {value!r}")
+            raise ValidationError(f"{prefix}{name}: not a number: {value!r}")
 
 
-@dataclass(frozen=True)
-class DepotSpec:
-    start_time: int               # first loading start, seconds from midnight
-    plant_capacity: float         # batching plant capacity, m3
-    productivity: float           # batching rate P_r, m3/h
-    truck_capacity: float         # Q, m3 per truck
-    truck_count: int | None = None
-    gamma: int = DEFAULT_GAMMA    # cold-joint window, seconds
+class _Spec:
+    """A read-only record of the fields named in ``_fields``, which compares,
+    hashes and prints as a frozen dataclass does.  Each subclass's
+    ``__init__`` stores the fields in the instance ``__dict__``, where a
+    ``cached_property`` also stores its value, and then calls
+    ``self.__post_init__()``, looked up on the class so that a rebound
+    hook runs on every construction."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DepotSpec(_Spec):
+    _fields = (
+        "start_time", "plant_capacity", "productivity", "truck_capacity",
+        "truck_count", "gamma",
+    )
+
+    def __init__(
+        self,
+        start_time: int,              # first loading start, seconds from midnight
+        plant_capacity: float,        # batching plant capacity, m3
+        productivity: float,          # batching rate P_r, m3/h
+        truck_capacity: float,        # Q, m3 per truck
+        truck_count: int | None = None,
+        gamma: int = DEFAULT_GAMMA,   # cold-joint window, seconds
+    ) -> None:
+        fields = self.__dict__
+        fields["start_time"] = start_time
+        fields["plant_capacity"] = plant_capacity
+        fields["productivity"] = productivity
+        fields["truck_capacity"] = truck_capacity
+        fields["truck_count"] = truck_count
+        fields["gamma"] = gamma
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         try:
@@ -169,15 +215,31 @@ class DepotSpec:
         return loading_time(self.truck_capacity, self.productivity)
 
 
-@dataclass(frozen=True)
-class SiteSpec:
-    id: int
-    demand: float                 # m3
-    distance: float               # km, one way
-    speed: float                  # km/h
-    unload_time: int              # U_i, seconds
-    proposed_start: int           # requested first-delivery time, seconds
-    gamma_override: int | None = None
+class SiteSpec(_Spec):
+    _fields = (
+        "id", "demand", "distance", "speed", "unload_time", "proposed_start",
+        "gamma_override",
+    )
+
+    def __init__(
+        self,
+        id: int,
+        demand: float,                # m3
+        distance: float,              # km, one way
+        speed: float,                 # km/h
+        unload_time: int,             # U_i, seconds
+        proposed_start: int,          # requested first-delivery time, seconds
+        gamma_override: int | None = None,
+    ) -> None:
+        fields = self.__dict__
+        fields["id"] = id
+        fields["demand"] = demand
+        fields["distance"] = distance
+        fields["speed"] = speed
+        fields["unload_time"] = unload_time
+        fields["proposed_start"] = proposed_start
+        fields["gamma_override"] = gamma_override
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # Messages name the field; the reader of the site list names the site.
@@ -213,8 +275,7 @@ class SiteSpec:
         return _haul_time(self.distance, self.speed)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Spec):
     """A depot and its sites.  Building one validates it and works out, in
     one pass over the sites, the tables every solver reads:
 
@@ -231,8 +292,13 @@ class Instance:
     ``DepotSpec.loading_time`` and ``SiteSpec.haul_time`` cache them.
     """
 
-    depot: DepotSpec
-    sites: tuple[SiteSpec, ...]
+    _fields = ("depot", "sites")
+
+    def __init__(self, depot: DepotSpec, sites: tuple[SiteSpec, ...]) -> None:
+        fields = self.__dict__
+        fields["depot"] = depot
+        fields["sites"] = sites
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         sites = self.sites

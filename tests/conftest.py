@@ -6,6 +6,7 @@ import csv
 import io
 import math
 import random
+import re
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -37,6 +38,14 @@ def golden_schedule(instance1):
     return rio.read_schedule_csv(
         rio.bundled_schedule_path("instance-1-schedule"), instance1
     )
+
+
+def replace(spec, **changes):
+    """A copy of ``spec`` (a ``DepotSpec``, ``SiteSpec`` or ``Instance``) with
+    ``changes``, rebuilt through its constructor so that it is validated,
+    and its derived tables worked out, again."""
+    fields = {name: getattr(spec, name) for name in spec._fields}
+    return type(spec)(**{**fields, **changes})
 
 
 def circuit_cost(instance: Instance, sequence: Sequence[int]) -> int:
@@ -123,6 +132,8 @@ def reference_read_schedule(path, instance: Instance) -> tuple[tuple, ...]:
         if len(row) != 6:
             raise InputError(f"{where}: expected 6 fields")
         try:
+            if not all(re.fullmatch("[0-9]+", field) for field in row[:2]):
+                raise ValueError("site and trip are plain ASCII digits")
             site_id, trip_index = int(row[0]), int(row[1])
         except ValueError:
             raise InputError(f"{where}: site and trip must be integers") from None
@@ -143,6 +154,38 @@ def reference_read_schedule(path, instance: Instance) -> tuple[tuple, ...]:
         entries.append(((site_id, trip_index), *clocks, delivered))
     entries.sort(key=lambda entry: entry[0])
     return tuple(entries)
+
+
+def reference_format_time(seconds: int) -> str:
+    """Seconds to 'H:MM' or 'H:MM:SS' by two ``divmod``s: the reference that
+    ``format_time`` must agree with."""
+    hours, rest = divmod(seconds, 3600)
+    minutes, secs = divmod(rest, 60)
+    if secs:
+        return f"{hours}:{minutes:02d}:{secs:02d}"
+    return f"{hours}:{minutes:02d}"
+
+
+def reference_schedule_to_csv(schedule) -> str:
+    """The schedule CSV written row by row through ``csv.writer``, which
+    quotes any field that needs it: ``schedule_to_csv`` must produce the
+    same bytes."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(rio.SCHEDULE_HEADER)
+    for entry in sorted(schedule.entries, key=lambda entry: entry.trip):
+        delivered = entry.cumulative_delivered
+        writer.writerow(
+            (
+                entry.site_id,
+                entry.trip.trip_index,
+                reference_format_time(entry.depot_start),
+                reference_format_time(entry.site_arrival),
+                reference_format_time(entry.site_departure),
+                str(int(delivered)) if float(delivered).is_integer() else repr(float(delivered)),
+            )
+        )
+    return buffer.getvalue()
 
 
 def _lp_number(value: float) -> str:

@@ -15,17 +15,27 @@ from rmcdp.io import (
     parse_time,
     read_schedule_csv,
     schedule_to_csv,
+    to_json,
     write_schedule_csv,
     write_text,
 )
 from rmcdp import io as rio
-from rmcdp.graphs import greedy_solve
+from rmcdp.graphs import SizeCapError, enumerate_exact, greedy_solve, grid_exact
 from rmcdp.io import bundled_schedule_path
 from rmcdp.model import InputError
 from rmcdp.priority import priority_solve
 from rmcdp.schedule import expand_consecutive
 
-from conftest import random_instance, reference_minutes_in_seconds, reference_read_schedule
+from conftest import (
+    random_instance,
+    reference_format_time,
+    reference_minutes_in_seconds,
+    reference_read_schedule,
+    reference_schedule_to_csv,
+    repeated_row_instance,
+    replace,
+    tight_gamma_instance,
+)
 
 MIN = 60
 HEADER = "site,trip,depot_start,site_start,site_end,delivery"
@@ -139,6 +149,11 @@ class TestFormatTime:
     def test_round_trip(self):
         for seconds in (0, 59, 60, 3600, 8 * 3600 + 25 * MIN, 86399):
             assert parse_time(format_time(seconds)) == seconds
+
+    def test_matches_the_divmod_form_over_48_hours(self):
+        # Every second from 0 to 48 h: whole minutes and off the minute.
+        for seconds in range(2 * 86400 + 1):
+            assert format_time(seconds) == reference_format_time(seconds)
 
 
 class TestInstanceLoading:
@@ -371,12 +386,18 @@ class TestScheduleCsv:
             (f"{HEADER}\n\n1,1,8:00,8:20,8:40,10,x\n", ":3: expected 6 fields"),
             (f"{HEADER}\none,1,8:00,8:20,8:40,10\n", ":2: site and trip must be integers"),
             (f"{HEADER}\n1,1.5,8:00,8:20,8:40,10\n", ":2: site and trip must be integers"),
+            # int() reads each of these, "1_0" as 10 and a full-width digit.
+            (f"{HEADER}\n1,1_0,8:00,8:20,8:40,10\n", ":2: site and trip must be integers"),
+            (f"{HEADER}\n\uff11,1,8:00,8:20,8:40,10\n", ":2: site and trip must be integers"),
+            (f"{HEADER}\n 1,1,8:00,8:20,8:40,10\n", ":2: site and trip must be integers"),
+            (f"{HEADER}\n1,+1,8:00,8:20,8:40,10\n", ":2: site and trip must be integers"),
         ],
-        ids=["empty", "short-header", "short-row", "long-row", "site-text", "trip-fraction"],
+        ids=["empty", "short-header", "short-row", "long-row", "site-text", "trip-fraction",
+             "trip-underscore", "site-full-width", "site-space", "trip-plus"],
     )
     def test_malformed_rows_rejected(self, example1, tmp_path, text, message):
         path = tmp_path / "bad.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(InputError) as raised:
             read_schedule_csv(path, example1)
         assert str(raised.value) == f"{path}{message}"
@@ -390,6 +411,132 @@ class TestScheduleCsv:
         )
         with pytest.raises(InputError, match=f"{path}:2: delivery must be a finite number"):
             read_schedule_csv(path, example1)
+
+
+def off_minute(instance):
+    """``instance`` with the depot opening 30 s later, every requested start
+    moved with it, and each demand 0.5 m3 lower: its clocks fall off the
+    minute and each site's last delivery is fractional."""
+    depot = replace(instance.depot, start_time=instance.depot.start_time + 30)
+    sites = tuple(
+        replace(site, demand=site.demand - 0.5, proposed_start=site.proposed_start + 30)
+        for site in instance.sites
+    )
+    return replace(instance, depot=depot, sites=sites)
+
+
+def solver_schedules(instance):
+    """Every schedule the four solvers return on ``instance``; a search over
+    its size cap is left out."""
+    for solve in (priority_solve, greedy_solve, enumerate_exact, grid_exact):
+        try:
+            schedule = solve(instance).schedule
+        except SizeCapError:
+            continue
+        if schedule is not None:
+            yield schedule
+
+
+class TestCsvWriterMatchesReference:
+    """``schedule_to_csv`` writes the bytes of the ``csv.writer`` reference
+    in ``conftest`` on every solver's schedule."""
+
+    def test_bundled_instances(self, example1, instance1, instance2):
+        written = 0
+        for instance in (example1, instance1, instance2):
+            for shifted in (instance, off_minute(instance)):
+                for schedule in solver_schedules(shifted):
+                    assert schedule_to_csv(schedule) == reference_schedule_to_csv(schedule)
+                    written += 1
+        assert written >= 10
+
+    @pytest.mark.parametrize(
+        "make", [random_instance, tight_gamma_instance, repeated_row_instance],
+        ids=lambda make: make.__name__,
+    )
+    def test_random_families(self, make):
+        off_clocks = fractional = 0
+        for seed in range(12):
+            instance = make(random.Random(seed))
+            for shifted in (instance, off_minute(instance)):
+                for schedule in solver_schedules(shifted):
+                    text = schedule_to_csv(schedule)
+                    assert text == reference_schedule_to_csv(schedule)
+                    off_clocks += text.count(":30,")
+                    fractional += text.count(".5\n")
+        assert off_clocks and fractional
+
+
+class TestToJson:
+    """``to_json`` writes exactly what ``json.dumps(value, indent=2)`` does."""
+
+    def test_matches_json_dumps_on_drawn_values(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # Any code point, control characters and lone surrogates included.
+        text = st.text(st.characters(exclude_categories=()), max_size=8)
+        scalars = (
+            st.none() | st.booleans() | text
+            | st.integers() | st.integers(2**64 - 2, 2**200) | st.integers(-(2**200), -(2**64))
+            | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300])
+        )
+        values = st.recursive(
+            scalars,
+            lambda children: st.lists(children, max_size=5)
+            | st.dictionaries(text, children, max_size=5),
+            max_leaves=25,
+        )
+
+        @hypothesis.settings(max_examples=250, deadline=None, database=None)
+        @hypothesis.given(values)
+        @hypothesis.example({})
+        @hypothesis.example([])
+        @hypothesis.example({"": {}, "\x00\n\u00e9\u2028": [[], {}, None]})
+        @hypothesis.example([math.nan, math.inf, -math.inf, 2**64, True, False, None])
+        def matches(value):
+            assert to_json(value) == json.dumps(value, indent=2)
+
+        matches()
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1: "a"}, {None: 1}, {"a": {("b",): 1}}, {"a": (1, 2)}, [Decimal("1")], {1, 2},
+         object(), [b"bytes"]],
+        ids=["int-key", "none-key", "nested-tuple-key", "tuple", "decimal", "set",
+             "object", "bytes"],
+    )
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            to_json(value)
+
+
+#: Clock strings that both inline ``H:MM`` readers must read, or refuse,
+#: exactly as ``parse_time`` does.
+CLOCK_CORPUS = ("8:00", "8:5", "8:60", "\uff18:00", "1234567:00", " 8:00", "8:00:30", "-1:00")
+
+
+class TestInlineClockReaders:
+    """The plain ``H:MM`` test is written twice, in ``_read_clock`` and in the
+    schedule CSV's clock loop; each copy agrees with ``parse_time``."""
+
+    @pytest.mark.parametrize("text", CLOCK_CORPUS)
+    def test_instance_reader(self, text):
+        expected = field_outcome(parse_time, text, "start")
+        if expected[0] == "error":
+            expected = ("error", f"depot.{expected[1]}")
+        assert field_outcome(rio._read_clock, {"start": text}, "start", "depot") == expected
+
+    @pytest.mark.parametrize("text", CLOCK_CORPUS)
+    def test_schedule_reader(self, example1, tmp_path, text):
+        path = tmp_path / "schedule.csv"
+        path.write_text(f"{HEADER}\n1,1,{text},8:20,8:40,10\n", encoding="utf-8")
+        where = f"{path}:2: depot_start"
+        expected = field_outcome(parse_time, text, where)
+        read = field_outcome(lambda: read_schedule_csv(path, example1).entries[0].depot_start)
+        latest = example1.depot.start_time + (len(example1.trips) + 2) * 48 * 3600
+        if expected[0] is int and expected[1] > latest:  # 1234567 h
+            expected = ("error", f"{where}: more than 288 h after the depot start")
+        assert read == expected
 
 
 def read_outcome(read, path, instance):

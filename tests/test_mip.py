@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 
@@ -18,7 +17,7 @@ from rmcdp.model import Instance, ValidationError, total_trips
 from rmcdp.priority import priority_solve
 from rmcdp.schedule import TripId, expand_consecutive
 
-from conftest import random_instance, reference_lp
+from conftest import random_instance, reference_lp, replace
 
 MIN = 60
 
@@ -38,10 +37,10 @@ FRACTIONAL_MINUTES = {
 def one_minute_slots(instance: Instance, start: int) -> Instance:
     """``instance`` with 1-minute loading from a depot opening at ``start``
     (seconds), every requested start moved with the opening."""
-    depot = dataclasses.replace(instance.depot, start_time=start, productivity=600)
+    depot = replace(instance.depot, start_time=start, productivity=600)
     shift = start - instance.depot.start_time
     sites = tuple(
-        dataclasses.replace(site, proposed_start=site.proposed_start + shift)
+        replace(site, proposed_start=site.proposed_start + shift)
         for site in instance.sites
     )
     return Instance(depot=depot, sites=sites)

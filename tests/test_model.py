@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import re
@@ -27,6 +26,7 @@ from conftest import (
     reference_hours_in_seconds,
     reference_trips,
     repeated_row_instance,
+    replace,
     tight_gamma_instance,
 )
 
@@ -485,7 +485,7 @@ class TestOnePassBuild:
         monkeypatch.setattr(Instance, "__post_init__", traced)
         loaded = rio.load_instance(rio.bundled_instance_path("example-1"))
         direct = Instance(loaded.depot, loaded.sites[::-1])
-        replaced = dataclasses.replace(loaded, sites=loaded.sites[::-1])
+        replaced = replace(loaded, sites=loaded.sites[::-1])
         assert [id(i) for i in built] == [id(loaded), id(direct), id(replaced)]
         assert replaced.timings == direct.timings == loaded.timings[::-1]
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -11,7 +10,7 @@ from rmcdp.model import DepotSpec, Instance, InputError, SiteSpec, ValidationErr
 from rmcdp.priority import parse_beta, priority_solve
 from rmcdp.schedule import check, evaluate
 
-from conftest import random_instance, repeated_row_instance, tight_gamma_instance
+from conftest import random_instance, repeated_row_instance, replace, tight_gamma_instance
 
 MIN = 60
 
@@ -202,7 +201,7 @@ class TestPrioritySolve:
     def test_huge_beta_leaves_one_trip_sites_alone(self, example1):
         one_trip = Instance(
             depot=example1.depot,
-            sites=tuple(dataclasses.replace(site, demand=10) for site in example1.sites),
+            sites=tuple(replace(site, demand=10) for site in example1.sites),
         )
         paced = priority_solve(one_trip, beta="1e308", truck_limit=1)
         assert paced.schedule is not None
@@ -223,7 +222,7 @@ class TestPrioritySolve:
         # order runs out of placeable sites before the last one.
         instance = request.getfixturevalue(name)
         mixed = Instance(depot=instance.depot, sites=tuple(
-            dataclasses.replace(site, demand=10) if site.id in one_trip_sites else site
+            replace(site, demand=10) if site.id in one_trip_sites else site
             for site in instance.sites
         ))
         result = priority_solve(mixed, beta="1e308", truck_limit=truck_limit)

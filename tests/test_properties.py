@@ -1,6 +1,5 @@
 """Cross-cutting invariants checked on randomly generated instances."""
 
-import dataclasses
 import random
 
 import pytest
@@ -14,6 +13,7 @@ from conftest import (
     circuit_cost,
     random_instance,
     repeated_row_instance,
+    replace,
     tight_gamma_instance,
 )
 from test_graphs import assert_exact_matches_reference
@@ -23,11 +23,11 @@ MIN = 60
 
 
 def shift_instance(instance: Instance, delta: int) -> Instance:
-    depot = dataclasses.replace(
+    depot = replace(
         instance.depot, start_time=instance.depot.start_time + delta
     )
     sites = tuple(
-        dataclasses.replace(site, proposed_start=site.proposed_start + delta)
+        replace(site, proposed_start=site.proposed_start + delta)
         for site in instance.sites
     )
     return Instance(depot=depot, sites=sites)
@@ -36,7 +36,7 @@ def shift_instance(instance: Instance, delta: int) -> Instance:
 def relabel_instance(instance: Instance, rename: dict[int, int]) -> Instance:
     """``instance`` with each site's id renamed, the site list order kept."""
     sites = tuple(
-        dataclasses.replace(site, id=rename[site.id]) for site in instance.sites
+        replace(site, id=rename[site.id]) for site in instance.sites
     )
     return Instance(depot=instance.depot, sites=sites)
 
