@@ -38,13 +38,6 @@ from .priority import (
     PrioritySearchStats,
     priority_solve,
 )
-from .mip import (
-    MipModel,
-    build_mip,
-    emit_lp,
-    encode_schedule,
-    optimality_gap,
-    validate_solution,
-)
+from .mip import MipModel, build_mip, emit_lp
 
 __all__ = [name for name in dir() if not name.startswith("_")]

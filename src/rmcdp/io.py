@@ -53,9 +53,13 @@ def parse_time(value: Any, what: str = "time") -> int:
         if len(parts) not in (2, 3) or not all(p.isdigit() for p in parts):
             raise InputError(f"{what}: expected 'H:MM', got {value!r}")
         try:
+            # ASCII digits only: int() also reads full-width, Arabic-Indic
+            # and other Unicode digits.
+            if not value.isascii():
+                raise ValueError
             hours, minutes = int(parts[0]), int(parts[1])
             seconds = int(parts[2]) if len(parts) == 3 else 0
-        except ValueError:  # a digit int() does not read, or too many digits
+        except ValueError:  # a non-ASCII digit, or too many digits
             shown = repr(value) if len(value) <= 40 else f"{len(value)} characters"
             raise InputError(f"{what}: expected 'H:MM', got {shown}") from None
         if minutes >= 60 or seconds >= 60:
@@ -158,17 +162,25 @@ def _read_duration(doc: Mapping[str, Any], field: str, what: str, default=_REQUI
     return _field(doc, field, what, parse_duration, default)
 
 
+def _plain_clock(text: str) -> int | None:
+    """The seconds of a plain ``H:MM`` of ASCII digits with at most six hour
+    digits, or ``None`` for any other text, which ``parse_time`` reads or
+    refuses."""
+    hours, _, minutes = text.partition(":")
+    if (
+        len(minutes) == 2 and minutes < "60" and minutes.isdigit()
+        and hours.isdigit() and len(hours) < 7 and text.isascii()
+    ):
+        return int(hours) * HOUR + int(minutes) * MINUTE
+    return None
+
+
 def _read_clock(doc: Mapping[str, Any], field: str, what: str) -> int:
     value = doc.get(field)
     if type(value) is int:
         return value * MINUTE
-    if type(value) is str:
-        hours, _, minutes = value.partition(":")
-        if (
-            len(minutes) == 2 and minutes < "60" and minutes.isdigit()
-            and hours.isdigit() and len(hours) < 7 and value.isascii()
-        ):
-            return int(hours) * HOUR + int(minutes) * MINUTE
+    if type(value) is str and (clock := _plain_clock(value)) is not None:
+        return clock
     return _field(doc, field, what, parse_time)
 
 
@@ -409,15 +421,7 @@ def read_schedule_csv(path: str | Path, instance: Instance) -> Schedule:
         clocks = []
         for column in (2, 3, 4):
             text = row[column]
-            hours, _, minutes = text.partition(":")
-            # A plain H:MM of ASCII digits is read here; parse_time reads,
-            # or refuses, everything else.
-            if (
-                len(minutes) == 2 and minutes < "60" and minutes.isdigit()
-                and hours.isdigit() and len(hours) < 7 and text.isascii()
-            ):
-                clock = int(hours) * HOUR + int(minutes) * MINUTE
-            else:
+            if (clock := _plain_clock(text)) is None:
                 clock = parse_time(text, f"{path}:{line_no}: {SCHEDULE_HEADER[column]}")
             if clock > latest:
                 raise InputError(

@@ -8,6 +8,10 @@ indices into one tuple of variable names, so a solver can read the rows as
 a sparse matrix.  Constraint names embed the defining equation numbers
 (``c_eq22`` .. ``c_eq30``) so rows can be traced back to the formulation.
 
+The module writes the model and reads nothing back: it knows instances,
+not schedules.  A schedule a solver draws from the model is judged like
+any other, by ``rmcdp check``.
+
 All numbers in the emitted LP are minutes.  Each is built once from the
 instance's integer seconds by one division by 60, so it is the correctly
 rounded float of the exact value.
@@ -15,22 +19,12 @@ rounded float of the exact value.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
 from operator import itemgetter
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
-from .model import Instance, InputError, slot_horizon
+from .model import Instance, slot_horizon
 from .model import default_horizon  # noqa: F401 (re-exported)
-from .schedule import (
-    FeasibilityReport,
-    Schedule,
-    TripId,
-    Violation,
-    check,
-    evaluate,
-    schedule_from_slots,
-)
 
 
 class Row(NamedTuple):
@@ -166,135 +160,3 @@ def emit_lp(model: MipModel) -> str:
     lines.append("\n ".join(("Binary", *model.binaries)))
     lines.append("End\n")
     return "\n".join(lines)
-
-
-def encode_schedule(
-    instance: Instance, horizon: int, schedule: Schedule
-) -> dict[str, float]:
-    """Express a schedule as an assignment of the model's variables."""
-    lt = instance.depot.loading_time
-    start = instance.depot.start_time
-    assignment: dict[str, float] = {}
-    grouped = schedule.by_site()
-    for site in instance.sites:
-        entries = grouped.get(site.id, [])
-        for entry in entries:
-            offset = entry.depot_start - start
-            if offset % lt:
-                raise InputError(
-                    f"trip {entry.trip} does not start on a loading slot"
-                )
-            slot = offset // lt + 1
-            if not 1 <= slot <= horizon:
-                raise InputError(f"trip {entry.trip} falls outside the horizon")
-            j = entry.trip.trip_index
-            assignment[f"X_t{slot}_s{site.id}_j{j}"] = 1.0
-            assignment[f"kd_s{site.id}_j{j}"] = entry.depot_start / 60
-            assignment[f"ks_s{site.id}_j{j}"] = entry.site_arrival / 60
-        for j, (prev, cur) in enumerate(zip(entries, entries[1:]), start=1):
-            gap = (cur.site_arrival - prev.site_arrival) / 60
-            assignment[f"T_s{site.id}_j{j}"] = gap
-            assignment[f"W_s{site.id}_j{j}"] = max(
-                0.0, gap - site.unload_time / 60
-            )
-        if entries:
-            assignment[f"Wf_s{site.id}"] = max(
-                0.0, (entries[0].site_arrival - site.proposed_start) / 60
-            )
-    return assignment
-
-
-def validate_solution(
-    instance: Instance,
-    horizon: int,
-    assignment: Mapping[str, float],
-) -> tuple[FeasibilityReport, int | None]:
-    """Judge a solver's assignment by the schedule its binaries encode.
-
-    The ``X`` variables are decoded into one slot per trip; a trip held by
-    no slot or by several (``c_eq30``) and a slot held by several trips
-    (``c_eq29``) are reported directly.  Otherwise the decoded schedule goes
-    to :func:`check`, and a delivery gap below the unloading time is
-    reported against ``c_eq24``.  Returns the violation report plus the
-    objective (total site waiting, seconds) of that schedule, or ``None``
-    when it is incomplete or infeasible.  Only the binaries of the model,
-    ``X_t{slot}_s{site}_j{trip}`` within the horizon and the instance's
-    trips, are read; other names are ignored.
-    """
-    binaries = {
-        f"X_t{slot}_s{trip.site_id}_j{trip.trip_index}": (slot, trip)
-        for slot in range(1, slot_horizon(instance, horizon) + 1)
-        for trip in instance.trips
-    }
-
-    chosen: dict[TripId, int] = {}
-    slot_users: dict[int, list[TripId]] = {}
-    for name, value in assignment.items():
-        if name not in binaries or not value > 0.5:
-            continue
-        slot, trip = binaries[name]
-        chosen[trip] = slot
-        slot_users.setdefault(slot, []).append(trip)
-
-    violations: list[Violation] = []
-    used = Counter(trip for users in slot_users.values() for trip in users)
-    for trip in instance.trips:
-        if used[trip] != 1:
-            violations.append(
-                Violation(
-                    "coverage",
-                    (trip,),
-                    used[trip],
-                    1,
-                    f"trip assigned to {used[trip]} slots (c_eq30)",
-                )
-            )
-    for slot, users in sorted(slot_users.items()):
-        if len(users) > 1:
-            violations.append(
-                Violation(
-                    "slot_conflict",
-                    tuple(sorted(users)),
-                    len(users),
-                    1,
-                    f"slot {slot} used {len(users)} times (c_eq29)",
-                )
-            )
-
-    # Without a coverage or slot finding every trip holds a slot of its own.
-    objective: int | None = None
-    if not violations:
-        schedule = schedule_from_slots(instance, chosen)
-        structural = check(instance, schedule)
-        violations.extend(structural.violations)
-        grouped = schedule.by_site()
-        for site in instance.sites:
-            site_entries = grouped[site.id]
-            for j, (prev, cur) in enumerate(
-                zip(site_entries, site_entries[1:]), start=1
-            ):
-                gap = cur.site_arrival - prev.site_arrival
-                if gap < site.unload_time:
-                    violations.append(
-                        Violation(
-                            "model_row",
-                            (prev.trip, cur.trip),
-                            gap,
-                            site.unload_time,
-                            f"c_eq24_s{site.id}_j{j}: gap below unloading time",
-                        )
-                    )
-        if not violations:
-            objective = evaluate(instance, schedule).total_site_wait
-
-    return (
-        FeasibilityReport(feasible=not violations, violations=tuple(violations)),
-        objective,
-    )
-
-
-def optimality_gap(lower_bound: float, upper_bound: float) -> float:
-    """Relative gap in percent between a bound pair, taken on the upper."""
-    if upper_bound <= 0:
-        raise InputError("upper bound must be positive")
-    return (upper_bound - lower_bound) / upper_bound * 100.0

@@ -13,13 +13,7 @@ import time
 import pytest
 
 from rmcdp.graphs import enumerate_exact, greedy_solve, grid_exact
-from rmcdp.mip import (
-    build_mip,
-    emit_lp,
-    encode_schedule,
-    optimality_gap,
-    validate_solution,
-)
+from rmcdp.mip import build_mip, emit_lp
 from rmcdp.model import solution_space_size, total_trips
 from rmcdp.priority import priority_solve
 from rmcdp.schedule import check, evaluate, expand_consecutive, trucks_required
@@ -168,7 +162,7 @@ def _sample_sequences(rng, instance, count):
         yield tuple(trips)
 
 
-def test_8_lp_export_and_solution_validation(example1, instance1, golden_schedule):
+def test_8_lp_export(example1, instance1):
     small = build_mip(example1, horizon=6)
     assert small.binary_count == 24
     assert len(small.rows) == 30
@@ -181,16 +175,3 @@ def test_8_lp_export_and_solution_validation(example1, instance1, golden_schedul
 
     large = build_mip(instance1, horizon=32)
     assert large.binary_count == 800
-
-    assignment = encode_schedule(instance1, 32, golden_schedule)
-    report, objective = validate_solution(instance1, 32, assignment)
-    assert report.feasible
-    assert objective == 195 * MIN
-
-    empty = {name: 0.0 for name in assignment}
-    empty_report, empty_objective = validate_solution(instance1, 32, empty)
-    assert not empty_report.feasible
-    assert empty_objective is None
-    assert {v.kind for v in empty_report.violations} == {"coverage"}
-
-    assert optimality_gap(869, 885) == pytest.approx(1.81, abs=0.01)

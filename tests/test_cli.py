@@ -164,7 +164,7 @@ class TestSolve:
         )
 
     def test_clock_digit_int_cannot_read_exit_code(self, capsys, tmp_path):
-        # '²'.isdigit() is true, but int() does not read it.
+        # '²'.isdigit() is true, but a clock takes ASCII digits only.
         doc = json.loads(Path(EXAMPLE1).read_text())
         doc["depot"]["start"] = "8:0\u00b2"
         path = tmp_path / "superscript-clock.json"

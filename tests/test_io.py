@@ -56,6 +56,17 @@ class TestParseTime:
             with pytest.raises(InputError):
                 parse_time(bad)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["\uff18:\uff10\uff10", "\u0668:00", "8:\u0663\u0660", "8:00:\uff13\uff10"],
+        ids=["full-width", "arabic-indic-hour", "arabic-indic-minute", "full-width-second"],
+    )
+    def test_non_ascii_digits_refused(self, text):
+        # str.isdigit() and int() take these digits; a clock does not.
+        with pytest.raises(InputError) as err:
+            parse_time(text, "start")
+        assert str(err.value) == f"start: expected 'H:MM', got {text!r}"
+
     def test_fractional_second(self):
         with pytest.raises(InputError):
             parse_time(0.001)
@@ -244,6 +255,19 @@ class TestInstanceErrors:
         assert str(err.value).startswith("sites[1]: haul time: ")
 
     @pytest.mark.parametrize(
+        "section, field, where",
+        [("depot", "start", "depot"), ("sites", "proposed_start", "sites[0]")],
+    )
+    @pytest.mark.parametrize("text", ["\uff18:\uff10\uff10", "\u0668:00"],
+                             ids=["full-width", "arabic-indic"])
+    def test_non_ascii_clock_refused(self, section, field, where, text):
+        doc = example1_doc()
+        (doc["depot"] if section == "depot" else doc["sites"][0])[field] = text
+        with pytest.raises(InputError) as err:
+            instance_from_dict(doc)
+        assert str(err.value) == f"{where}.{field}: expected 'H:MM', got {text!r}"
+
+    @pytest.mark.parametrize(
         "section, field",
         [("sites", "unload"), ("sites", "proposed_start"), ("depot", "start")],
     )
@@ -391,9 +415,15 @@ class TestScheduleCsv:
             (f"{HEADER}\n\uff11,1,8:00,8:20,8:40,10\n", ":2: site and trip must be integers"),
             (f"{HEADER}\n 1,1,8:00,8:20,8:40,10\n", ":2: site and trip must be integers"),
             (f"{HEADER}\n1,+1,8:00,8:20,8:40,10\n", ":2: site and trip must be integers"),
+            # str.isdigit() and int() take these clock digits too.
+            (f"{HEADER}\n1,1,\uff18:00,8:20,8:40,10\n",
+             ":2: depot_start: expected 'H:MM', got '\uff18:00'"),
+            (f"{HEADER}\n1,1,8:00,8:\u0662\u0660,8:40,10\n",
+             ":2: site_start: expected 'H:MM', got '8:\u0662\u0660'"),
         ],
         ids=["empty", "short-header", "short-row", "long-row", "site-text", "trip-fraction",
-             "trip-underscore", "site-full-width", "site-space", "trip-plus"],
+             "trip-underscore", "site-full-width", "site-space", "trip-plus",
+             "clock-full-width", "clock-arabic-indic"],
     )
     def test_malformed_rows_rejected(self, example1, tmp_path, text, message):
         path = tmp_path / "bad.csv"
@@ -516,8 +546,9 @@ CLOCK_CORPUS = ("8:00", "8:5", "8:60", "\uff18:00", "1234567:00", " 8:00", "8:00
 
 
 class TestInlineClockReaders:
-    """The plain ``H:MM`` test is written twice, in ``_read_clock`` and in the
-    schedule CSV's clock loop; each copy agrees with ``parse_time``."""
+    """The plain ``H:MM`` test is one helper, ``_plain_clock``, that
+    ``_read_clock`` and the schedule CSV's clock loop each try before
+    ``parse_time``; each reader agrees with ``parse_time``."""
 
     @pytest.mark.parametrize("text", CLOCK_CORPUS)
     def test_instance_reader(self, text):

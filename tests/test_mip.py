@@ -5,17 +5,9 @@ import pytest
 
 from rmcdp.io import instance_from_dict
 
-from rmcdp.mip import (
-    build_mip,
-    default_horizon,
-    emit_lp,
-    encode_schedule,
-    optimality_gap,
-    validate_solution,
-)
+from rmcdp.mip import build_mip, default_horizon, emit_lp
 from rmcdp.model import Instance, ValidationError, total_trips
-from rmcdp.priority import priority_solve
-from rmcdp.schedule import TripId, expand_consecutive
+from rmcdp.schedule import check, evaluate, expand_consecutive
 
 from conftest import random_instance, reference_lp, replace
 
@@ -70,6 +62,16 @@ class TestBuildMip:
         assert row.sense == "<="
         assert row.rhs == 90
         assert model.terms(row) == ((1, "T_s1_j1"),)
+
+    def test_check_accepts_idle_the_model_forbids(self, example1):
+        # Back-to-back loads 10 min apart at sites that unload for 20: check
+        # accepts the trucks idling, the model's c_eq24 row does not.
+        schedule = expand_consecutive(example1, (1, 1, 2, 2))
+        assert check(example1, schedule).feasible
+        assert evaluate(example1, schedule).truck_idle_total == 20 * MIN
+        model = build_mip(example1, horizon=6)
+        row = next(r for r in model.rows if r.name == "c_eq24_s1_j1")
+        assert (model.terms(row), row.sense, row.rhs) == (((1, "T_s1_j1"),), ">=", 20)
 
     def test_row_families_cover_every_trip(self, example1):
         model = build_mip(example1, horizon=6)
@@ -176,119 +178,3 @@ class TestLpText:
         text = emit_lp(build_mip(instance, horizon))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-
-class TestValidateSolution:
-    def test_reference_schedule_is_feasible(self, example1):
-        schedule = expand_consecutive(example1, (1, 2, 1, 2))
-        assignment = encode_schedule(example1, 6, schedule)
-        report, objective = validate_solution(example1, 6, assignment)
-        assert report.feasible
-        assert objective == 60 * MIN
-
-    def test_golden_schedule_is_feasible(self, instance1, golden_schedule):
-        assignment = encode_schedule(instance1, 32, golden_schedule)
-        report, objective = validate_solution(instance1, 32, assignment)
-        assert report.feasible
-        assert objective == 195 * MIN
-
-    def test_empty_assignment_reports_coverage(self, example1):
-        schedule = expand_consecutive(example1, (1, 2, 1, 2))
-        assignment = {k: 0.0 for k in encode_schedule(example1, 6, schedule)}
-        report, objective = validate_solution(example1, 6, assignment)
-        assert not report.feasible
-        assert objective is None
-        assert {v.kind for v in report.violations} == {"coverage"}
-
-    def test_double_booked_slot_reported(self, example1):
-        schedule = expand_consecutive(example1, (1, 2, 1, 2))
-        assignment = encode_schedule(example1, 6, schedule)
-        taken = [k for k, v in assignment.items()
-                 if k.startswith("X_t") and v == 1.0]
-        slot1 = taken[0].split("_")[1]
-        other = next(k for k in taken if not k.startswith(f"X_{slot1}_"))
-        assignment[other] = 0.0
-        assignment[f"X_{slot1}_" + "_".join(other.split("_")[2:])] = 1.0
-        report, _ = validate_solution(example1, 6, assignment)
-        assert any(v.kind == "slot_conflict" for v in report.violations)
-
-    def test_names_outside_the_model_ignored(self, example1):
-        schedule = expand_consecutive(example1, (1, 2, 1, 2))
-        assignment = encode_schedule(example1, 6, schedule)
-        outside = ("X_t7_s1_j1", "X_t0_s1_j1", "X_t05_s1_j1", "X_t5_s9_j1",
-                   "X_t5_s1_j3", "X_t5_s1", "X_t5_s1_j1_k1", "Y_t5_s1_j1")
-        assignment.update({name: 1.0 for name in outside}, note="text")
-        report, objective = validate_solution(example1, 6, assignment)
-        assert report.feasible
-        assert objective == 60 * MIN
-
-    def test_short_horizon_rejected(self, example1):
-        with pytest.raises(ValidationError, match="horizon"):
-            validate_solution(example1, total_trips(example1) - 1, {})
-
-    def test_trip_in_two_slots_reported(self, example1):
-        schedule = expand_consecutive(example1, (1, 2, 1, 2))
-        assignment = encode_schedule(example1, 6, schedule)
-        assignment["X_t5_s1_j1"] = 1.0
-        report, objective = validate_solution(example1, 6, assignment)
-        assert objective is None
-        assert [(v.kind, v.trips, v.measured) for v in report.violations] == [
-            ("coverage", (TripId(1, 1),), 2)
-        ]
-
-    def test_dropped_trip_and_slot_clash_both_reported(self, example1):
-        schedule = expand_consecutive(example1, (1, 2, 1, 2))
-        assignment = encode_schedule(example1, 6, schedule)
-        # Trip (2, 2) leaves slot 4 for slot 1, which trip (1, 1) holds, and
-        # trip (1, 2) is dropped.
-        assignment["X_t4_s2_j2"] = 0.0
-        assignment["X_t1_s2_j2"] = 1.0
-        assignment["X_t3_s1_j2"] = 0.0
-        report, objective = validate_solution(example1, 6, assignment)
-        assert objective is None
-        assert [(v.kind, v.trips, v.measured) for v in report.violations] == [
-            ("coverage", (TripId(1, 2),), 0),
-            ("slot_conflict", (TripId(1, 1), TripId(2, 2)), 2),
-        ]
-        assert "c_eq30" in report.violations[0].detail
-        assert "c_eq29" in report.violations[1].detail
-
-    def test_gap_below_unloading_time_reported(self, example1):
-        # Back-to-back loads 10 min apart at a site that unloads for 20:
-        # check accepts the truck idling, the model's c_eq24 row does not.
-        schedule = expand_consecutive(example1, (1, 1, 2, 2))
-        assignment = encode_schedule(example1, 6, schedule)
-        report, objective = validate_solution(example1, 6, assignment)
-        assert objective is None
-        found = [(v.kind, v.trips, v.measured, v.bound, v.detail) for v in report.violations]
-        assert found == [
-            ("model_row", (TripId(1, 1), TripId(1, 2)), 10 * MIN, 20 * MIN,
-             "c_eq24_s1_j1: gap below unloading time"),
-            ("model_row", (TripId(2, 1), TripId(2, 2)), 10 * MIN, 20 * MIN,
-             "c_eq24_s2_j1: gap below unloading time"),
-        ]
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_idle_free_schedules_always_validate(self, seed):
-        rng = random.Random(seed)
-        instance = random_instance(rng)
-        result = priority_solve(instance)
-        if result.schedule is None:
-            return
-        lt = instance.depot.loading_time
-        max_slot = max(
-            (e.depot_start - instance.depot.start_time) // lt + 1
-            for e in result.schedule.entries
-        )
-        horizon = max(default_horizon(instance), max_slot)
-        assignment = encode_schedule(instance, horizon, result.schedule)
-        report, objective = validate_solution(instance, horizon, assignment)
-        assert report.feasible
-        assert objective == result.stats.best_objective
-
-
-class TestOptimalityGap:
-    def test_reference_gap(self):
-        assert optimality_gap(869, 885) == pytest.approx(1.81, abs=0.01)
-
-    def test_zero_gap(self):
-        assert optimality_gap(100, 100) == 0.0
