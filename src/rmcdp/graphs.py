@@ -5,7 +5,7 @@ carries its site as a label.  A dispatch order is a Hamiltonian path from
 the depot, its cost the total site waiting.  This module provides:
 
 * ``greedy_solve`` -- cheapest-next-vertex heuristic with label-level
-  dynamic edge costs,
+  dynamic edge weights,
 * ``enumerate_exact`` -- exact search over all distinct dispatch
   sequences (consecutive loading slots),
 * ``grid_exact`` -- exact search over loading-slot assignments, which may
@@ -81,46 +81,34 @@ def greedy_solve(
 ) -> GreedyResult:
     """Append the cheapest remaining vertex until every trip is placed.
 
-    Edge costs live on labels: after a vertex of label ``l`` is appended,
-    the remaining ``l`` vertices cost one unloading time, and every label
-    already visited gets one loading time knocked off.  Negative costs mean
-    the truck would idle at the site, so non-negative candidates win first;
-    ties go to the lowest site id.
+    Edge weights live on labels and follow from where each label last
+    loaded: once the vertex at position ``placed`` is appended, a visited
+    label ``l`` weighs ``U_l - L_t * (placed - latest[l])`` for its last
+    position ``latest[l]``, and a label not yet visited weighs 0.  That is
+    ``L_t`` minus the unclamped gap wait of a load at the next position.
+    A negative weight means the truck would idle at the site, so the least
+    non-negative weight wins, else the largest negative one; ties go to the
+    lowest site id.
     """
     check_truck_limit(truck_limit)
     lt = instance.depot.loading_time
-    remaining = {site_id: trips for site_id, trips, *_ in instance.timings}
+    remaining = {site_id: trips for site_id, trips, *_ in sorted(instance.timings)}
     unloads = {site_id: unload for site_id, _, _, unload, _ in instance.timings}
-    cost: dict[int, int] = {site_id: 0 for site_id in remaining}
-    visited_labels: set[int] = set()
+    latest: dict[int, int] = {}
+    weights = dict.fromkeys(remaining, 0)
     sequence: list[int] = []
     steps: list[GreedyStep] = []
-
-    def pick() -> int:
-        candidates = [(cost[l], l) for l in sorted(remaining) if remaining[l] > 0]
-        non_negative = [c for c in candidates if c[0] >= 0]
-        if non_negative:
-            return min(non_negative)[1]
-        return max(candidates, key=lambda c: (c[0], -c[1]))[1]
-
-    while any(remaining.values()):
-        label = pick()
+    while weights:
+        label = min(weights, key=lambda l: (weights[l] < 0, abs(weights[l]), l))
         remaining[label] -= 1
+        latest[label] = placed = len(sequence)
         sequence.append(label)
-        for other in cost:
-            if remaining[other] == 0:
-                continue
-            if other == label:
-                cost[other] = unloads[other]
-            elif other in visited_labels:
-                cost[other] -= lt
-        visited_labels.add(label)
-        steps.append(
-            GreedyStep(
-                chosen_label=label,
-                costs={l: cost[l] for l in sorted(cost) if remaining[l] > 0},
-            )
-        )
+        weights = {
+            l: unloads[l] - lt * (placed - latest[l]) if l in latest else 0
+            for l, trips in remaining.items()
+            if trips
+        }
+        steps.append(GreedyStep(chosen_label=label, costs=weights))
 
     schedule = expand_consecutive(instance, sequence)
     return GreedyResult(

@@ -47,23 +47,25 @@ SCHEDULE_HEADER = ("site", "trip", "depot_start", "site_start", "site_end", "del
 
 
 def parse_time(value: Any, what: str = "time") -> int:
-    """Clock value ("H:MM", "H:MM:SS" or minutes) to seconds."""
+    """Clock value ("H:MM", "H:MM:SS" or minutes) to seconds.  A refused
+    clock string is shown if it is at most 40 characters, else by length."""
     if isinstance(value, str):
         parts = value.split(":")
-        if len(parts) not in (2, 3) or not all(p.isdigit() for p in parts):
-            raise InputError(f"{what}: expected 'H:MM', got {value!r}")
         try:
             # ASCII digits only: int() also reads full-width, Arabic-Indic
             # and other Unicode digits.
-            if not value.isascii():
+            if not (
+                len(parts) in (2, 3) and value.isascii()
+                and all(p.isdigit() for p in parts)
+            ):
                 raise ValueError
             hours, minutes = int(parts[0]), int(parts[1])
             seconds = int(parts[2]) if len(parts) == 3 else 0
-        except ValueError:  # a non-ASCII digit, or too many digits
+            if minutes >= 60 or seconds >= 60:
+                raise ValueError
+        except ValueError:  # a bad shape or digit, too many digits, or past 59
             shown = repr(value) if len(value) <= 40 else f"{len(value)} characters"
             raise InputError(f"{what}: expected 'H:MM', got {shown}") from None
-        if minutes >= 60 or seconds >= 60:
-            raise InputError(f"{what}: expected 'H:MM', got {value!r}")
         return hours * 3600 + minutes * 60 + seconds
     return _seconds(value, what, "'H:MM' or minutes")
 

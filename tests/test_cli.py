@@ -10,6 +10,8 @@ import pytest
 from rmcdp.cli import build_parser, main
 from rmcdp.io import bundled_instance_path, bundled_schedule_path
 
+from test_io import LONG_CLOCKS
+
 EXAMPLE1 = str(bundled_instance_path("example-1"))
 INSTANCE1 = str(bundled_instance_path("instance-1"))
 INSTANCE2 = str(bundled_instance_path("instance-2"))
@@ -162,6 +164,20 @@ class TestSolve:
         assert captured.err == (
             f"error: {path}: depot.start: expected 'H:MM', got 5004 characters\n"
         )
+
+    @pytest.mark.parametrize("text", LONG_CLOCKS.values(), ids=LONG_CLOCKS.keys())
+    def test_long_clock_exit_code(self, capsys, tmp_path, text):
+        doc = json.loads(Path(EXAMPLE1).read_text())
+        doc["depot"]["start"] = text
+        path = tmp_path / "long-clock.json"
+        path.write_text(json.dumps(doc))
+        code = main(["solve", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        message = f"depot.start: expected 'H:MM', got {len(text)} characters"
+        assert captured.err == f"error: {path}: {message}\n"
+        assert len(message) < 100
 
     def test_clock_digit_int_cannot_read_exit_code(self, capsys, tmp_path):
         # '²'.isdigit() is true, but a clock takes ASCII digits only.
@@ -587,6 +603,20 @@ class TestCheck:
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}:27: field larger than field limit")
+
+    @pytest.mark.parametrize("text", LONG_CLOCKS.values(), ids=LONG_CLOCKS.keys())
+    def test_schedule_long_clock_exit_code(self, capsys, tmp_path, text):
+        header, first, rest = Path(GOLDEN).read_text().split("\n", 2)
+        site, trip, _, tail = first.split(",", 3)
+        path = tmp_path / "long-clock.csv"
+        path.write_text(f"{header}\n{site},{trip},{text},{tail}\n{rest}")
+        code = main(["check", INSTANCE1, str(path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        message = f"depot_start: expected 'H:MM', got {len(text)} characters"
+        assert captured.err == f"error: {path}:2: {message}\n"
+        assert len(message) < 100
 
     def test_clock_shifted_golden_exit_code(self, capsys, tmp_path):
         # 10^309 h puts every clock past what a float holds; the reader

@@ -12,6 +12,7 @@ from rmcdp.graphs import (
     greedy_solve,
     grid_exact,
 )
+from rmcdp.io import bundled_instance_path, load_instance
 from rmcdp.model import (
     DepotSpec,
     Instance,
@@ -245,6 +246,26 @@ class TestGreedy:
         # After the first pick the costs are {1: 20 min, 2: 0}; the second
         # pick takes label 2, the cheapest non-negative option.
         assert result.steps[1].chosen_label == 2
+
+    @pytest.mark.parametrize(
+        "name, sequence, wait_min",
+        [
+            ("example-1", (1, 2, 1, 2), 60),
+            (
+                "instance-1",
+                (1, 2, 3, 4, 5, 1, 2, 3, 4, 1, 5, 2, 3, 1, 4, 2, 5, 3, 1, 2, 4, 3, 5, 4, 5),
+                165,
+            ),
+            ("instance-2", (1, 2, 3, 4, 5) * 5 + (6, 7, 8, 9) * 5, 905),
+        ],
+        ids=["example-1", "instance-1", "instance-2"],
+    )
+    def test_bundled_instances_pinned(self, name, sequence, wait_min):
+        instance = load_instance(bundled_instance_path(name))
+        result = greedy_solve(instance)
+        assert result.sequence == sequence
+        assert result.report.feasible
+        assert evaluate(instance, result.schedule).total_site_wait == wait_min * MIN
 
     def test_all_negative_costs_pick_the_largest(self):
         # With every remaining label negative the truck idles whatever is

@@ -41,6 +41,16 @@ MIN = 60
 HEADER = "site,trip,depot_start,site_start,site_end,delivery"
 
 
+#: A 4,000- to 7,000-character clock down each refusal path of ``parse_time``.
+LONG_CLOCKS = {
+    "not-digits": "a" * 5000 + ":00",
+    "minute-past-59": "1" * 4000 + ":99",
+    "too-many-parts": "1:2:3:4" * 1000,
+    "too-many-digits": "1" + "0" * 5000 + ":00",
+    "non-ascii-digits": "\uff18" * 5000 + ":00",
+}
+
+
 class TestParseTime:
     def test_clock_strings(self):
         assert parse_time("8:00") == 8 * 3600
@@ -66,6 +76,14 @@ class TestParseTime:
         with pytest.raises(InputError) as err:
             parse_time(text, "start")
         assert str(err.value) == f"start: expected 'H:MM', got {text!r}"
+
+    @pytest.mark.parametrize("text", LONG_CLOCKS.values(), ids=LONG_CLOCKS.keys())
+    def test_long_clock_shown_by_length(self, text):
+        with pytest.raises(InputError) as err:
+            parse_time(text, "start")
+        message = str(err.value)
+        assert message == f"start: expected 'H:MM', got {len(text)} characters"
+        assert len(message) < 100
 
     def test_fractional_second(self):
         with pytest.raises(InputError):

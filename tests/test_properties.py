@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from rmcdp.graphs import build_graph, greedy_solve
+from rmcdp.graphs import (
+    GRID_MAX_HORIZON,
+    build_graph,
+    enumerate_exact,
+    greedy_solve,
+    grid_exact,
+)
 from rmcdp.model import DepotSpec, Instance
 from rmcdp.priority import priority_solve
 from rmcdp.schedule import check, evaluate, expand_consecutive
@@ -260,3 +266,65 @@ def test_exact_matches_reference_on_drawn_tight_pour_windows():
         assert_exact_matches_reference(tight_gamma_instance(rng), truck_limit)
 
     matches()
+
+
+def small_instances():
+    """Instances of at most 3 sites and 9 trips, drawn from ``random_instance``
+    and ``tight_gamma_instance``, which ``grid_exact`` solves within its caps."""
+    st = pytest.importorskip("hypothesis").strategies
+    return st.builds(
+        lambda family, rng: family(rng, max_total_trips=9),
+        st.sampled_from((random_instance, tight_gamma_instance)),
+        st.randoms(use_true_random=False),
+    )
+
+
+def test_grid_exact_is_feasible_and_never_above_exact():
+    # grid_exact may idle a slot and enumerate_exact may not, so at one
+    # truck limit the grid optimum is never above the consecutive one.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(instance=small_instances(), truck_limit=st.integers(1, 3))
+    def holds(instance, truck_limit):
+        grid = grid_exact(instance, GRID_MAX_HORIZON, truck_limit)
+        exact = enumerate_exact(instance, truck_limit)
+        if grid.schedule is None:
+            assert exact.schedule is None
+            return
+        assert check(instance, grid.schedule, truck_limit=truck_limit).feasible
+        assert evaluate(instance, grid.schedule).total_site_wait == grid.objective
+        if exact.schedule is not None:
+            assert grid.objective <= exact.objective
+
+    holds()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: priority's truck test admits schedules that check "
+    "rejects at the same limit, some below the grid optimum",
+)
+def test_priority_is_feasible_and_never_below_grid_exact():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(instance=small_instances(), truck_limit=st.integers(1, 3))
+    # Priority waits 29 min here against the grid optimum of 109 min, and
+    # its schedule needs more than 2 trucks.
+    @hypothesis.example(random_instance(random.Random(0)), 2)
+    def holds(instance, truck_limit):
+        result = priority_solve(instance, beta=1, truck_limit=truck_limit)
+        if result.schedule is None:
+            return
+        assert check(instance, result.schedule, truck_limit=truck_limit).feasible
+        lt, start = instance.depot.loading_time, instance.depot.start_time
+        last = max(entry.depot_start for entry in result.schedule.entries)
+        if (last - start) // lt < GRID_MAX_HORIZON:  # the schedule fits the grid
+            grid = grid_exact(instance, GRID_MAX_HORIZON, truck_limit)
+            assert grid.objective is not None
+            assert result.stats.best_objective >= grid.objective
+
+    holds()
