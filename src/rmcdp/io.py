@@ -39,6 +39,7 @@ from .model import (
     SiteSpec,
     ValidationError,
     _ratio,
+    _shown,
     total_trips,
 )
 from .schedule import Schedule, ScheduleEntry, TripId
@@ -64,8 +65,7 @@ def parse_time(value: Any, what: str = "time") -> int:
             if minutes >= 60 or seconds >= 60:
                 raise ValueError
         except ValueError:  # a bad shape or digit, too many digits, or past 59
-            shown = repr(value) if len(value) <= 40 else f"{len(value)} characters"
-            raise InputError(f"{what}: expected 'H:MM', got {shown}") from None
+            raise InputError(f"{what}: expected 'H:MM', got {_shown(value)}") from None
         return hours * 3600 + minutes * 60 + seconds
     return _seconds(value, what, "'H:MM' or minutes")
 
@@ -126,7 +126,7 @@ def _number(value: Any, what: str, expected: str = "a number"):
     """A JSON number; ``NaN`` and the infinities, which ``json`` accepts,
     are not numbers here."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{what}: expected {expected}, got {value!r}")
+        raise InputError(f"{what}: expected {expected}, got {_shown(value)}")
     if isinstance(value, float) and not math.isfinite(value):
         raise InputError(f"{what}: expected a finite number, got {value!r}")
     return value

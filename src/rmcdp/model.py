@@ -59,7 +59,20 @@ def _ratio(value: float | int, what: str) -> tuple[int, int]:
             return value.as_integer_ratio()
     except (ValueError, OverflowError, AttributeError):  # NaN, infinities, non-numbers
         pass
-    raise ValidationError(f"{what}: not a number: {value!r}")
+    raise ValidationError(f"{what}: not a number: {_shown(value)}")
+
+
+def _shown(value: object) -> str:
+    """A refused value for an error message: a string as its ``repr`` if it
+    is at most 40 characters, else by its length; any other value as its
+    ``repr`` if that is at most 40 characters, else by type and length."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else f"{len(value)} characters"
+    try:
+        text = repr(value)
+    except ValueError:  # an int past Python's limit on digits written out
+        return "a number too long to write out"
+    return text if len(text) <= 40 else f"a {type(value).__name__} {len(text)} characters long"
 
 
 def _quotient(
@@ -390,9 +403,15 @@ def slot_horizon(instance: Instance, horizon: int | None = None) -> int:
 
 
 def check_truck_limit(truck_limit: int | None) -> None:
-    """Reject a fleet limit below one truck; ``None`` means no limit."""
-    if truck_limit is not None and truck_limit <= 0:
-        raise ValidationError("truck_limit: must be positive when given")
+    """Reject a fleet limit that is not an ``int`` of at least one truck (a
+    ``bool`` included); ``None`` means no limit."""
+    if truck_limit is not None and (
+        not isinstance(truck_limit, int) or isinstance(truck_limit, bool) or truck_limit < 1
+    ):
+        raise ValidationError(
+            f"truck_limit: must be an int of at least 1 when given, "
+            f"got {_shown(truck_limit)}"
+        )
 
 
 def check_search_size(search: str, size: int, cap: int, unit: str) -> None:

@@ -38,9 +38,22 @@ pour-window reach in slots (``gamma_i // L_t``) and its later trips' targets
 as a bitmask are derived once per solve.  Every child's first trip is tested
 on the node's own grid, so a node finds that shared first slot once, and it
 scans only the groups with sites left, passed down the walk as the pending
-rows.  Without a truck limit a site whose later targets are all free takes
-them with one OR; any other site walks its later trips in one inline slot
-loop and fails when a slide passes its reach.  Each child is looked up
+rows.  A site whose later targets are all free, and whose trips leave the
+node's loadings at or below the fleet, takes them with one OR; any other
+site walks its later trips in one inline slot loop and fails when a slide
+passes its reach.
+
+The fleet rule lives in one local function, ``free``: the first slot from
+a given one that is unbooked and has fewer than ``truck_limit`` loadings in
+the window ending at it.  A grid of fewer loadings than the fleet cannot
+fill a window, so the walk calls ``free`` only once the grid holds
+``truck_limit`` loadings, and never without a limit; until then a slot is
+found by hopping over booked bits alone.  When the window ending at a
+tested slot is full by ``over`` loadings, every window up to its
+``(over + 1)``-th lowest loading plus ``busy`` keeps ``truck_limit`` of
+them, so ``free`` jumps there instead of stepping slot by slot.
+
+Each child is looked up
 before any call, so a memo hit or a leaf costs no recursion, and a site's
 waiting is worked out only once its subtree turns out feasible.  Each node
 keeps its count of feasible completions, their least waiting, the group
@@ -168,46 +181,64 @@ def priority_solve(
     # Slot s is loaded at depot time base + s * lt; a loading keeps its truck
     # busy for ``busy`` slots, its own included.
     base, unit, busy = depot.start_time - lt, lt * per, depot.gamma // lt + 1
+    # A grid a trip is tested on holds fewer loadings than there are trips,
+    # so a fleet of one truck per trip, as without a limit, never binds.
+    fleet, window = truck_limit or len(instance.trips), (1 << busy) - 1
     memo: dict[int, _Entry] = {}
     memo_get, hits = memo.get, 0
 
+    def free(grid: int, slot: int) -> int:
+        """The first slot from ``slot`` that is unbooked and has fewer than
+        ``truck_limit`` loadings in the window of ``busy`` slots ending at it."""
+        while True:
+            ahead = grid >> slot  # hop over the booked slots from ``slot`` up
+            slot += (ahead ^ (ahead + 1)).bit_length() - 1
+            loads = (grid << busy >> slot + 1) & window  # bit j: slot + 1 - busy + j
+            over = loads.bit_count() - truck_limit
+            if over < 0:
+                return slot
+            # Each window up to the (over + 1)-th lowest of these loadings
+            # plus ``busy`` still holds ``truck_limit`` of them: jump past.
+            for _ in range(over):
+                loads &= loads - 1
+            slot += (loads & -loads).bit_length()
+
     def walk(booked: int, level: int, code: int, node: int, pending: tuple) -> _Entry:
         nonlocal hits
-        # The frontier of the children, one level down.
-        lo = level + 2 if truck_limit is None else max(0, level + 3 - busy)
+        # The frontier of the children, one level down, and the loadings
+        # the grid takes before a window can fill.
+        if truck_limit is None:
+            lo, room = level + 2, fleet
+        else:
+            lo, room = max(0, level + 3 - busy), fleet - booked.bit_count()
         # Every site's first trip is tested on this node's grid, so all of
         # them take the same first admissible slot from ``level + 1``.
-        first = level + 1
-        while True:
-            ahead = booked >> first  # hop over the booked slots from ``first`` up
-            first += (ahead ^ (ahead + 1)).bit_length() - 1
-            if truck_limit is None or (
-                (booked & ((2 << first) - 1)) >> max(0, first - busy + 1)
-            ).bit_count() < truck_limit:
-                break
-            first += 1
+        if room > 0:
+            ahead = booked >> level + 1
+            first = level + (ahead ^ (ahead + 1)).bit_length()
+        else:
+            first = free(booked, level + 1)
         opened, start = booked | 1 << first, base + first * lt
         count, best, lead, choice, link, taken = 0, None, 0, -1, None, 0
         for i, group in enumerate(pending):
             k, weight, trips, offset, step, reach, planned, positions, tail, span = group
             later = tail << first
-            if truck_limit is None and not later & booked:
+            if trips <= room and not later & booked:
                 # Every later trip lands on its own target: no slide, no wait.
                 child, last = opened | later, first + span
             else:
                 child, last, slot, todo = opened, first, first + step, trips - 1
+                crowded = trips - room  # from this many trips left, a window can fill
                 while todo:
-                    ahead = child >> slot
-                    slot += (ahead ^ (ahead + 1)).bit_length() - 1
+                    if todo > crowded:
+                        ahead = child >> slot
+                        slot += (ahead ^ (ahead + 1)).bit_length() - 1
+                    else:
+                        slot = free(child, slot)
                     if slot > last + reach:
                         break
-                    if truck_limit is None or (
-                        (child & ((2 << slot) - 1)) >> max(0, slot - busy + 1)
-                    ).bit_count() < truck_limit:
-                        child |= 1 << slot
-                        last, slot, todo = slot, slot + step, todo - 1
-                    else:
-                        slot += 1
+                    child |= 1 << slot
+                    last, slot, todo = slot, slot + step, todo - 1
                 if todo:  # a slide broke the pour window
                     continue
             rest = code - weight

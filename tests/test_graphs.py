@@ -303,6 +303,27 @@ def test_non_positive_truck_limit_rejected(example1, solve, truck_limit):
         solve(example1, truck_limit=truck_limit)
 
 
+def _check_golden(instance, truck_limit):
+    return check(instance, priority_solve(instance).schedule, truck_limit=truck_limit)
+
+
+@pytest.mark.parametrize(
+    "truck_limit", [16.5, 17.0, "3", True, False], ids=["16.5", "17.0", "str", "True", "False"]
+)
+@pytest.mark.parametrize(
+    "solve", [greedy_solve, enumerate_exact, grid_exact, priority_solve, _check_golden],
+    ids=lambda solve: solve.__name__,
+)
+def test_truck_limit_must_be_an_int(example1, solve, truck_limit):
+    # 16.5 once let priority return a schedule that check refused at the
+    # same limit, "3" raised a bare TypeError and True counted as 1 truck.
+    with pytest.raises(ValidationError) as err:
+        solve(example1, truck_limit=truck_limit)
+    assert str(err.value) == (
+        f"truck_limit: must be an int of at least 1 when given, got {truck_limit!r}"
+    )
+
+
 class TestDispatchSequences:
     def test_lexicographic_order(self, example1):
         sequences = list(dispatch_sequences(example1))

@@ -301,6 +301,27 @@ class TestInstanceErrors:
             instance_from_dict(doc)
         assert str(err.value) == expected
 
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [("unload", "a" * 5000, "5000 characters"),
+         ("demand", list(range(2000)), "a list 10890 characters long"),
+         ("proposed_start", list(range(2000)), "a list 10890 characters long"),
+         ("demand", "a" * 40, repr("a" * 40)),
+         ("demand", "a" * 41, "41 characters"),
+         ("unload", [1, 2], "[1, 2]")],
+        ids=["long-string", "long-list", "long-list-clock", "string-at-40",
+             "string-past-40", "short-list"],
+    )
+    def test_refused_value_shown_up_to_40_characters(self, field, value, shown):
+        doc = example1_doc()
+        doc["sites"][0][field] = value
+        with pytest.raises(InputError) as err:
+            instance_from_dict(doc)
+        message = str(err.value)
+        assert message.startswith(f"sites[0].{field}: expected ")
+        assert message.endswith(f", got {shown}")
+        assert len(message) < 100
+
 
 #: Each reader of an instance field and the parser it falls back to.
 FIELD_READERS = [

@@ -194,6 +194,21 @@ class TestExactReader:
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
                 read(*args)
 
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [("a" * 5000, "5000 characters"),
+         ([1] * 2000, "a list 6000 characters long"),
+         ("x" * 40, repr("x" * 40)),
+         ([1], "[1]")],
+        ids=["long-string", "long-list", "string-at-40", "short-list"],
+    )
+    def test_not_a_number_shown_up_to_40_characters(self, bad, shown):
+        for read, args, what in ((trips_for_site, (bad, 10), "demand"),
+                                 (loading_time, (10, bad), "productivity")):
+            with pytest.raises(ValidationError) as err:
+                read(*args)
+            assert str(err.value) == f"{what}: not a number: {shown}"
+
 
 class TestDerivedQuantities:
     def test_total_trips(self):

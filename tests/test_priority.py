@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from rmcdp.io import bundled_instance_path, load_instance
 from rmcdp.model import DepotSpec, Instance, InputError, SiteSpec, ValidationError
 from rmcdp.priority import parse_beta, priority_solve
 from rmcdp.schedule import check, evaluate
@@ -283,6 +284,33 @@ class TestPrioritySolve:
     def test_feasibility_rate(self, instance1):
         result = priority_solve(instance1)
         assert result.stats.feasibility_rate == 1.0
+
+
+def assert_unbinding_fleet_changes_nothing(instance):
+    # A fleet of as many trucks as trips never binds, so the one-OR booking
+    # of a clear site must run under it and give what no limit gives.  The
+    # node counts differ: a fleet limit keeps more of the grid in the key.
+    for beta in ("1", "3/2"):
+        free = priority_solve(instance, beta=beta)
+        fleet = priority_solve(instance, beta=beta, truck_limit=len(instance.trips))
+        assert fleet.permutation == free.permutation
+        assert fleet.schedule == free.schedule
+        assert fleet.stats.feasible_count == free.stats.feasible_count
+        assert fleet.stats.best_objective == free.stats.best_objective
+
+
+class TestFleetOfEveryTrip:
+    @pytest.mark.parametrize("name", ["example-1", "instance-1", "instance-2"])
+    def test_bundled(self, name):
+        assert_unbinding_fleet_changes_nothing(load_instance(bundled_instance_path(name)))
+
+    @pytest.mark.parametrize("seed", range(100))
+    @pytest.mark.parametrize(
+        "generate", [random_instance, tight_gamma_instance, repeated_row_instance],
+        ids=lambda generate: generate.__name__,
+    )
+    def test_generated(self, generate, seed):
+        assert_unbinding_fleet_changes_nothing(generate(random.Random(seed)))
 
 
 def reference_order_wait(instance, order, beta, truck_limit):
