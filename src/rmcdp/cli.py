@@ -113,7 +113,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_INFEASIBLE
 
     payload["feasible"] = True
-    payload["dispatch_sequence"] = list(schedule.dispatch_sequence())
+    payload["dispatch_sequence"] = list(result.sequence)
     payload["objective"] = _objective_payload(instance, schedule)
     if args.out is not None:
         rio.write_schedule_csv(args.out, schedule)

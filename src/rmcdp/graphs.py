@@ -262,9 +262,10 @@ def _slot_search(
             if best is None or below[1] + cost < best:
                 best, choice, link = below[1] + cost, k, below
         # Idle after the sites, while the horizon spares a slot: never
-        # without a fleet limit, where ``idle_cap`` is 0.  The site digits
-        # stay as they are, so the idle child is never a leaf.
-        if not due and key % low < idle_cap:
+        # without a fleet limit, where ``idle_cap`` is 0 and is tested
+        # first.  The site digits stay as they are, so the idle child is
+        # never a leaf.
+        if idle_cap and not due and key % low < idle_cap:
             busy = key & mask
             child = key + idle_weight + (busy << 1 & mask) - busy
             below = memo_get(child)

@@ -213,8 +213,16 @@ class DepotSpec(_Spec):
                 raise ValidationError("depot.productivity: must be positive")
             if not self.truck_capacity > 0:
                 raise ValidationError("depot.truck_capacity: must be positive")
-            if self.truck_count is not None and not self.truck_count > 0:
-                raise ValidationError("depot.trucks: must be positive when given")
+            trucks = self.truck_count
+            if trucks is not None:
+                # A number is tested for sign first, so a NaN is refused as
+                # not positive (a float's) or not a number (a ``Decimal``'s).
+                if isinstance(trucks, (int, float, Decimal)) and not trucks > 0:
+                    raise ValidationError("depot.trucks: must be positive when given")
+                if type(trucks) is not int:
+                    raise ValidationError(
+                        f"depot.trucks: must be an int when given, got {_shown(trucks)}"
+                    )
             if not self.gamma > 0:
                 raise ValidationError("depot.gamma: must be positive")
         except ArithmeticError:

@@ -75,6 +75,7 @@ from .model import (
     SEARCH_MAX_DEPTH,
     Instance,
     ValidationError,
+    _shown,
     check_search_size,
     check_truck_limit,
 )
@@ -117,19 +118,10 @@ def parse_beta(beta: Fraction | int | float | str) -> Fraction:
     try:  # a Fraction or int is taken as it is, never written out as digits
         value = Fraction(beta if isinstance(beta, (Fraction, int)) else str(beta))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"beta: not a number: {_quoted(beta)}") from exc
+        raise ValidationError(f"beta: not a number: {_shown(beta)}") from exc
     if value < 1:
-        raise ValidationError(f"beta: must be at least 1, got {_quoted(beta)}")
+        raise ValidationError(f"beta: must be at least 1, got {_shown(beta)}")
     return value
-
-
-def _quoted(beta: object) -> str:
-    """The caller's ``beta`` for an error message, cut to a short prefix."""
-    try:
-        text = str(beta)
-    except ValueError:  # an int past Python's limit on digits written out
-        return "a number too long to write out"
-    return repr(text if len(text) <= 20 else text[:20] + "...")
 
 
 def priority_solve(
@@ -271,16 +263,19 @@ def priority_solve(
     feasible_classes, wait = entry[:2]
     schedule = permutation = sequence = objective = None
     if wait is not None:
-        positions = list(members.values())
+        positions, trip_id = list(members.values()), TripId._make
         slots, order = {}, []
         while entry[3] is not None:
             k, bits = entry[2], entry[4]
             site_id = rows[positions[k][-left[k]]][0]
             left[k] -= 1
             order.append(site_id)
-            booked = [slot for slot in range(bits.bit_length()) if bits >> slot & 1]
-            for index, slot in enumerate(booked, start=1):
-                slots[TripId(site_id, index)] = slot
+            index = 0
+            while bits:  # pop the site's booked slots, lowest first
+                low = bits & -bits
+                index += 1
+                slots[trip_id((site_id, index))] = low.bit_length() - 1
+                bits ^= low
             entry = entry[3]
         schedule = schedule_from_slots(instance, slots)
         permutation = tuple(order)

@@ -44,9 +44,7 @@ class Schedule(NamedTuple):
 
     def dispatch_sequence(self) -> tuple[int, ...]:
         """Site ids ordered by depot loading time."""
-        return tuple(
-            e.site_id for e in sorted(self.entries, key=lambda e: e.depot_start)
-        )
+        return tuple(e.site_id for e in sorted(self.entries, key=attrgetter("depot_start")))
 
 
 class Violation(NamedTuple):
@@ -108,27 +106,23 @@ def schedule_from_slots(instance: Instance, slots: Mapping[TripId, int]) -> Sche
     Slot ``s`` loads at ``D_s + (s - 1) * L_t``.  A trip arrives one loading
     and one haul after its start and pours for the site's unloading time.
     Loads are full trucks, taken in trip-index order, until the site's
-    demand is met.
+    demand is met.  Sorted trips come site by site, so each site is looked
+    up once; an unknown site id raises ``InputError``.
     """
-    lt = instance.depot.loading_time
-    capacity = instance.depot.truck_capacity
-    poured: dict[int, float] = {site.id: 0.0 for site in instance.sites}
-    entries = []
+    depot = instance.depot
+    lt, capacity, opening = depot.loading_time, depot.truck_capacity, depot.start_time
+    make, entries, site_id = ScheduleEntry._make, [], None
     for trip in sorted(slots):
-        site = instance.site(trip.site_id)
-        start = instance.depot.start_time + (slots[trip] - 1) * lt
-        arrival = start + lt + site.haul_time
-        poured[site.id] += min(capacity, site.demand - poured[site.id])
-        entries.append(
-            ScheduleEntry(
-                trip=trip,
-                depot_start=start,
-                site_arrival=arrival,
-                site_departure=arrival + site.unload_time,
-                cumulative_delivered=poured[site.id],
-            )
-        )
-    return Schedule(entries=tuple(entries))
+        if trip[0] != site_id:
+            site = instance.site(trip[0])
+            site_id, haul, unload, demand = site.id, site.haul_time, site.unload_time, site.demand
+            poured = 0.0
+        start = opening + (slots[trip] - 1) * lt
+        arrival = start + lt + haul
+        rest = demand - poured
+        poured += rest if rest < capacity else capacity  # min(capacity, rest), no call
+        entries.append(make((trip, start, arrival, arrival + unload, poured)))
+    return Schedule(tuple(entries))
 
 
 def trucks_required(instance: Instance, schedule: Schedule) -> int:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rmcdp.cli import build_parser, main
-from rmcdp.io import bundled_instance_path, bundled_schedule_path
+from rmcdp.io import bundled_instance_path, bundled_schedule_path, parse_time
 
 from test_io import LONG_CLOCKS
 
@@ -65,6 +65,21 @@ class TestSolve:
         payload = json.loads(out)
         assert code == 0
         assert payload["sequence"] == [1, 2, 1, 2]
+
+    @pytest.mark.parametrize(
+        "instance, algorithm",
+        [(EXAMPLE1, algorithm) for algorithm in ("priority", "greedy", "exact", "grid-exact")]
+        + [(INSTANCE1, "priority"), (INSTANCE1, "greedy"), (INSTANCE2, "priority")],
+    )
+    def test_dispatch_sequence_is_schedule_by_depot_start(self, capsys, instance, algorithm):
+        # The CLI prints each solver's own sequence; it must be the schedule's
+        # sites in loading order.
+        code, out = run(capsys, "solve", instance, "--algorithm", algorithm)
+        payload = json.loads(out)
+        assert code == 0
+        rows = sorted((parse_time(row.split(",")[2]), int(row.split(",")[0]))
+                      for row in payload["schedule"][1:])
+        assert payload["dispatch_sequence"] == [site_id for _, site_id in rows]
 
     def test_exact_size_cap_exit_code(self, capsys):
         code, _ = run(capsys, "solve", INSTANCE1, "--algorithm", "exact")

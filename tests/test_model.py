@@ -347,6 +347,20 @@ class TestSpecGuards:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             Instance(depot(), (site(**{field: math.nan}),))
 
+    @pytest.mark.parametrize(
+        "trucks, shown", [(16.5, "16.5"), (True, "True"), ("3", "'3'"), (Decimal(3), "Decimal('3')")]
+    )
+    def test_fleet_that_is_not_an_int_refused_by_name(self, trucks, shown):
+        # Refused when the depot is built, not later as a solver's truck_limit.
+        message = f"depot.trucks: must be an int when given, got {shown}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            depot(truck_count=trucks)
+
+    @pytest.mark.parametrize("trucks", [0, -3, 0.0, -2.5])
+    def test_fleet_below_one_truck_refused_as_not_positive(self, trucks):
+        with pytest.raises(ValidationError, match="^depot.trucks: must be positive when given$"):
+            depot(truck_count=trucks)
+
     def test_instance_needs_a_site(self):
         with pytest.raises(ValidationError, match="^sites: at least one site is required$"):
             Instance(depot=depot(), sites=())

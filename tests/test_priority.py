@@ -196,7 +196,7 @@ class TestPrioritySolve:
             parse_beta(Fraction(1, 10**5000))
         with pytest.raises(ValidationError, match=r"at least 1, got '1e-5000'$"):
             parse_beta("1e-5000")
-        with pytest.raises(ValidationError, match=r"not a number: 'x{20}\.\.\.'$"):
+        with pytest.raises(ValidationError, match=r"not a number: 5000 characters$"):
             parse_beta("x" * 5000)
 
     def test_huge_beta_leaves_one_trip_sites_alone(self, example1):

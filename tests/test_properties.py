@@ -1,6 +1,7 @@
 """Cross-cutting invariants checked on randomly generated instances."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from rmcdp.graphs import (
 )
 from rmcdp.model import DepotSpec, Instance
 from rmcdp.priority import priority_solve
-from rmcdp.schedule import check, evaluate, expand_consecutive
+from rmcdp.schedule import check, evaluate, expand_consecutive, schedule_from_slots
 
 from conftest import (
     circuit_cost,
@@ -326,5 +327,62 @@ def test_priority_is_feasible_and_never_below_grid_exact():
             grid = grid_exact(instance, GRID_MAX_HORIZON, truck_limit)
             assert grid.objective is not None
             assert result.stats.best_objective >= grid.objective
+
+    holds()
+
+
+def drawn_instances():
+    """Instances from every generator in ``conftest``, at their default sizes."""
+    st = pytest.importorskip("hypothesis").strategies
+    return st.builds(
+        lambda family, rng: family(rng),
+        st.sampled_from((random_instance, tight_gamma_instance, repeated_row_instance)),
+        st.randoms(use_true_random=False),
+    )
+
+
+def test_schedule_from_slots_times_every_trip_from_its_slot():
+    # ``check`` compares no arrival, departure or delivered figure with the
+    # instance, so each entry is recomputed here from the specs alone.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(instance=drawn_instances(), data=st.data())
+    def holds(instance, data):
+        trips = data.draw(st.permutations(instance.trips))
+        chosen = data.draw(
+            st.lists(st.integers(1, 4 * len(trips)), min_size=len(trips),
+                     max_size=len(trips), unique=True)
+        )
+        slots = dict(zip(trips, chosen))  # in drawn order, not trip order
+        schedule = schedule_from_slots(instance, slots)
+        depot = instance.depot
+        lt = Fraction(depot.truck_capacity) * 3600 / Fraction(depot.productivity)
+        assert [entry.trip for entry in schedule.entries] == sorted(slots)
+        for entry in schedule.entries:
+            site = next(site for site in instance.sites if site.id == entry.trip.site_id)
+            haul = Fraction(site.distance) * 3600 / Fraction(site.speed)
+            start = depot.start_time + (slots[entry.trip] - 1) * lt
+            assert entry.depot_start == start
+            assert entry.site_arrival == start + lt + haul
+            assert entry.site_departure == entry.site_arrival + site.unload_time
+            delivered = min(entry.trip.trip_index * depot.truck_capacity, site.demand)
+            assert entry.cumulative_delivered == delivered
+
+    holds()
+
+
+def test_evaluate_is_circuit_cost_on_drawn_sequences():
+    # The drawn twin of ``TestCircuitCostIsEvaluate``'s fixed-seed sweep.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(instance=drawn_instances(), data=st.data())
+    def holds(instance, data):
+        sequence = data.draw(st.permutations(build_graph(instance).labels))
+        schedule = expand_consecutive(instance, sequence)
+        assert evaluate(instance, schedule).total_site_wait == circuit_cost(instance, sequence)
 
     holds()
