@@ -281,12 +281,12 @@ def _slot_search(
     entry = walk(0, sum(trips * weight for trips, weight in zip(left, left_weights)))
     feasible, objective = entry[:2]
     slots: dict[TripId, int] = {}
-    depth = 0
+    depth, trip_id = 0, TripId._make
     while entry[3] is not None:
         k = entry[2]
         if k != idle:
             left[k] -= 1
-            slots[TripId(ids[k], rows[k][1] - left[k])] = depth + 1
+            slots[trip_id((ids[k], rows[k][1] - left[k]))] = depth + 1
         depth += 1
         entry = entry[3]
     schedule = schedule_from_slots(instance, slots) if feasible else None

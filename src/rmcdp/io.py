@@ -9,9 +9,15 @@ Instances are JSON documents::
 
 Clock fields accept ``"H:MM"`` strings or plain minutes; ``gamma``,
 ``unload`` and ``gamma_override`` are durations in minutes.  Minutes must
-come to whole seconds, read exactly, and at most 48 h.  Schedules travel
-as CSV with one row per trip, sorted by site then trip; a schedule clock
-may lie at most ``(trips + 2) * 48`` h after the depot start.
+come to whole seconds, read exactly, and at most 48 h.  A depot or site
+key that is none of these fields is refused; keys beside ``depot`` and
+``sites`` are free.  Schedules travel as CSV with one row per trip,
+sorted by site then trip; a schedule clock may lie at most
+``(trips + 2) * 48`` h after the depot start.
+
+Files are read and written at the ``os`` level: an input in one
+``os.read`` (a pipe or device until its end), decoded as UTF-8 with a
+text-mode read's newline translation, and an output in one ``os.write``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import math
 import os
 import stat
 from collections.abc import Mapping
-from importlib import resources
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any
@@ -186,12 +191,35 @@ def _read_clock(doc: Mapping[str, Any], field: str, what: str) -> int:
     return _field(doc, field, what, parse_time)
 
 
+#: The fields a depot and a site may have, in the order messages list them.
+_DEPOT_FIELDS = ("start", "plant_capacity", "productivity", "truck_capacity", "trucks", "gamma")
+_SITE_FIELDS = (
+    "id", "demand", "distance", "speed", "unload", "proposed_start", "gamma_override"
+)
+_DEPOT_KEYS, _SITE_KEYS = frozenset(_DEPOT_FIELDS), frozenset(_SITE_FIELDS)
+
+
+def _unknown_field(doc: Mapping[str, Any], what: str, kind: str, fields: tuple) -> InputError:
+    """The refusal of ``doc``'s first key that is not one of ``fields``.
+    A key is shown as it is if it is printable and at most 40 characters,
+    else through ``_shown``."""
+    key = next(key for key in doc if key not in fields)
+    if not (type(key) is str and len(key) <= 40 and key.isprintable()):
+        key = _shown(key)
+    return InputError(f"{what}.{key}: unknown field (a {kind} has {', '.join(fields)})")
+
+
 def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
+    """An ``Instance`` from a parsed instance document.  A key the depot or
+    a site does not have is refused, so a misspelt field cannot silently
+    change the model; keys beside ``depot`` and ``sites`` are free."""
     if not isinstance(doc, Mapping):
         raise InputError("instance: expected a JSON object")
     depot_doc = doc.get("depot")
     if not isinstance(depot_doc, Mapping):
         raise InputError("depot: missing or not an object")
+    if not depot_doc.keys() <= _DEPOT_KEYS:
+        raise _unknown_field(depot_doc, "depot", "depot", _DEPOT_FIELDS)
     sites_doc = doc.get("sites")
     if not isinstance(sites_doc, list) or not sites_doc:
         raise InputError("sites: missing or empty")
@@ -210,6 +238,8 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
         where = f"sites[{index}]"
         if not isinstance(site_doc, Mapping):
             raise InputError(f"{where}: expected an object")
+        if not site_doc.keys() <= _SITE_KEYS:
+            raise _unknown_field(site_doc, where, "site", _SITE_FIELDS)
         try:
             sites.append(
                 SiteSpec(
@@ -229,13 +259,36 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
 
 
 def _read_text(path: Path) -> str:
-    """The file's text, which must be UTF-8."""
+    r"""The file's text, which must be UTF-8, as a text-mode read gives it:
+    ``\r\n`` and a lone ``\r`` become ``\n``.
+
+    The file is read with ``os.read``, in one call for a regular file: the
+    first read asks for one byte more than ``fstat``'s size, so getting
+    exactly that size is the end of the file.  A pipe, a FIFO or a device
+    is read until ``os.read`` returns nothing.  Asking ``fstat`` keeps the
+    buffer as small as the file; a fixed large buffer costs memory on
+    every read."""
     try:
-        return path.read_text(encoding="utf-8")
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            info = os.fstat(fd)
+            data = os.read(fd, info.st_size + 1)
+            if len(data) != info.st_size or not stat.S_ISREG(info.st_mode):
+                chunks = [data]
+                while data:
+                    data = os.read(fd, 1 << 16)
+                    chunks.append(data)
+                data = b"".join(chunks)
+        finally:
+            os.close(fd)
+        text = data.decode()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def load_instance(path: str | Path) -> Instance:
@@ -256,6 +309,10 @@ def load_instance(path: str | Path) -> Instance:
 
 
 def _bundled_path(name: str, suffix: str, kind: str) -> Path:
+    # Imported here: importlib.resources loads tempfile, shutil and the
+    # compression modules, which no request but ``bench`` needs.
+    from importlib import resources
+
     candidate = resources.files("rmcdp.data") / f"{name}{suffix}"
     with resources.as_file(candidate) as path:
         if not path.exists():
@@ -400,7 +457,7 @@ def read_schedule_csv(path: str | Path, instance: Instance) -> Schedule:
     span = (total_trips(instance) + 2) * 2 * DAY
     latest = instance.depot.start_time + span
     sites = instance._sites_by_id
-    entries = []
+    make_entry, make_trip, entries = ScheduleEntry._make, TripId._make, []
     for line_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -439,6 +496,6 @@ def read_schedule_csv(path: str | Path, instance: Instance) -> Schedule:
             raise InputError(
                 f"{path}:{line_no}: delivery must be a finite number, got {row[5]!r}"
             )
-        entries.append(ScheduleEntry(TripId(site_id, trip_index), *clocks, cumulative))
+        entries.append(make_entry((make_trip((site_id, trip_index)), *clocks, cumulative)))
     entries.sort(key=attrgetter("trip"))
     return Schedule(entries=tuple(entries))

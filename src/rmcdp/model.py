@@ -334,7 +334,7 @@ class Instance(_Spec):
             depot.truck_capacity, depot.productivity
         )
         capacity, default_gamma = depot.truck_capacity, depot.gamma
-        timings, trips = [], []
+        timings, trips, trip_id = [], [], TripId._make
         # A trip count or 24 h error is raised after every site's haul time
         # and pour window have been checked, as reading all counts first does.
         refused = full = None
@@ -363,7 +363,7 @@ class Instance(_Spec):
             if refused is None and full is None:
                 site_id = site.id
                 timings.append((site_id, count, lt + haul - site.proposed_start, unload, gamma))
-                trips += [TripId(site_id, j) for j in range(1, count + 1)]
+                trips += [trip_id((site_id, j)) for j in range(1, count + 1)]
         if refused is not None:
             raise refused
         if full is not None:

@@ -93,10 +93,10 @@ def expand_consecutive(instance: Instance, sequence: Sequence[int]) -> Schedule:
         )
 
     seen: Counter[int] = Counter()
-    slots = {}
+    slots, trip_id = {}, TripId._make
     for slot, site_id in enumerate(sequence, start=1):
         seen[site_id] += 1
-        slots[TripId(site_id, seen[site_id])] = slot
+        slots[trip_id((site_id, seen[site_id]))] = slot
     return schedule_from_slots(instance, slots)
 
 

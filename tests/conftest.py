@@ -8,6 +8,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import pytest
@@ -108,13 +109,25 @@ def reference_minutes_in_seconds(minutes, what: str) -> int:
     return int(seconds)
 
 
+def reference_read_text(path) -> str:
+    """The file's text by a text-mode read, with the messages of the input
+    error it raises: the reference that ``io._read_text`` must agree with."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def reference_read_schedule(path, instance: Instance) -> tuple[tuple, ...]:
     """The schedule CSV at ``path`` as plain tuples ``((site, trip),
     depot_start, site_arrival, site_departure, delivered)``, read row by row
     with ``csv`` and ``parse_time`` and a scan of the site list: the
     reference that ``read_schedule_csv`` must agree with, on its entries or
     on the text of the ``InputError`` it raises."""
-    text = rio._read_text(path)
+    text = reference_read_text(path)
     reader = csv.reader(io.StringIO(text))
     try:
         rows = list(reader)

@@ -221,6 +221,19 @@ class TestSolve:
         assert code == 3
         assert captured.err.startswith(f"error: {out_path}: ")
 
+    @pytest.mark.parametrize("section, key", [("depot", "truck"), ("site", "gamma")])
+    def test_unknown_field_exit_code(self, capsys, tmp_path, section, key):
+        doc = json.loads(Path(EXAMPLE1).read_text())
+        (doc["depot"] if section == "depot" else doc["sites"][0])[key] = 30
+        path = tmp_path / "misspelt.json"
+        path.write_text(json.dumps(doc))
+        code = main(["solve", str(path)])
+        captured = capsys.readouterr()
+        where = "depot" if section == "depot" else "sites[0]"
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {where}.{key}: unknown field (a {section} has ")
+
     def test_instance_not_utf8_exit_code(self, capsys, tmp_path):
         path = tmp_path / "latin-1.json"
         path.write_bytes(Path(EXAMPLE1).read_bytes().replace(b"{", b'{"note": "caf\xe9", ', 1))

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import threading
 from decimal import Decimal
 
 import pytest
@@ -22,7 +23,7 @@ from rmcdp.io import (
 from rmcdp import io as rio
 from rmcdp.graphs import SizeCapError, enumerate_exact, greedy_solve, grid_exact
 from rmcdp.io import bundled_schedule_path
-from rmcdp.model import InputError
+from rmcdp.model import InputError, Instance
 from rmcdp.priority import priority_solve
 from rmcdp.schedule import expand_consecutive
 
@@ -31,6 +32,7 @@ from conftest import (
     reference_format_time,
     reference_minutes_in_seconds,
     reference_read_schedule,
+    reference_read_text,
     reference_schedule_to_csv,
     repeated_row_instance,
     replace,
@@ -323,6 +325,50 @@ class TestInstanceErrors:
         assert len(message) < 100
 
 
+DEPOT_HAS = "a depot has start, plant_capacity, productivity, truck_capacity, trucks, gamma"
+SITE_HAS = "a site has id, demand, distance, speed, unload, proposed_start, gamma_override"
+
+
+class TestUnknownFields:
+    """A depot or site key that is none of its fields is refused, before
+    any field is read; keys beside ``depot`` and ``sites`` are free."""
+
+    @pytest.mark.parametrize(
+        "section, key, expected",
+        [("depot", "truck", f"depot.truck: unknown field ({DEPOT_HAS})"),
+         ("depot", "truck_count", f"depot.truck_count: unknown field ({DEPOT_HAS})"),
+         ("sites", "gamma", f"sites[1].gamma: unknown field ({SITE_HAS})"),
+         ("sites", "Demand", f"sites[1].Demand: unknown field ({SITE_HAS})"),
+         ("sites", "a" * 40, f"sites[1].{'a' * 40}: unknown field ({SITE_HAS})"),
+         ("sites", "a" * 5000, f"sites[1].5000 characters: unknown field ({SITE_HAS})"),
+         ("sites", "a\nb", f"sites[1].'a\\nb': unknown field ({SITE_HAS})")],
+        ids=["depot", "depot-dataclass-name", "site", "site-case", "key-at-40",
+             "long-key", "unprintable-key"],
+    )
+    def test_refused_and_named(self, section, key, expected):
+        doc = example1_doc()
+        (doc["depot"] if section == "depot" else doc["sites"][1])[key] = 12
+        with pytest.raises(InputError) as err:
+            instance_from_dict(doc)
+        assert str(err.value) == expected
+
+    def test_first_unknown_key_named_before_a_bad_field(self):
+        doc = example1_doc()
+        doc["sites"][0].update(demand=0, gamma=30, trucks=2)
+        with pytest.raises(InputError) as err:
+            instance_from_dict(doc)
+        assert str(err.value).startswith("sites[0].gamma: unknown field")
+
+    def test_every_field_and_top_level_keys_accepted(self):
+        doc = example1_doc()
+        doc["depot"].update(trucks=18, gamma=90)
+        doc["sites"][0]["gamma_override"] = 120
+        doc["note"] = "free text"
+        instance = instance_from_dict(doc)
+        assert instance.depot.truck_count == 18
+        assert instance.sites[0].gamma_override == 120 * MIN
+
+
 #: Each reader of an instance field and the parser it falls back to.
 FIELD_READERS = [
     (rio._read_number, rio._number),
@@ -393,6 +439,187 @@ class TestWriteText:
         finally:
             os.close(read_end)
             os.close(write_end)
+
+
+def both_outcomes(monkeypatch, outcome, *args):
+    """``outcome(*args)`` with ``io._read_text`` and with the text-mode
+    reference read in its place."""
+    ours = outcome(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(rio, "_read_text", reference_read_text)
+        return ours, outcome(*args)
+
+
+def newline_variants(text):
+    """``text`` with LF, CRLF and lone-CR line ends."""
+    return {"lf": text, "crlf": text.replace("\n", "\r\n"), "cr": text.replace("\n", "\r")}
+
+
+#: Files whose bytes are not all UTF-8, each with the offset of its first
+#: bad byte, past the first 8 KiB: a byte that never starts a character,
+#: a multi-byte sequence cut at the end, a lone continuation byte.
+NOT_UTF8 = {
+    "late-bad-byte": (b" " * 9000 + b"\xff{}", 9000),
+    "cut-sequence": (b'{"note": "' + b"x" * 10_000 + b"\xe2\x82", 10_010),
+    "continuation": ("\u20ac".encode() * 3000 + b"\x80", 9000),
+}
+
+
+def write_to_fifo(path, data):
+    """A thread that writes ``data`` into the FIFO at ``path`` once a reader
+    opens it.  It is a daemon, so a reader that never opens the FIFO fails
+    the test at ``join_writer`` instead of hanging the run."""
+    def write():
+        with open(path, "wb") as fifo:
+            fifo.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+def join_writer(writer):
+    writer.join(10)
+    assert not writer.is_alive(), "nothing read the FIFO to its end"
+
+
+class TestReadText:
+    """``io._read_text`` and the two readers built on it agree with a
+    text-mode read (``Path.read_text``) on text, line numbers and every
+    message."""
+
+    @pytest.mark.parametrize("ends", ["lf", "crlf", "cr"])
+    def test_line_ends_translated(self, tmp_path, ends):
+        text = newline_variants("a\nb\r\n\rc\n\n")[ends] + "\r"
+        path = tmp_path / "text"
+        path.write_bytes(text.encode())
+        outcome = field_outcome(rio._read_text, path)
+        assert outcome == field_outcome(reference_read_text, path)
+        assert "\r" not in outcome[1]
+
+    @pytest.mark.parametrize("name", sorted(NOT_UTF8))
+    def test_not_utf8_at_its_absolute_byte(self, tmp_path, name):
+        data, byte = NOT_UTF8[name]
+        path = tmp_path / "bad"
+        path.write_bytes(data)
+        outcome = field_outcome(rio._read_text, path)
+        assert outcome == field_outcome(reference_read_text, path)
+        assert outcome == ("error", f"{path}: not UTF-8 text (byte {byte})")
+
+    def test_empty_file_directory_and_missing_file(self, tmp_path):
+        empty = tmp_path / "empty"
+        empty.write_bytes(b"")
+        expected = {
+            empty: (str, ""),
+            tmp_path: ("error", f"{tmp_path}: Is a directory"),
+            tmp_path / "missing": ("error", f"{tmp_path / 'missing'}: No such file or directory"),
+        }
+        for path, outcome in expected.items():
+            assert field_outcome(rio._read_text, path) == outcome
+            assert field_outcome(reference_read_text, path) == outcome
+
+    def test_regular_file_takes_one_read(self, tmp_path, monkeypatch):
+        path = tmp_path / "big"
+        path.write_text("x" * 300_000 + "\n")
+        sizes = []
+
+        def counted_read(fd, size):
+            sizes.append(size)
+            return read(fd, size)
+
+        read = os.read
+        monkeypatch.setattr(os, "read", counted_read)
+        assert rio._read_text(path) == "x" * 300_000 + "\n"
+        assert sizes == [300_002]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_read_to_its_end(self, tmp_path):
+        data = ("x" * 99 + "\r\n").encode() * 2000  # more than one 64 KiB read
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        for read in (rio._read_text, reference_read_text):
+            writer = write_to_fifo(path, data)
+            assert read(path) == ("x" * 99 + "\n") * 2000
+            join_writer(writer)
+
+    @pytest.mark.parametrize("ends", ["lf", "crlf", "cr"])
+    def test_instance_line_ends(self, instance1, tmp_path, monkeypatch, ends):
+        original = bundled_instance_path("instance-1").read_text()
+        line = original[:original.index('"sites"')].count("\n") + 1
+        text = newline_variants(original)[ends]
+        broken = text.replace('"sites"', '"sites" :: ', 1)
+        path = tmp_path / "instance.json"
+        for body in (text, broken):
+            path.write_bytes(body.encode())
+            ours, reference = both_outcomes(monkeypatch, field_outcome, load_instance, path)
+            assert ours == reference
+        assert ours[1].startswith(f"{path}:{line}: invalid JSON")
+        path.write_bytes(text.encode())
+        assert field_outcome(load_instance, path) == (Instance, instance1)
+
+    def test_instance_edge_files(self, tmp_path, monkeypatch):
+        (tmp_path / "empty.json").write_bytes(b"")
+        for name, (data, _) in NOT_UTF8.items():
+            (tmp_path / f"{name}.json").write_bytes(data)
+        paths = [*tmp_path.iterdir(), tmp_path, tmp_path / "missing.json"]
+        for path in paths:
+            ours, reference = both_outcomes(monkeypatch, field_outcome, load_instance, path)
+            assert ours == reference
+            assert ours[0] == "error"
+        assert field_outcome(load_instance, tmp_path / "empty.json")[1] == (
+            f"{tmp_path / 'empty.json'}:1: invalid JSON: Expecting value"
+        )
+
+    @pytest.mark.parametrize("ends", ["lf", "crlf", "cr"])
+    def test_schedule_line_ends(self, instance1, golden_schedule, tmp_path, monkeypatch, ends):
+        golden = bundled_schedule_path("instance-1-schedule").read_text()
+        header, first, *rest = golden.splitlines()
+        # A field holding a character that ``str.splitlines`` breaks on
+        # but ``csv`` does not: the row stays one line.
+        odd = first.rsplit(",", 1)[0] + ",\x0c10\x1c\u2028"
+        path = tmp_path / "schedule.csv"
+        cases = {
+            "golden": [header, first, *rest],
+            "short-row": [header, first, "1,x", *rest],
+            "odd-field": [header, odd, *rest],
+        }
+        outcomes = {}
+        for name, lines in cases.items():
+            path.write_bytes(newline_variants("\n".join(lines) + "\n")[ends].encode())
+            ours, reference = both_outcomes(monkeypatch, read_outcome, read_schedule_csv, path, instance1)
+            assert ours == reference == reference_outcome(path, instance1)
+            outcomes[name] = ours
+        assert outcomes["golden"] == ("entries", tuple(map(tuple, golden_schedule.entries)))
+        assert outcomes["short-row"] == ("InputError", f"{path}:3: expected 6 fields")
+        assert outcomes["odd-field"] == (
+            "InputError", f"{path}:2: delivery must be a finite number, got '\\x0c10\\x1c\\u2028'"
+        )
+
+    def test_schedule_edge_files(self, instance1, tmp_path, monkeypatch):
+        (tmp_path / "empty.csv").write_bytes(b"")
+        for name, (data, _) in NOT_UTF8.items():
+            (tmp_path / f"{name}.csv").write_bytes(data)
+        paths = [*tmp_path.iterdir(), tmp_path, tmp_path / "missing.csv"]
+        for path in paths:
+            ours, reference = both_outcomes(monkeypatch, read_outcome, read_schedule_csv, path, instance1)
+            assert ours == reference
+            assert ours[0] == "InputError"
+        assert read_outcome(read_schedule_csv, tmp_path / "empty.csv", instance1)[1] == (
+            f"{tmp_path / 'empty.csv'}:1: expected header {HEADER}"
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_readers_on_a_fifo(self, instance1, tmp_path):
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        instance_bytes = bundled_instance_path("instance-1").read_bytes()
+        writer = write_to_fifo(path, instance_bytes.replace(b"\n", b"\r\n"))
+        assert load_instance(path) == instance1
+        join_writer(writer)
+        golden = bundled_schedule_path("instance-1-schedule")
+        writer = write_to_fifo(path, golden.read_bytes())
+        assert read_schedule_csv(path, instance1) == read_schedule_csv(golden, instance1)
+        join_writer(writer)
 
 
 class TestScheduleCsv:
