@@ -19,10 +19,12 @@ assignment smallest in ``(slot, site position)`` order.  The walk looks
 each child up before calling itself, so a leaf or a memo hit costs no call,
 and keeps the slot by which each open site must load next.  Each memo
 entry links to the entry of its best child, so the winner is read off by
-following links from the root.  Its node keys also carry the idle slots
-used and the recent loads, which a fleet limit needs; without one both
-stay empty and no slot is left idle, since repacking the loads onto the
-first slots shortens no gap, so an idle slot never lowers the waiting.
+following links from the root, slot by slot, which also gives the
+dispatch sequence.  Its node keys also carry the idle slots used and the
+recent loads, which a fleet limit needs, so the walk alone decides whether
+a limit leaves anything feasible; without one both stay empty and no slot
+is left idle, since repacking the loads onto the first slots shortens no
+gap, so an idle slot never lowers the waiting.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def _slot_search(
     rows: Sequence[tuple[int, int, int, int, int]],
     horizon: int,
     truck_limit: int | None,
-) -> tuple[int, int | None, Schedule | None, int]:
+) -> tuple[int, int | None, Schedule | None, tuple[int, ...] | None, int]:
     """Least total waiting over assignments of the site table ``rows`` to
     ``horizon`` loading slots.
 
@@ -182,10 +184,13 @@ def _slot_search(
     order keeps it feasible, lengthens no gap and delays no first trip, so
     it waits no more and is smaller in the tie-break order.  The optimum
     and its tie-break winner are then consecutive, and ``horizon`` does not
-    matter.
+    matter.  With a limit and one slot per trip no slot is spare, so no
+    node idles and the load bits follow from the depth.
 
-    Returns the feasible count, the least waiting and the winning schedule
-    (both ``None`` when there is none), and the nodes solved.
+    Returns the feasible count, the least waiting, the winning schedule and
+    its dispatch sequence (the last three ``None`` when there is none), and
+    the nodes solved.  The read-off walks the winner slot by slot, so the
+    sequence comes out in depot-time order.
     """
     lt = instance.depot.loading_time
     start = instance.depot.start_time
@@ -280,7 +285,7 @@ def _slot_search(
 
     entry = walk(0, sum(trips * weight for trips, weight in zip(left, left_weights)))
     feasible, objective = entry[:2]
-    slots: dict[TripId, int] = {}
+    slots: dict[TripId, int] = {}  # filled in slot order
     depth, trip_id = 0, TripId._make
     while entry[3] is not None:
         k = entry[2]
@@ -290,7 +295,8 @@ def _slot_search(
         depth += 1
         entry = entry[3]
     schedule = schedule_from_slots(instance, slots) if feasible else None
-    return feasible, objective, schedule, len(memo)
+    sequence = tuple(trip.site_id for trip in slots) if feasible else None
+    return feasible, objective, schedule, sequence, len(memo)
 
 
 def enumerate_exact(
@@ -301,11 +307,18 @@ def enumerate_exact(
     The sites are searched in id order by :func:`_slot_search`, so ties go
     to the smallest sequence.  ``feasible_count`` counts the feasible
     sequences exactly, ``visited`` reports the whole space and ``states``
-    is the number of nodes solved.  A space above ``ENUMERATION_CAP`` or
-    more trips than ``SEARCH_MAX_DEPTH`` raises :class:`SizeCapError`.
-    Without a fleet limit some sequence is always feasible: loading each
-    site's trips back to back keeps every gap at one slot, within the reach
-    accessibility (``L_t + h_i + U_i <= gamma_i``) gives every site.
+    is the number of nodes solved, also when nothing is feasible.  A space
+    above ``ENUMERATION_CAP`` or more trips than ``SEARCH_MAX_DEPTH`` raises
+    :class:`SizeCapError`.  Without a fleet limit some sequence is always
+    feasible: loading each site's trips back to back keeps every gap at one
+    slot, within the reach accessibility (``L_t + h_i + U_i <= gamma_i``)
+    gives every site.
+
+    ``truck_limit`` goes to the same search with one slot per trip, so no
+    slot is spare and none is left idle: the load bits of a node then
+    follow from its depth, and the DP's window test refuses a limit exactly
+    when one inclusive gamma window of consecutive loadings holds more
+    loads than the fleet, for every sequence alike.
     """
     check_truck_limit(truck_limit)
     size = solution_space_size(instance)
@@ -314,18 +327,10 @@ def enumerate_exact(
         raise SizeCapError(f"sequence space is above the cap of {ENUMERATION_CAP}")
     total = total_trips(instance)
     check_search_size("exact search", total, SEARCH_MAX_DEPTH, "trips")
-    # Consecutive slots: peak fleet need is the number of loadings inside
-    # one inclusive gamma window, the same for every sequence.
-    lt = instance.depot.loading_time
-    if truck_limit is not None and min(total, instance.depot.gamma // lt + 1) > truck_limit:
-        return EnumerationResult(None, None, None, size, 0, 0)
-
-    feasible, objective, schedule, states = _slot_search(
-        instance, sorted(instance.timings), total, None
+    feasible, objective, schedule, sequence, states = _slot_search(
+        instance, sorted(instance.timings), total, truck_limit
     )
-    return EnumerationResult(
-        schedule, schedule.dispatch_sequence(), objective, size, feasible, states
-    )
+    return EnumerationResult(schedule, sequence, objective, size, feasible, states)
 
 
 GRID_MAX_SITES = 3
@@ -352,11 +357,7 @@ def grid_exact(
     check_search_size("grid search", horizon, GRID_MAX_HORIZON, "slots")
     check_truck_limit(truck_limit)
 
-    _, objective, schedule, _ = _slot_search(
+    _, objective, schedule, sequence, _ = _slot_search(
         instance, instance.timings, horizon, truck_limit
     )
-    if schedule is None:
-        return EnumerationResult(None, None, None, None, None, None)
-    return EnumerationResult(
-        schedule, schedule.dispatch_sequence(), objective, None, None, None
-    )
+    return EnumerationResult(schedule, sequence, objective, None, None, None)

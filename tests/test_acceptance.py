@@ -7,6 +7,7 @@ figure cannot be produced by any deterministic rule of the documented form
 (see the README's "Known deviations" section).
 """
 
+import math
 import random
 import time
 
@@ -68,6 +69,31 @@ def test_2b_nine_site_instance_reference_feasibility_share(instance2):
     result = priority_solve(instance2)
     assert result.stats.feasible_count == 60_160
     assert result.stats.feasibility_rate * 100 == pytest.approx(16.57, abs=0.01)
+
+
+def test_2c_nine_site_waiting_lies_on_the_instance_time_grid(instance2):
+    # Every loading starts at D + k * L_t and arrives L_t + h_i later, so a
+    # first wait max(0, D + k * L_t + L_t + h_i - p_i) and a gap wait
+    # max(0, g * L_t - U_i) are multiples of the gcd of L_t, every
+    # L_t + h_i + D - p_i and every U_i, and so is any schedule's total.
+    depot = instance2.depot
+    lt, start = depot.loading_time, depot.start_time
+    grid = math.gcd(
+        lt,
+        *(lt + site.haul_time + start - site.proposed_start for site in instance2.sites),
+        *(site.unload_time for site in instance2.sites),
+    )
+    assert grid == 5 * MIN
+    assert priority_solve(instance2).stats.best_objective == 885 * MIN
+    assert 885 * MIN % grid == 0
+    # The 869 min cited as the reference optimum is no total of this model.
+    assert 869 * MIN % grid != 0
+    rng = random.Random(869)
+    labels = [trip.site_id for trip in instance2.trips]
+    for _ in range(20):
+        rng.shuffle(labels)
+        schedule = expand_consecutive(instance2, labels)
+        assert evaluate(instance2, schedule).total_site_wait % grid == 0
 
 
 def test_3_two_site_example_waiting_and_feasibility_oracle(example1):

@@ -468,7 +468,7 @@ class TestGridExact:
         instance = shaped_instance(((2, 20, 10, 15), (2, 25, 15, 30), (2, 15, 20, 45)), 60)
         found = {}
         for limit in (None, 2, 3):
-            feasible, objective, _, nodes = _slot_search(
+            feasible, objective, _, _, nodes = _slot_search(
                 instance, instance.timings, 10, limit
             )
             found[limit] = feasible, objective, nodes
@@ -480,7 +480,7 @@ class TestGridExact:
         instance = tight_gamma_instance(random.Random(27))
         found = {}
         for limit in (None, 2, 3):
-            feasible, objective, _, nodes = _slot_search(
+            feasible, objective, _, _, nodes = _slot_search(
                 instance, instance.timings, total_trips(instance) + 2, limit
             )
             found[limit] = feasible, objective, nodes

@@ -6,15 +6,22 @@ from fractions import Fraction
 import pytest
 
 from rmcdp.graphs import (
+    ENUMERATION_CAP,
     GRID_MAX_HORIZON,
     build_graph,
     enumerate_exact,
     greedy_solve,
     grid_exact,
 )
-from rmcdp.model import DepotSpec, Instance
+from rmcdp.model import DepotSpec, Instance, solution_space_size, total_trips
 from rmcdp.priority import priority_solve
-from rmcdp.schedule import check, evaluate, expand_consecutive, schedule_from_slots
+from rmcdp.schedule import (
+    TripId,
+    check,
+    evaluate,
+    expand_consecutive,
+    schedule_from_slots,
+)
 
 from conftest import (
     circuit_cost,
@@ -296,8 +303,37 @@ def test_grid_exact_is_feasible_and_never_above_exact():
             return
         assert check(instance, grid.schedule, truck_limit=truck_limit).feasible
         assert evaluate(instance, grid.schedule).total_site_wait == grid.objective
+        assert grid.sequence == grid.schedule.dispatch_sequence()
         if exact.schedule is not None:
             assert grid.objective <= exact.objective
+
+    holds()
+
+
+def test_exact_fleet_verdict_is_the_consecutive_window_count():
+    # On consecutive slots every sequence puts min(T, gamma // L_t + 1)
+    # loadings in one inclusive gamma window.  enumerate_exact leaves the
+    # fleet limit to the slot DP's window test; this closed form is its
+    # oracle: over that count nothing is feasible, and at or under it the
+    # limit binds nowhere, so the answer and the nodes are the no-limit ones.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(instance=drawn_instances(), data=st.data())
+    def holds(instance, data):
+        hypothesis.assume(solution_space_size(instance) <= ENUMERATION_CAP)
+        free = enumerate_exact(instance)
+        assert free.sequence == free.schedule.dispatch_sequence()
+        trips = total_trips(instance)
+        limit = data.draw(st.integers(1, trips + 1))
+        need = min(trips, instance.depot.gamma // instance.depot.loading_time + 1)
+        result = enumerate_exact(instance, limit)
+        if need > limit:
+            assert result[:3] == (None, None, None)
+            assert (result.visited, result.feasible_count) == (free.visited, 0)
+        else:
+            assert result == free
 
     holds()
 
@@ -384,5 +420,49 @@ def test_evaluate_is_circuit_cost_on_drawn_sequences():
         sequence = data.draw(st.permutations(build_graph(instance).labels))
         schedule = expand_consecutive(instance, sequence)
         assert evaluate(instance, schedule).total_site_wait == circuit_cost(instance, sequence)
+
+    holds()
+
+
+def test_evaluate_meets_the_objective_identity():
+    # A third reference for ``evaluate``, beside ``circuit_cost`` and the
+    # wait/idle split: max(0, x) = x + max(0, -x) makes each first wait
+    # (a_first - p) plus its early arrival and each gap wait (gap - U) plus
+    # its idle, and the gaps telescope to a_last - a_first - (n - 1) * U.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(instance=drawn_instances(), data=st.data())
+    def holds(instance, data):
+        # Later requested starts make early first arrivals common.
+        late = data.draw(st.lists(st.integers(0, 60), min_size=len(instance.sites),
+                                  max_size=len(instance.sites)))
+        instance = Instance(depot=instance.depot, sites=tuple(
+            replace(site, proposed_start=site.proposed_start + minutes * MIN)
+            for site, minutes in zip(instance.sites, late)
+        ))
+        sequence = data.draw(st.permutations([trip.site_id for trip in instance.trips]))
+        # Spread slots leave idle depot slots and short gaps that idle a
+        # truck; each site's trips load in trip order, as evaluate asks.
+        chosen = sorted(data.draw(
+            st.lists(st.integers(1, 3 * len(sequence)), min_size=len(sequence),
+                     max_size=len(sequence), unique=True)
+        ))
+        done = dict.fromkeys(sequence, 0)
+        slots = {}
+        for site_id, slot in zip(sequence, chosen):
+            done[site_id] += 1
+            slots[TripId(site_id, done[site_id])] = slot
+        schedule = schedule_from_slots(instance, slots)
+        report = evaluate(instance, schedule)
+        expected = report.truck_idle_total
+        grouped = schedule.by_site()
+        for site in instance.sites:
+            entries = grouped[site.id]
+            first, last = entries[0].site_arrival, entries[-1].site_arrival
+            expected += last - site.proposed_start - (len(entries) - 1) * site.unload_time
+            expected += max(0, site.proposed_start - first)
+        assert report.total_site_wait == expected
 
     holds()
