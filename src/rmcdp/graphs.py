@@ -179,8 +179,10 @@ def _slot_search(
     loaded.  A site loads only while fewer than ``truck_limit`` bits are
     set, the inclusive window :func:`trucks_required` counts, and each node
     tries an idle child after the sites, since an idle slot can free a
-    truck.  Without ``truck_limit`` both are empty and no slot is left
-    idle: repacking any assignment's loads onto slots 1..T in the same
+    truck.  A window holds at most ``min(T, gamma // L_t + 1)`` loadings of
+    the ``T`` trips, so a limit that large refuses no load and runs as no
+    limit.  Without a binding ``truck_limit`` both are empty and no slot is
+    left idle: repacking any assignment's loads onto slots 1..T in the same
     order keeps it feasible, lengthens no gap and delays no first trip, so
     it waits no more and is smaller in the tie-break order.  The optimum
     and its tie-break winner are then consecutive, and ``horizon`` does not
@@ -193,14 +195,16 @@ def _slot_search(
     sequence comes out in depot-time order.
     """
     lt = instance.depot.loading_time
-    start = instance.depot.start_time
+    start, window = instance.depot.start_time, instance.depot.gamma // lt
     ids, left, offsets, unloads, gammas = map(list, zip(*rows))
     # Accessibility (L_t + h_i + U_i <= gamma_i) makes every reach at least
     # one slot, so a site's own next slot never breaks its window.
     reaches = [gamma // lt for gamma in gammas]
-    mask = spare = 0  # load bits and idle slots: none without a fleet limit
-    if truck_limit is not None:
-        mask, spare = (1 << instance.depot.gamma // lt) - 1, horizon - sum(left)
+    # Load bits and idle slots: none without a fleet limit, nor under one at
+    # least min(T, window + 1), the most loadings a window can hold.
+    mask = spare = 0
+    if truck_limit is not None and truck_limit < min(sum(left), window + 1):
+        mask, spare = (1 << window) - 1, horizon - sum(left)
     idle_weight = mask + 1
     idle_cap = spare * idle_weight  # fleet digits of a node that may idle
     low = idle_weight * (spare + 1)  # radix of the fleet digits

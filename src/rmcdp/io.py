@@ -309,15 +309,10 @@ def load_instance(path: str | Path) -> Instance:
 
 
 def _bundled_path(name: str, suffix: str, kind: str) -> Path:
-    # Imported here: importlib.resources loads tempfile, shutil and the
-    # compression modules, which no request but ``bench`` needs.
-    from importlib import resources
-
-    candidate = resources.files("rmcdp.data") / f"{name}{suffix}"
-    with resources.as_file(candidate) as path:
-        if not path.exists():
-            raise InputError(f"no bundled {kind} named {name!r}")
-        return path
+    path = Path(__file__).with_name("data") / f"{name}{suffix}"
+    if not path.exists():
+        raise InputError(f"no bundled {kind} named {name!r}")
+    return path
 
 
 def bundled_instance_path(name: str) -> Path:

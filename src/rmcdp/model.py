@@ -311,6 +311,11 @@ class Instance(_Spec):
 
     The depot's loading time and each site's haul time are stored where
     ``DepotSpec.loading_time`` and ``SiteSpec.haul_time`` cache them.
+
+    The pass raises at the first bad site in list order, naming it by its
+    place.  Within a site it reads the haul time and the trip count, then
+    tests the pour window, then the 24 h bound on the trips so far, before
+    it lists that site's trips.
     """
 
     _fields = ("depot", "sites")
@@ -335,13 +340,11 @@ class Instance(_Spec):
         )
         capacity, default_gamma = depot.truck_capacity, depot.gamma
         timings, trips, trip_id = [], [], TripId._make
-        # A trip count or 24 h error is raised after every site's haul time
-        # and pour window have been checked, as reading all counts first does.
-        refused = full = None
         total = 0
         for index, site in enumerate(sites):
             try:
                 haul = site.__dict__["haul_time"] = _haul_time(site.distance, site.speed)
+                count = trips_for_site(site.demand, capacity)
             except ValidationError as exc:
                 raise ValidationError(f"sites[{index}]: {exc}") from None
             unload = site.unload_time
@@ -352,26 +355,17 @@ class Instance(_Spec):
                     f"sites[{index}]: not accessible: loading + haul + unload "
                     f"= {span // MINUTE} min exceeds gamma = {gamma // MINUTE} min"
                 )
-            try:
-                count = trips_for_site(site.demand, capacity)
-            except ValidationError as exc:
-                refused = refused or exc
-                continue
             total += count
-            if full is None and total * lt > DAY:
-                full = index
-            if refused is None and full is None:
-                site_id = site.id
-                timings.append((site_id, count, lt + haul - site.proposed_start, unload, gamma))
-                trips += [trip_id((site_id, j)) for j in range(1, count + 1)]
-        if refused is not None:
-            raise refused
-        if full is not None:
-            raise ValidationError(
-                f"sites[{full}].demand: the trips up to this site need more "
-                f"than 24 h of depot loading (at most {DAY // lt} trips of "
-                f"{lt} s fit)"
-            )
+            # Before this site's trips are listed: a huge count is never expanded.
+            if total * lt > DAY:
+                raise ValidationError(
+                    f"sites[{index}].demand: the trips up to this site need more "
+                    f"than 24 h of depot loading (at most {DAY // lt} trips of "
+                    f"{lt} s fit)"
+                )
+            site_id = site.id
+            timings.append((site_id, count, lt + haul - site.proposed_start, unload, gamma))
+            trips += [trip_id((site_id, j)) for j in range(1, count + 1)]
         vars(self).update(timings=tuple(timings), trips=tuple(trips), _sites_by_id=by_id)
 
     def site(self, site_id: int) -> SiteSpec:

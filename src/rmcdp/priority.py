@@ -92,8 +92,6 @@ class PrioritySearchStats(NamedTuple):
 
     @property
     def feasibility_rate(self) -> float:
-        if not self.permutations_created:
-            return 0.0
         return self.feasible_count / self.permutations_created
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from rmcdp.graphs import (
+    GRID_MAX_HORIZON,
     SizeCapError,
     _slot_search,
     build_graph,
@@ -473,6 +474,24 @@ class TestGridExact:
             )
             found[limit] = feasible, objective, nodes
         assert found == {None: (90, 2100, 91), 2: (0, None, 365), 3: (18, 6600, 2102)}
+
+    def test_limit_no_window_can_reach_runs_as_no_limit(self, example1):
+        # A window holds at most min(T, gamma // L_t + 1) loadings, so a limit
+        # that large refuses none: both exact searches give their no-limit
+        # answer, and the slot DP at a spare horizon its no-limit node count
+        # (example-1 at horizon 8: 13 nodes, not the 595 of the fleet digits).
+        instances = [example1, shaped_instance(((2, 20, 10, 15), (2, 25, 15, 30)), 60)]
+        instances += [random_instance(random.Random(seed)) for seed in range(10)]
+        for instance in instances:
+            trips = total_trips(instance)
+            reach = min(trips, instance.depot.gamma // instance.depot.loading_time + 1)
+            horizon = min(GRID_MAX_HORIZON, 2 * trips)
+            free = _slot_search(instance, instance.timings, horizon, None)
+            exact, grid = enumerate_exact(instance), grid_exact(instance, horizon)
+            for limit in (reach, reach + 1):
+                assert enumerate_exact(instance, limit) == exact
+                assert grid_exact(instance, horizon, limit) == grid
+                assert _slot_search(instance, instance.timings, horizon, limit) == free
 
     def test_node_counts_with_two_sites_due(self):
         # Pour windows of different reach let two open sites fall due in

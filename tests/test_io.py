@@ -193,6 +193,12 @@ class TestInstanceLoading:
             instance = load_instance(bundled_instance_path(name))
             assert instance.sites
 
+    def test_unknown_bundled_name_refused(self):
+        with pytest.raises(InputError, match="^no bundled instance named 'nope'$"):
+            bundled_instance_path("nope")
+        with pytest.raises(InputError, match="^no bundled schedule named 'nope'$"):
+            bundled_schedule_path("nope")
+
     def test_missing_field_names_the_field(self, tmp_path):
         doc = {"depot": {"start": "8:00", "plant_capacity": 10,
                          "productivity": 120},

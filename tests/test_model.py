@@ -501,6 +501,13 @@ class TestOnePassBuild:
             30 * MIN, 20 * MIN, 20 * MIN, 10 * MIN, 10 * MIN
         ]
 
+    def test_specs_outside_an_instance_work_out_on_first_read(self):
+        # 7.5 m3 at 90 m3/h is a 300 s loading; 5 km at 60 km/h a 300 s haul.
+        spec, place = depot(truck_capacity=7.5, productivity=90), site()
+        assert "loading_time" not in vars(spec) and "haul_time" not in vars(place)
+        assert (spec.loading_time, place.haul_time) == (300, 300)
+        assert (vars(spec)["loading_time"], vars(place)["haul_time"]) == (300, 300)
+
     def test_rebound_post_init_runs_on_every_build(self, monkeypatch, tmp_path):
         # A tracer may rebind the build hook; each way of building an
         # Instance must then pass through it.
@@ -520,19 +527,42 @@ class TestOnePassBuild:
 
 
 class TestBuildErrorOrder:
-    """Each site's haul time and pour window are checked before any trip
-    count or the 24 h bound refuses an instance."""
+    """An instance is refused at its first bad site in list order.  Within
+    a site the haul time and trip count are read, then the pour window and
+    then the 24 h bound on the trips so far are tested."""
 
-    def test_later_inaccessible_site_before_the_24h_bound(self):
-        with pytest.raises(ValidationError, match=r"^sites\[2\]: not accessible: "):
+    def test_24h_bound_before_a_later_inaccessible_site(self):
+        with pytest.raises(
+            ValidationError,
+            match=r"^sites\[1\]\.demand: the trips up to this site need more than 24 h",
+        ):
             make_instance([1440, 1441, 10], [10 * MIN] * 3, [5, 5, 100])
 
-    def test_later_inaccessible_site_before_an_unreadable_demand(self):
+    def test_unreadable_demand_before_a_later_inaccessible_site(self):
         sites = (site(demand=math.inf), site(id=2, distance=100))
-        with pytest.raises(ValidationError, match=r"^sites\[1\]: not accessible: "):
+        with pytest.raises(ValidationError, match=r"^sites\[0\]: demand: not a number: inf$"):
             Instance(depot(), sites)
 
-    def test_unreadable_demand_before_the_24h_bound(self):
+    def test_24h_bound_before_a_later_unreadable_demand(self):
         sites = (site(demand=14400), site(id=2, demand=math.inf))
-        with pytest.raises(ValidationError, match="^demand: not a number: inf$"):
+        with pytest.raises(
+            ValidationError,
+            match=r"^sites\[0\]\.demand: the trips up to this site need more than 24 h",
+        ):
             Instance(depot(), sites)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"distance": 1, "speed": 7}, r"sites\[1\]: haul time: .* whole number of seconds"),
+            ({"speed": math.nan}, r"sites\[1\]: speed: not a number: nan"),
+            ({"demand": math.inf}, r"sites\[1\]: demand: not a number: inf"),
+            ({"distance": 100}, r"sites\[1\]: not accessible: "),
+            ({"demand": 14400}, r"sites\[1\]\.demand: the trips up to this site"),
+        ],
+        ids=["haul", "speed", "demand", "window", "day"],
+    )
+    def test_each_refusal_names_its_site(self, bad, message):
+        # A good first site, then one bad field in the second.
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            Instance(depot(), (site(), site(id=2, **bad)))

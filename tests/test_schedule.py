@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from rmcdp.model import InputError, trips_for_site
+from rmcdp.model import InputError, ValidationError, trips_for_site
 from rmcdp.schedule import (
     Schedule,
     ScheduleEntry,
@@ -109,6 +109,14 @@ class TestCheck:
         violation = next(v for v in report.violations if v.kind == "gamma_exceeded")
         assert violation.measured == 30 * MIN
         assert violation.bound == 20 * MIN
+
+    @pytest.mark.parametrize("gamma", [0, -MIN])
+    def test_nonpositive_gamma_override_refused(self, example1, gamma):
+        schedule = expand_consecutive(example1, (1, 2, 1, 2))
+        with pytest.raises(
+            ValidationError, match="^gamma_override: must be positive when given$"
+        ):
+            check(example1, schedule, gamma_override=gamma)
 
     def test_truck_limit_violation(self, instance1, golden_schedule):
         report = check(instance1, golden_schedule, truck_limit=16)
