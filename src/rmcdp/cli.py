@@ -7,12 +7,13 @@ for exhaustive search (its sequence space or a search size is over its cap).
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from decimal import Decimal
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from . import io as rio
 from .graphs import SizeCapError, enumerate_exact, greedy_solve, grid_exact
@@ -53,7 +54,7 @@ def _objective_payload(instance: Instance, schedule: Schedule) -> dict:
     }
 
 
-def _at_least_one(args: argparse.Namespace, *flags: str) -> None:
+def _at_least_one(args: SimpleNamespace, *flags: str) -> None:
     """Refuse a count flag given below 1, before any file is read."""
     for flag in flags:
         value = getattr(args, flag)
@@ -61,13 +62,13 @@ def _at_least_one(args: argparse.Namespace, *flags: str) -> None:
             raise InputError(f"--{flag}: must be at least 1, got {value}")
 
 
-def _named_out(args: argparse.Namespace) -> None:
+def _named_out(args: SimpleNamespace) -> None:
     """Refuse an empty ``--out``, before any file is read."""
     if args.out == "":
         raise InputError("--out: must name a file, got ''")
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: SimpleNamespace) -> int:
     # --threads is accepted for compatibility and has no effect.
     _at_least_one(args, "threads", "trucks")
     _named_out(args)
@@ -124,7 +125,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     _at_least_one(args, "trucks", "gamma")
     instance = rio.load_instance(args.instance)
     schedule = rio.read_schedule_csv(args.schedule, instance)
@@ -149,7 +150,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 
-def cmd_space(args: argparse.Namespace) -> int:
+def cmd_space(args: SimpleNamespace) -> int:
     instance = rio.load_instance(args.instance)
     lt = instance.depot.loading_time
     gamma = instance.depot.gamma
@@ -166,7 +167,7 @@ def cmd_space(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_export_mip(args: argparse.Namespace) -> int:
+def cmd_export_mip(args: SimpleNamespace) -> int:
     _named_out(args)
     instance = rio.load_instance(args.instance)
     model = build_mip(instance, args.horizon)
@@ -192,7 +193,7 @@ def _bench_row(name: str, measured, expected, tolerance: float = 0.0) -> dict:
     return {"name": name, "measured": measured, "expected": expected, "ok": ok}
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: SimpleNamespace) -> int:
     rows: list[dict] = []
 
     example = rio.load_instance(rio.bundled_instance_path("example-1"))
@@ -285,60 +286,135 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class Option(NamedTuple):
+    """One ``--flag`` of a command."""
+
+    kind: type | tuple[str, ...]  # int, str, bool (a flag) or the choices
+    default: object = None
+    help: str | None = None
+
+
+class Command(NamedTuple):
+    """One command: what runs it, its help line, its file arguments and its
+    flags."""
+
+    handler: Callable[[SimpleNamespace], int]
+    help: str
+    positionals: tuple[str, ...]
+    options: dict[str, Option]  # keyed by name, read as --name
+
+
+#: Every command and flag, declared once: ``build_parser`` and ``_parse``
+#: both read this table.
+COMMANDS = {
+    "solve": Command(cmd_solve, "compute a dispatch schedule", ("instance",), {
+        "algorithm": Option(("priority", "greedy", "exact", "grid-exact"), "priority"),
+        "beta": Option(str, "1", "dispatch pacing factor (>= 1)"),
+        "trucks": Option(int, help="fleet size limit"),
+        "threads": Option(int, help="no effect"),
+        "horizon": Option(int, help="slots for grid-exact"),
+        "out": Option(str, help="write the schedule CSV here"),
+    }),
+    "check": Command(
+        cmd_check, "verify a schedule CSV against an instance", ("instance", "schedule"), {
+            "gamma": Option(int, help="override, minutes"),
+            "trucks": Option(int),
+        },
+    ),
+    "space": Command(cmd_space, "size of the dispatch-sequence space", ("instance",), {}),
+    "export-mip": Command(cmd_export_mip, "write the model as an LP file", ("instance",), {
+        "horizon": Option(int),
+        "out": Option(str),
+    }),
+    "bench": Command(cmd_bench, "run the bundled reference instances", (), {
+        "json": Option(bool, False),
+    }),
+}
+
+
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument tree, built on first use and shared by every call."""
+def build_parser():
+    """The argparse tree of ``COMMANDS``, built on first use and shared by
+    every call.  It parses what ``_parse`` leaves: help, ``--flag=value``,
+    abbreviated flags and every usage error."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rmcdp",
         description="Ready-mixed-concrete delivery scheduling for a single depot",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    solve = sub.add_parser("solve", help="compute a dispatch schedule")
-    solve.add_argument("instance")
-    solve.add_argument(
-        "--algorithm",
-        choices=("priority", "greedy", "exact", "grid-exact"),
-        default="priority",
-    )
-    solve.add_argument("--beta", default="1", help="dispatch pacing factor (>= 1)")
-    solve.add_argument("--trucks", type=int, default=None, help="fleet size limit")
-    solve.add_argument("--threads", type=int, default=None, help="no effect")
-    solve.add_argument("--horizon", type=int, default=None, help="slots for grid-exact")
-    solve.add_argument("--out", default=None, help="write the schedule CSV here")
-    solve.set_defaults(func=cmd_solve)
-
-    chk = sub.add_parser("check", help="verify a schedule CSV against an instance")
-    chk.add_argument("instance")
-    chk.add_argument("schedule")
-    chk.add_argument("--gamma", type=int, default=None, help="override, minutes")
-    chk.add_argument("--trucks", type=int, default=None)
-    chk.set_defaults(func=cmd_check)
-
-    space = sub.add_parser("space", help="size of the dispatch-sequence space")
-    space.add_argument("instance")
-    space.set_defaults(func=cmd_space)
-
-    export = sub.add_parser("export-mip", help="write the model as an LP file")
-    export.add_argument("instance")
-    export.add_argument("--horizon", type=int, default=None)
-    export.add_argument("--out", default=None)
-    export.set_defaults(func=cmd_export_mip)
-
-    bench = sub.add_parser("bench", help="run the bundled reference instances")
-    bench.add_argument("--json", action="store_true")
-    bench.set_defaults(func=cmd_bench)
-
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
+        for positional in command.positionals:
+            cmd.add_argument(positional)
+        for option_name, option in command.options.items():
+            flag, kind = f"--{option_name}", option.kind
+            if kind is bool:
+                cmd.add_argument(flag, action="store_true", help=option.help)
+            elif isinstance(kind, tuple):
+                cmd.add_argument(flag, choices=kind, default=option.default, help=option.help)
+            else:
+                cmd.add_argument(flag, type=kind, default=option.default, help=option.help)
+        cmd.set_defaults(func=command.handler)
     return parser
 
 
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a plain command line, read straight off ``COMMANDS``.
+
+    Plain means: an exact command name; exact full flags, each followed by
+    a value that does not start with ``-`` (``--json`` takes none); int
+    values that ``int()`` reads and choices among their choices; and
+    exactly the command's positionals.  Any other ``argv`` gives ``None``,
+    for argparse to parse or refuse.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = {name: option.default for name, option in command.options.items()}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            positionals.append(token)
+            continue
+        name = token[2:] if token[:2] == "--" else None
+        option = command.options.get(name)
+        if option is None:
+            return None
+        kind = option.kind
+        if kind is bool:
+            values[name] = True
+            continue
+        value = next(tokens, "-")  # a flag with no value is not plain
+        if value[:1] == "-":
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        values[name] = value
+    if len(positionals) != len(command.positionals):
+        return None
+    values.update(zip(command.positionals, positionals))
+    return SimpleNamespace(command=argv[0], func=command.handler, **values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        if exc.code != 2:  # --help exits 0
-            raise
-        return EXIT_INPUT  # argparse's usage error; 2 means infeasible here
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
+        except SystemExit as exc:
+            if exc.code != 2:  # --help exits 0
+                raise
+            return EXIT_INPUT  # argparse's usage error; 2 means infeasible here
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
@@ -351,7 +427,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except BrokenPipeError:
         # Point stdout at devnull so the flush at interpreter exit is quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_STDOUT_CLOSED
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rmcdp.cli import build_parser, main
+from rmcdp.cli import COMMANDS, _parse, build_parser, main
 from rmcdp.io import bundled_instance_path, bundled_schedule_path, parse_time
 
 from test_io import LONG_CLOCKS
@@ -375,6 +377,17 @@ class TestSolve:
         # No traceback, and no "Exception ignored" note from the exit flush.
         assert done.stderr == b""
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_closed_stdout_leaves_no_descriptor_open(self, monkeypatch):
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            read_end, write_end = os.pipe()
+            os.close(read_end)  # stdout's reader is gone
+            with open(write_end, "w") as stdout:
+                monkeypatch.setattr(sys, "stdout", stdout)
+                assert main(["space", EXAMPLE1]) == 1
+        assert len(os.listdir("/proc/self/fd")) == before
+
     @pytest.mark.parametrize("algorithm", ["priority", "greedy", "exact", "grid-exact"])
     def test_bad_beta_or_trucks_rejected(self, capsys, algorithm):
         # Checked once for every algorithm, before the instance is read.
@@ -507,6 +520,53 @@ class TestInstanceRejected:
         assert captured.err == f"error: {path}: {where}.{field}: must be at most 48 h (2880 min)\n"
 
 
+def parsed_by_argparse(argv):
+    """``vars()`` of argparse's namespace, or its exit code and printed text."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+def main_output(argv):
+    """``main``'s exit code (``SystemExit`` included) and printed text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+#: Each ``rmcdp`` command line of the CI workflow, and one request of each
+#: shape the benchmark sends.
+PLAIN_ARGV = [
+    ["bench", "--json"],
+    ["solve", INSTANCE2],
+    ["solve", INSTANCE1],
+    ["check", INSTANCE1, "shifted.csv"],
+    ["solve", EXAMPLE1, "--algorithm", "grid-exact", "--out", "out.csv"],
+    ["check", EXAMPLE1, "out.csv"],
+    ["solve", EXAMPLE1, "--algorithm", "exact", "--trucks", "3"],
+    ["solve", EXAMPLE1, "--algorithm", "exact", "--trucks", "4", "--out", "out.csv"],
+    ["check", EXAMPLE1, "out.csv", "--trucks", "4"],
+    ["export-mip", INSTANCE2, "--out", "instance-2.lp"],
+    ["solve", INSTANCE1, "--out", "/dev/null"],
+    ["solve", INSTANCE1, "--algorithm", "priority", "--trucks", "14", "--threads", "1"],
+    ["solve", INSTANCE1, "--algorithm", "priority", "--beta", "1.5", "--threads", "1"],
+    ["solve", INSTANCE1, "--algorithm", "priority", "--threads", "2"],
+    ["solve", INSTANCE1, "--algorithm", "grid-exact", "--horizon", "30"],
+    ["solve", INSTANCE1, "--algorithm", "greedy", "--out", "a.csv"],
+    ["check", INSTANCE1, GOLDEN],
+    ["check", INSTANCE1, GOLDEN, "--trucks", "16"],
+    ["space", INSTANCE1],
+    ["export-mip", INSTANCE1, "--horizon", "32", "--out", "instance-1.lp"],
+]
+
+
 class TestParser:
     def test_built_once_and_options_do_not_leak(self, capsys):
         build_parser.cache_clear()
@@ -518,9 +578,93 @@ class TestParser:
         assert json.loads(out)["feasible"] is True
         code, _ = run(capsys, "space", EXAMPLE1)
         assert code == 0
+        assert build_parser.cache_info().misses == 0  # plain: no argparse tree
+        assert main(["solve", EXAMPLE1, "--trucks", "abc"]) == 3
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        capsys.readouterr()
         info = build_parser.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        assert (info.misses, info.hits) == (1, 1)
+        code, out = run(capsys, "solve", EXAMPLE1, "--trucks=1")
+        assert code == 2
+        code, out = run(capsys, "solve", EXAMPLE1)
+        assert code == 0
+        assert json.loads(out)["feasible"] is True
 
+    @pytest.mark.parametrize(
+        "argv", PLAIN_ARGV, ids=lambda argv: " ".join(Path(token).name for token in argv)
+    )
+    def test_plain_argv_read_from_the_table(self, argv):
+        parsed = _parse(argv)
+        assert parsed is not None
+        assert vars(parsed) == parsed_by_argparse(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", EXAMPLE1, "--trucks=3"], ["solve", EXAMPLE1, "--algo", "exact"],
+         ["solve", EXAMPLE1, "--trucks", "-1"], ["solve", EXAMPLE1, "--out", "--json"],
+         ["solve", EXAMPLE1, "--trucks", "abc"], ["solve", EXAMPLE1, "--algorithm", "nope"],
+         ["solve", EXAMPLE1, "-trucks", "3"], ["solve", EXAMPLE1, "---trucks", "3"],
+         ["solve", "--", EXAMPLE1],
+         ["check", INSTANCE1, "--trucks", "3"], ["bench", "--json", "x"],
+         ["solve", EXAMPLE1, "--trucks"], ["solve", EXAMPLE1, "--out"], ["solve", "-h"],
+         ["sol", EXAMPLE1], []],
+    )
+    def test_other_argv_left_to_argparse(self, argv):
+        assert _parse(argv) is None
+
+    def test_matches_argparse_on_drawn_argv(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        flags = sorted({f"--{name}" for c in COMMANDS.values() for name in c.options})
+        value = st.sampled_from(["3", "abc", "", " 5", "1_0", "\u0663", "nope", "priority",
+                                 "grid-exact", "1.5", "a.json"])
+        dashed = st.sampled_from(["-1", "-h", "--", "--json", "-"])
+
+        def argv_of(command):
+            # Mostly the command's own flags, each followed by a value, among
+            # the right number of positionals; then abbreviated flags, flags
+            # with one or three dashes, values that start with a dash,
+            # ``--flag=value``, a flag with no value, help and ``--``.
+            spec = COMMANDS.get(command, COMMANDS["solve"])
+            own = st.sampled_from([f"--{name}" for name in spec.options] or flags)
+            odd = (
+                st.sampled_from(["--algo", "--tr", "--th", "--h", "--o", "--js", *flags])
+                | own.map(lambda flag: flag[1:])
+                | own.map("-{}".format)
+            )
+            pair = st.tuples(own, value)
+            pieces = pair | pair | pair | st.tuples(odd, value) | st.tuples(own, dashed) | (
+                st.tuples(own | dashed | st.builds("{}={}".format, own, value | dashed))
+            )
+            positional = value.map(lambda v: (v,))
+            arity = len(spec.positionals)
+            positionals = (
+                st.lists(positional, min_size=arity, max_size=arity)
+                | st.lists(positional, max_size=3)
+            )
+            return st.tuples(positionals, st.lists(pieces, max_size=3), st.randoms()).map(
+                lambda drawn: [command] * bool(command) + shuffled(*drawn)
+            )
+
+        def shuffled(positionals, pieces, random):
+            drawn = positionals + pieces
+            random.shuffle(drawn)
+            return [token for piece in drawn for token in piece]
+
+        argvs = st.one_of([argv_of(command) for command in (*COMMANDS, "sol", "")])
+
+        @hypothesis.settings(max_examples=500, deadline=None, database=None)
+        @hypothesis.given(argvs)
+        def matches(argv):
+            parsed, expected = _parse(argv), parsed_by_argparse(argv)
+            if parsed is not None:
+                assert vars(parsed) == expected
+            elif isinstance(expected, tuple):  # help or a usage error
+                code, out, err = expected
+                assert main_output(argv) == (0 if code == 0 else 3, out, err)
+
+        matches()
 
     @pytest.mark.parametrize(
         "argv",
