@@ -185,94 +185,39 @@ def cmd_export_mip(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def _bench_row(name: str, measured, expected, tolerance: float = 0.0) -> dict:
-    if isinstance(measured, (int, float)) and isinstance(expected, (int, float)):
-        ok = abs(measured - expected) <= tolerance
-    else:
-        ok = measured == expected
-    return {"name": name, "measured": measured, "expected": expected, "ok": ok}
-
-
 def cmd_bench(args: SimpleNamespace) -> int:
-    rows: list[dict] = []
-
-    example = rio.load_instance(rio.bundled_instance_path("example-1"))
+    example, one, two = (rio.load_instance(rio.bundled_instance_path(name))
+                         for name in ("example-1", "instance-1", "instance-2"))
     exact = enumerate_exact(example)
-    rows.append(_bench_row("example-1 exact optimum (min)", exact.objective // 60, 60))
-    rows.append(_bench_row("example-1 sequences visited", exact.visited, 6))
-    greedy = greedy_solve(example)
-    rows.append(
-        _bench_row("example-1 greedy sequence", list(greedy.sequence), [1, 2, 1, 2])
-    )
-    prio = priority_solve(example)
-    rows.append(
-        _bench_row(
-            "example-1 priority optimum (min)", prio.stats.best_objective // 60, 60
-        )
-    )
-
-    one = rio.load_instance(rio.bundled_instance_path("instance-1"))
-    result = priority_solve(one)
-    rows.append(
-        _bench_row("instance-1 best waiting (min)", result.stats.best_objective // 60, 195)
-    )
-    rows.append(
-        _bench_row(
-            "instance-1 permutations", result.stats.permutations_created, 120
-        )
-    )
-    rows.append(
-        _bench_row(
-            "instance-1 feasibility (%)",
-            round(result.stats.feasibility_rate * 100, 2),
-            100.0,
-        )
-    )
-    sweep = {}
+    first, second = priority_solve(one).stats, priority_solve(two).stats
+    sweep = {}  # minutes of waiting at each fleet size, None when nothing fits
     for trucks in range(12, 19):
-        swept = priority_solve(one, truck_limit=trucks)
-        sweep[trucks] = (
-            swept.stats.best_objective // 60
-            if swept.stats.best_objective is not None
-            else None
-        )
-    rows.append(_bench_row("instance-1 waiting at 17 trucks (min)", sweep[17], 195))
-    rows.append(_bench_row("instance-1 waiting at 18 trucks (min)", sweep[18], 195))
+        best = priority_solve(one, truck_limit=trucks).stats.best_objective
+        sweep[trucks] = None if best is None else best // 60
     values = [v for v in sweep.values() if v is not None]
-    rows.append(
-        _bench_row(
-            "instance-1 truck sweep monotone",
-            values == sorted(values, reverse=True),
-            True,
-        )
-    )
-
-    two = rio.load_instance(rio.bundled_instance_path("instance-2"))
-    result2 = priority_solve(two)
-    rows.append(
-        _bench_row(
-            "instance-2 best waiting (min)", result2.stats.best_objective // 60, 885
-        )
-    )
-    rows.append(
-        _bench_row(
-            "instance-2 permutations", result2.stats.permutations_created, 362880
-        )
-    )
-    rows.append(
-        _bench_row(
-            "instance-2 feasibility (%)",
-            round(result2.stats.feasibility_rate * 100, 2),
-            16.57,
-            tolerance=0.01,
-        )
-    )
-    rows.append(
-        _bench_row(
-            "instance-2 runtime under 120 s", result2.stats.runtime < 120.0, True
-        )
-    )
-
+    # (name, measured, expected, tolerance); a tolerance of 0 asks for equality.
+    table = [
+        ("example-1 exact optimum (min)", exact.objective // 60, 60, 0),
+        ("example-1 sequences visited", exact.visited, 6, 0),
+        ("example-1 greedy sequence", list(greedy_solve(example).sequence), [1, 2, 1, 2], 0),
+        ("example-1 priority optimum (min)",
+         priority_solve(example).stats.best_objective // 60, 60, 0),
+        ("instance-1 best waiting (min)", first.best_objective // 60, 195, 0),
+        ("instance-1 permutations", first.permutations_created, 120, 0),
+        ("instance-1 feasibility (%)", round(first.feasibility_rate * 100, 2), 100.0, 0),
+        ("instance-1 waiting at 17 trucks (min)", sweep[17], 195, 0),
+        ("instance-1 waiting at 18 trucks (min)", sweep[18], 195, 0),
+        ("instance-1 truck sweep monotone", values == sorted(values, reverse=True), True, 0),
+        ("instance-2 best waiting (min)", second.best_objective // 60, 885, 0),
+        ("instance-2 permutations", second.permutations_created, 362880, 0),
+        ("instance-2 feasibility (%)", round(second.feasibility_rate * 100, 2), 16.57, 0.01),
+        ("instance-2 runtime under 120 s", second.runtime < 120.0, True, 0),
+    ]
+    rows = [
+        {"name": name, "measured": measured, "expected": expected,
+         "ok": abs(measured - expected) <= tolerance if tolerance else measured == expected}
+        for name, measured, expected, tolerance in table
+    ]
     payload = {"rows": rows, "deviations": [r["name"] for r in rows if not r["ok"]]}
     if args.json:
         print(rio.to_json(payload))

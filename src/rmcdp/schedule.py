@@ -197,7 +197,18 @@ def check(
     by_start: dict[int, list[TripId]] = {}
     for entry in schedule.entries:
         by_start.setdefault(entry.depot_start, []).append(entry.trip)
+    opening = instance.depot.start_time
     for start, trips in sorted(by_start.items()):
+        if start < opening:
+            violations.append(
+                Violation(
+                    "before_opening",
+                    tuple(sorted(trips)),
+                    start,
+                    opening,
+                    "loading starts before the depot opens",
+                )
+            )
         if len(trips) > 1:
             violations.append(
                 Violation(

@@ -737,17 +737,21 @@ class TestCheck:
         assert capsys.readouterr().err == "error: --gamma: must be at least 1, got 0\n"
 
     @pytest.mark.parametrize(
-        "old, new, detail",
+        "old, new, kind, detail",
         [
-            ("\n1,5,9:40,", "\n1,9,9:40,", "unknown trip"),
-            ("\n1,5,9:40,", "\n1,4,9:40,", "duplicated trip"),
+            ("\n1,5,9:40,", "\n1,9,9:40,", "coverage", "unknown trip"),
+            ("\n1,5,9:40,", "\n1,4,9:40,", "coverage", "duplicated trip"),
             ("\n1,1,8:00,8:35,9:00,10\n1,2,8:25,",
              "\n1,2,8:00,8:35,9:00,10\n1,1,8:25,",
-             "site 1 trip order disagrees with depot times"),
+             "coverage", "site 1 trip order disagrees with depot times"),
+            ("\n1,1,8:00,8:35,9:00,10\n", "\n1,1,7:35,8:10,8:35,10\n",
+             "before_opening", "loading starts before the depot opens"),
         ],
-        ids=["unknown", "duplicated", "order"],
+        ids=["unknown", "duplicated", "order", "before-opening"],
     )
-    def test_edited_golden_coverage_violation(self, capsys, tmp_path, old, new, detail):
+    def test_edited_golden_coverage_violation(
+        self, capsys, tmp_path, old, new, kind, detail
+    ):
         text = Path(GOLDEN).read_text()
         assert old in text
         path = tmp_path / "edited.csv"
@@ -755,7 +759,7 @@ class TestCheck:
         code, out = run(capsys, "check", INSTANCE1, str(path))
         assert code == 2
         violations = json.loads(out)["violations"]
-        assert any(v["kind"] == "coverage" and v["detail"] == detail for v in violations)
+        assert any(v["kind"] == kind and v["detail"] == detail for v in violations)
 
     def test_schedule_not_utf8_exit_code(self, capsys, tmp_path):
         path = tmp_path / "latin-1.csv"
@@ -980,6 +984,26 @@ class TestBench:
         assert not rows["instance-2 feasibility (%)"]["ok"]
         assert payload["deviations"] == ["instance-2 feasibility (%)"]
         assert code == 0
+        # Every reference row, in its printed order.
+        assert [(row["name"], row["expected"]) for row in payload["rows"]] == [
+            ("example-1 exact optimum (min)", 60),
+            ("example-1 sequences visited", 6),
+            ("example-1 greedy sequence", [1, 2, 1, 2]),
+            ("example-1 priority optimum (min)", 60),
+            ("instance-1 best waiting (min)", 195),
+            ("instance-1 permutations", 120),
+            ("instance-1 feasibility (%)", 100.0),
+            ("instance-1 waiting at 17 trucks (min)", 195),
+            ("instance-1 waiting at 18 trucks (min)", 195),
+            ("instance-1 truck sweep monotone", True),
+            ("instance-2 best waiting (min)", 885),
+            ("instance-2 permutations", 362880),
+            ("instance-2 feasibility (%)", 16.57),
+            ("instance-2 runtime under 120 s", True),
+        ]
+        assert [row["name"] for row in payload["rows"] if row["ok"] is not True] == [
+            "instance-2 feasibility (%)"
+        ]
 
     def test_text_report(self, capsys):
         _, out = run(capsys, "bench", "--json")

@@ -140,6 +140,23 @@ class TestCheck:
         report = check(example1, conflicted)
         assert any(v.kind == "slot_conflict" for v in report.violations)
 
+    def test_loading_before_opening_detected(self, example1):
+        # Every clock one loading earlier: slot 1 now loads before the depot
+        # opens, while gaps, order and fleet stay those of a feasible schedule.
+        lt, opening = example1.depot.loading_time, example1.depot.start_time
+        base = expand_consecutive(example1, (1, 2, 1, 2))
+        early = Schedule(tuple(
+            e._replace(depot_start=e.depot_start - lt, site_arrival=e.site_arrival - lt,
+                       site_departure=e.site_departure - lt)
+            for e in base.entries
+        ))
+        report = check(example1, early, truck_limit=4)
+        assert not report.feasible
+        assert report.violations == (
+            ("before_opening", (TripId(1, 1),), opening - lt, opening,
+             "loading starts before the depot opens"),
+        )
+
     def test_missing_trip_is_coverage_violation(self, example1):
         base = expand_consecutive(example1, (1, 2, 1, 2))
         truncated = type(base)(entries=base.entries[:-1])
