@@ -9,8 +9,13 @@ previous pour makes the permutation infeasible.  The best feasible
 permutation wins; ties go to the lexicographically smallest permutation of
 the instance's site list.
 
-The search reads the integer site table ``Instance.timings``.  Sites whose
-rows agree on everything but the id produce identical timings, so they form
+The search reads the integer site table ``Instance.timings``.  A site's
+first trip loaded at depot time ``t`` waits ``max(0, t + offset)``.  When
+``depot start + offset >= 0`` it cannot arrive early even at the opening, so
+it waits ``t + offset`` wherever it goes: its offset is a constant of the
+objective, added once to the winner, and feasibility never reads it.  Such a
+site keys as ``(trips, 0, U_i, gamma_i)``; any other keys as ``(trips,
+offset, U_i, gamma_i)``.  Sites of one key are interchangeable, so they form
 one key group, the search runs over the distinct orderings of the groups
 (classes) and fans each class out combinatorially.  Placing sites in
 priority order is a walk down a tree whose level ``r`` places the site in
@@ -112,9 +117,19 @@ _LEAF: _Entry = (1, 0, -1, None, 0)  # every node with no site left to place
 
 
 def parse_beta(beta: Fraction | int | float | str) -> Fraction:
-    """The pacing factor as an exact fraction; it must be a number of at least 1."""
-    try:  # a Fraction or int is taken as it is, never written out as digits
-        value = Fraction(beta if isinstance(beta, (Fraction, int)) else str(beta))
+    """The pacing factor as an exact fraction; it must be a number of at least 1.
+
+    A bool is not a number, and text is read as the instance files are:
+    ASCII, with no ``_`` between digits.
+    """
+    try:
+        if isinstance(beta, (Fraction, int)) and not isinstance(beta, bool):
+            value = Fraction(beta)  # taken as it is, never written out as digits
+        else:
+            text = str(beta)  # a bool reads "True" or "False": not a number
+            if not text.isascii() or "_" in text:
+                raise ValueError(text)
+            value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"beta: not a number: {_shown(beta)}") from exc
     if value < 1:
@@ -146,9 +161,15 @@ def priority_solve(
     created = math.factorial(len(instance.sites))
 
     rows = instance.timings
+    # A site whose first trip cannot arrive early, even loaded at the
+    # opening, waits ``t + offset`` wherever it goes: it keys with offset 0,
+    # and the offsets it drops (``fixed``) are added once to the winner.
     members: dict[tuple[int, ...], list[int]] = {}
-    for position, row in enumerate(rows):
-        members.setdefault(row[1:], []).append(position)
+    opening, fixed = depot.start_time, 0
+    for position, (_, trips, offset, unload, gamma) in enumerate(rows):
+        if opening + offset >= 0:
+            fixed, offset = fixed + offset, 0
+        members.setdefault((trips, offset, unload, gamma), []).append(position)
     # One row per key group k that can be placed: k, its weight in the code
     # of the sites left, trips, first-trip offset, step, reach, the planned
     # ``(trips - 1) * beta * U_i`` in units of ``1 / per`` s, the positions of
@@ -278,6 +299,7 @@ def priority_solve(
         schedule = schedule_from_slots(instance, slots)
         permutation = tuple(order)
         sequence = schedule.dispatch_sequence()
+        wait += fixed * per
         whole, rest = divmod(wait, per)
         objective = wait / per if rest else whole
     stats = PrioritySearchStats(

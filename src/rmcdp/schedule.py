@@ -197,7 +197,8 @@ def check(
     by_start: dict[int, list[TripId]] = {}
     for entry in schedule.entries:
         by_start.setdefault(entry.depot_start, []).append(entry.trip)
-    opening = instance.depot.start_time
+    opening, lt = instance.depot.start_time, instance.depot.loading_time
+    last, last_trips = None, []
     for start, trips in sorted(by_start.items()):
         if start < opening:
             violations.append(
@@ -219,8 +220,19 @@ def check(
                     f"{len(trips)} loadings at the same depot time",
                 )
             )
+        # The one bay loads a truck at a time.
+        if last is not None and start - last < lt:
+            violations.append(
+                Violation(
+                    "loading_overlap",
+                    tuple(sorted(last_trips + trips)),
+                    start - last,
+                    lt,
+                    f"loadings {start - last} s apart, under one loading time",
+                )
+            )
+        last, last_trips = start, trips
 
-    lt = instance.depot.loading_time
     for site in instance.sites:
         gamma = gamma_override if gamma_override is not None else instance.gamma_for(site)
         span = lt + site.haul_time + site.unload_time

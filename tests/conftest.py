@@ -377,3 +377,39 @@ def tight_gamma_instance(rng: random.Random, max_total_trips: int = 8) -> Instan
             )
         )
     return Instance(depot=eight_oclock_depot(lt_min), sites=tuple(sites))
+
+
+def mixed_arrival_instance(rng: random.Random, max_sites: int = 6) -> Instance:
+    """4 to ``max_sites`` sites drawn from 1-2 random (trips, U_i) rows, each
+    with its own haul and requested start.  At least one site's first trip
+    can arrive before its requested start when loaded at the opening, and
+    at least one's cannot.
+
+    The priority search keys a site that cannot arrive early on (trips,
+    U_i, gamma_i) alone, so such sites share a key group whatever their
+    haul and start; a site that can arrive early keeps both in its key.
+    """
+    lt_min = rng.choice((3, 5, 10))
+    rows = [(rng.randint(1, 3), lt_min * rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+    count = rng.randint(4, max_sites)
+    early = [True, False] + [rng.random() < 0.5 for _ in range(count - 2)]
+    rng.shuffle(early)
+    sites = []
+    for sid, can_be_early in enumerate(early, start=1):
+        trips, unload_min = rng.choice(rows)
+        haul_min = rng.randint(0, min(20, 90 - lt_min - unload_min))
+        # Loaded at the 8:00 opening, the first trip arrives at 8:00 + L_t + h_i.
+        arrival_min = 8 * 60 + lt_min + haul_min
+        if can_be_early:
+            start_min = arrival_min + rng.randint(1, 20)
+        else:
+            start_min = arrival_min - rng.randint(0, lt_min + haul_min)
+        sites.append(SiteSpec(
+            id=sid,
+            demand=10 * trips - rng.choice((0, 5)),
+            distance=haul_min,  # speed 60 km/h: 1 km == 1 minute
+            speed=60,
+            unload_time=unload_min * MIN,
+            proposed_start=start_min * MIN,
+        ))
+    return Instance(depot=eight_oclock_depot(lt_min), sites=tuple(sites))

@@ -51,8 +51,8 @@ class TestSolve:
         assert payload["objective"]["total_site_wait_min"] == 195
         assert payload["objective"]["trucks_required"] == 17
         assert payload["stats"]["permutations_created"] == 120
-        assert payload["stats"]["states"] == 34
-        assert payload["stats"]["memo_hits"] == 13
+        assert payload["stats"]["states"] == 21
+        assert payload["stats"]["memo_hits"] == 2
 
     def test_exact_on_small_example(self, capsys):
         code, out = run(capsys, "solve", EXAMPLE1, "--algorithm", "exact")
@@ -391,7 +391,7 @@ class TestSolve:
     @pytest.mark.parametrize("algorithm", ["priority", "greedy", "exact", "grid-exact"])
     def test_bad_beta_or_trucks_rejected(self, capsys, algorithm):
         # Checked once for every algorithm, before the instance is read.
-        for option in ("--beta=abc", "--beta=nan", "--beta=0.5",
+        for option in ("--beta=abc", "--beta=nan", "--beta=0.5", "--beta=1_5", "--beta=\uff12",
                        "--trucks=0", "--trucks=-1"):
             code = main(["solve", EXAMPLE1, "--algorithm", algorithm, option])
             captured = capsys.readouterr()
@@ -746,8 +746,10 @@ class TestCheck:
              "coverage", "site 1 trip order disagrees with depot times"),
             ("\n1,1,8:00,8:35,9:00,10\n", "\n1,1,7:35,8:10,8:35,10\n",
              "before_opening", "loading starts before the depot opens"),
+            ("\n2,1,8:05,8:30,8:55,10\n", "\n2,1,8:01,8:26,8:51,10\n",
+             "loading_overlap", "loadings 60 s apart, under one loading time"),
         ],
-        ids=["unknown", "duplicated", "order", "before-opening"],
+        ids=["unknown", "duplicated", "order", "before-opening", "loading-overlap"],
     )
     def test_edited_golden_coverage_violation(
         self, capsys, tmp_path, old, new, kind, detail

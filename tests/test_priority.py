@@ -11,7 +11,8 @@ from rmcdp.model import DepotSpec, Instance, InputError, SiteSpec, ValidationErr
 from rmcdp.priority import parse_beta, priority_solve
 from rmcdp.schedule import check, evaluate
 
-from conftest import random_instance, repeated_row_instance, replace, tight_gamma_instance
+from conftest import (mixed_arrival_instance, random_instance, repeated_row_instance, replace,
+                      tight_gamma_instance)
 
 MIN = 60
 
@@ -171,8 +172,10 @@ class TestPrioritySolve:
             priority_solve(example1, beta="0.5")
 
     @pytest.mark.parametrize(
-        "beta", ["abc", "nan", float("nan"), float("inf"), "1/0"],
-        ids=["abc", "nan-text", "nan-float", "inf", "1/0"],
+        "beta", ["abc", "nan", float("nan"), float("inf"), "1/0",
+                 "1_5", "\uff12", "\u0663", True, False],
+        ids=["abc", "nan-text", "nan-float", "inf", "1/0",
+             "underscore", "fullwidth-2", "arabic-indic-3", "true", "false"],
     )
     def test_non_numeric_beta_rejected(self, example1, beta):
         with pytest.raises(ValidationError, match="beta: not a number"):
@@ -247,10 +250,12 @@ class TestPrioritySolve:
 
     @pytest.mark.parametrize(
         "name, states, memo_hits",
-        [("example1", 3, 0), ("instance1", 34, 13), ("instance2", 63, 79)],
+        [("example1", 2, 0), ("instance1", 21, 2), ("instance2", 9, 0)],
     )
     def test_memo_counts(self, request, name, states, memo_hits):
-        # instance-2's 1,680 classes share 63 search nodes.
+        # No first trip of these sites can arrive early, so haul and
+        # requested start leave the key: instance-2's nine sites are one key
+        # group, one class of 362,880 permutations over 9 search nodes.
         stats = priority_solve(request.getfixturevalue(name)).stats
         assert (stats.states, stats.memo_hits) == (states, memo_hits)
         assert stats.states < 1680
@@ -439,8 +444,26 @@ class TestMatchesReplayFromEmptyGrid:
             for truck_limit in (None, 1, 2, 3, 5):
                 assert_matches_reference(instance, beta, truck_limit)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mixed_early_arrival(self, seed):
+        # Sites that cannot arrive early share a key group across hauls and
+        # requested starts; the reference replays every order by its own
+        # haul and start.
+        instance = mixed_arrival_instance(random.Random(seed))
+        for beta in ("1", "3/2", "2"):
+            for truck_limit in (None, 1, 2, 3, 5):
+                assert_matches_reference(instance, beta, truck_limit)
+
     def test_example1(self, example1):
         assert_matches_reference(example1)
+
+    def test_example1_waits_off_whole_seconds(self, example1):
+        # A 61 s unload paced by 5/4 leaves a best waiting of 5,247.5 s:
+        # the offsets left out of the key still count in it.
+        slow = replace(example1, sites=tuple(
+            replace(site, unload_time=61) for site in example1.sites))
+        assert priority_solve(slow, beta="5/4").stats.best_objective == 5247.5
+        assert_matches_reference(slow, beta="5/4")
 
     @pytest.mark.parametrize("trucks", [None, *range(12, 19)])
     def test_instance1_truck_sweep(self, instance1, trucks):

@@ -157,6 +157,29 @@ class TestCheck:
              "loading starts before the depot opens"),
         )
 
+    @staticmethod
+    def moved(schedule, trip, delta):
+        """``schedule`` with every clock of ``trip`` moved by ``delta`` s."""
+        return Schedule(tuple(
+            e._replace(depot_start=e.depot_start + delta, site_arrival=e.site_arrival + delta,
+                       site_departure=e.site_departure + delta) if e.trip == trip else e
+            for e in schedule.entries
+        ))
+
+    def test_loading_overlap_detected(self, instance1, golden_schedule):
+        # Site 2's first loading moved from 8:05 to 8:01 starts one minute
+        # after site 1's 8:00 loading, four before the bay is free.
+        early = self.moved(golden_schedule, TripId(2, 1), -4 * MIN)
+        assert check(instance1, early).violations == (
+            ("loading_overlap", (TripId(1, 1), TripId(2, 1)), MIN,
+             instance1.depot.loading_time, "loadings 60 s apart, under one loading time"),
+        )
+
+    def test_equal_starts_are_a_slot_conflict_only(self, instance1, golden_schedule):
+        # Moved onto 8:00 itself: one conflict; 8:00 and 8:10 are two loadings apart.
+        clash = self.moved(golden_schedule, TripId(2, 1), -5 * MIN)
+        assert [v.kind for v in check(instance1, clash).violations] == ["slot_conflict"]
+
     def test_missing_trip_is_coverage_violation(self, example1):
         base = expand_consecutive(example1, (1, 2, 1, 2))
         truncated = type(base)(entries=base.entries[:-1])

@@ -1,6 +1,6 @@
 """Time single layers of rmcdp and print them as Markdown sections:
-truck-limited priority search, schedule replay, request inputs and
-command-line parse.
+priority search at no limit and under a fleet limit, schedule replay,
+request inputs and command-line parse.
 
     PYTHONPATH=src:tests python tools/layer_times.py
 
@@ -36,6 +36,14 @@ def section(heading, lines):
     print("```")
 
 
+def no_limit():
+    for name in ("example-1", "instance-1", "instance-2"):
+        instance = load_instance(bundled_instance_path(name))
+        stats = priority_solve(instance).stats
+        ms = best(lambda: priority_solve(instance), 20) / 1e3
+        yield f"{name}: {stats.states} states, {stats.memo_hits} memo hits, {ms:.3f} ms"
+
+
 def truck_limited(one):
     cases = [("distinct_sites_instance", distinct_sites_instance(), 10)]
     cases += [("instance-1", one, trucks) for trucks in range(12, 19)]
@@ -46,7 +54,7 @@ def truck_limited(one):
                f"{stats.memo_hits} memo hits, {ms:.2f} ms")
 
 
-def replay(one):
+def replay():
     for name in ("instance-1", "instance-2"):
         instance = load_instance(bundled_instance_path(name))
         depot, winner = instance.depot, priority_solve(instance).schedule
@@ -54,7 +62,6 @@ def replay(one):
                  for e in winner.entries}
         yield (f"{name}: schedule_from_slots on the priority winner "
                f"{best(lambda: schedule_from_slots(instance, slots), 200):.1f} us")
-    yield f"instance-1: priority_solve {best(lambda: priority_solve(one), 20):.1f} us"
 
 
 def request_inputs(one):
@@ -74,7 +81,8 @@ def command_line():
 
 
 one = load_instance(bundled_instance_path("instance-1"))
+section("Priority search at no limit (best of 5)", no_limit())
 section("Truck-limited priority search (best of 5)", truck_limited(one))
-section("Schedule replay (best of 5, µs per call)", replay(one))
+section("Schedule replay (best of 5, µs per call)", replay())
 section("Request inputs (best of 5, µs per call)", request_inputs(one))
 section("Command-line parse (best of 5, µs per call)", command_line())
